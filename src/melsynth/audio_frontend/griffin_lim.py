@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from ..nn_core import NonFiniteError
 from .mel import AudioConfig, hann_window, mel_filterbank, stft_magnitude
 
-_PINV_CACHE = {}
 
-
+@functools.lru_cache(maxsize=8)
 def _filterbank_pinv(config):
-    key = (config.n_fft, config.n_mels, config.fmin, config.fmax, config.sample_rate)
-    if key not in _PINV_CACHE:
-        _PINV_CACHE[key] = np.linalg.pinv(mel_filterbank(config))
-    return _PINV_CACHE[key]
+    pinv = np.linalg.pinv(mel_filterbank(config))
+    pinv.setflags(write=False)
+    return pinv
 
 
 def mel_to_linear_magnitude(log_mel, config=AudioConfig()):
@@ -27,23 +28,34 @@ def istft(spec, config=AudioConfig()):
 
     `spec` carries the same 2/sum(window) scaling `stft_magnitude` applies;
     returns the de-padded waveform of length hop * (T - 1).
+
+    The overlap-add works on blocks of hop samples: a frame spans r =
+    ceil(win/hop) blocks (zero-padded to r * hop), so it is r strided adds of
+    every frame at once. Chunks are added last-first, which sums each output
+    sample over frames in increasing order, as a frame-by-frame loop would.
     """
-    win = hann_window(config.win_length)
-    spec = np.asarray(spec) / (2.0 / win.sum())
+    hop, width = config.hop_length, config.win_length
+    win = hann_window(width)
+    spec = np.asarray(spec)
     n_frames = spec.shape[1]
-    frames = np.fft.irfft(spec.T, n=config.n_fft, axis=1)[:, :config.win_length]
-    frames *= win
-    length = config.hop_length * (n_frames - 1) + config.win_length
-    y = np.zeros(length)
-    norm = np.zeros(length)
+    r = -(-width // hop)
+    frames = np.fft.irfft(spec.T, n=config.n_fft, axis=1)[:, :width]
+    frames *= win * (win.sum() / 2.0)
     wsq = win * win
-    for i in range(n_frames):
-        o = i * config.hop_length
-        y[o:o + config.win_length] += frames[i]
-        norm[o:o + config.win_length] += wsq
+    if r * hop != width:
+        frames = np.pad(frames, ((0, 0), (0, r * hop - width)))
+        wsq = np.pad(wsq, (0, r * hop - width))
+    chunks = frames.reshape(n_frames, r, hop)
+    wsq = wsq.reshape(r, hop)
+    y = np.zeros((n_frames + r - 1, hop))
+    norm = np.zeros((n_frames + r - 1, hop))
+    for j in reversed(range(r)):
+        y[j:j + n_frames] += chunks[:, j]
+        norm[j:j + n_frames] += wsq[j]
     y /= np.maximum(norm, 1e-10)
+    length = hop * (n_frames - 1) + width
     pad = config.n_fft // 2
-    return y[pad:length - pad]
+    return y.reshape(-1)[pad:length - pad]
 
 
 def spectral_convergence(magnitude, waveform, config=AudioConfig()):
@@ -57,20 +69,24 @@ def griffin_lim(log_mel, iterations=60, config=AudioConfig()):
 
     Classic fixed-point iteration: keep the target magnitude, re-estimate
     phase from the previous reconstruction. Zero initial phase keeps the
-    output deterministic.
+    output deterministic. Raises NonFiniteError when the mel's magnitude is
+    not finite (e.g. exp overflow on a mel far above the log range).
     """
     if iterations < 1:
         raise ValueError("griffin_lim needs at least one iteration")
     # the pseudo-inverse output carries the same scaling stft_magnitude applies
-    magnitude = mel_to_linear_magnitude(log_mel, config)
-    spec = magnitude.astype(np.complex128)
-    y = istft(spec, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = mel_to_linear_magnitude(log_mel, config)
+    if not np.isfinite(magnitude).all():
+        raise NonFiniteError(
+            f"non-finite linear magnitude from mel of shape {np.shape(log_mel)}")
+    y = istft(magnitude.astype(np.complex128), config)
     if y.size < config.win_length:  # too short to re-analyze; keep zero phase
         iterations = 1
     for _ in range(iterations - 1):
         rebuilt = stft_magnitude(y, config, return_complex=True)
-        phase = rebuilt / np.maximum(np.abs(rebuilt), 1e-12)
-        y = istft(magnitude * phase, config)
+        rebuilt *= magnitude / np.maximum(np.abs(rebuilt), 1e-12)
+        y = istft(rebuilt, config)
     peak = np.max(np.abs(y)) if y.size else 0.0
     if peak > 0.95:
         y = y * (0.95 / peak)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # natural-log dynamic range of the clamped magnitudes; fixed so that
 # unit-interval scaling is corpus independent
@@ -38,8 +40,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(config=AudioConfig()):
-    """(n_mels, n_fft//2+1) triangular filters, peak 1, HTK mel spacing."""
+    """(n_mels, n_fft//2+1) triangular filters, peak 1, HTK mel spacing.
+
+    Built once per config; the cached array is shared, so it is read-only.
+    """
     n_bins = config.n_fft // 2 + 1
     fft_freqs = np.linspace(0.0, config.sample_rate / 2.0, n_bins)
     edges = mel_to_hz(np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax),
@@ -50,6 +56,7 @@ def mel_filterbank(config=AudioConfig()):
         up = (fft_freqs - lo) / (center - lo)
         down = (hi - fft_freqs) / (hi - center)
         fb[m] = np.clip(np.minimum(up, down), 0.0, None)
+    fb.setflags(write=False)
     return fb
 
 
@@ -70,18 +77,12 @@ def stft_magnitude(waveform, config=AudioConfig(), return_complex=False):
         raise ValueError(
             f"waveform of {x.size} samples is shorter than one window ({config.win_length})"
         )
-    pad = config.n_fft // 2
-    x = np.pad(x, pad, mode="reflect")
+    x = np.pad(x, config.n_fft // 2, mode="reflect")
     window = hann_window(config.win_length)
-    n_frames = 1 + (x.size - config.win_length) // config.hop_length
-    idx = (np.arange(config.win_length)[None, :]
-           + config.hop_length * np.arange(n_frames)[:, None])
-    frames = x[idx] * window
+    frames = (sliding_window_view(x, config.win_length)[::config.hop_length]
+              * (window * (2.0 / window.sum())))
     spec = np.fft.rfft(frames, n=config.n_fft, axis=1).T  # (bins, frames)
-    scale = 2.0 / window.sum()
-    if return_complex:
-        return spec * scale
-    return np.abs(spec) * scale
+    return spec if return_complex else np.abs(spec)
 
 
 def wav_to_mel(waveform, config=AudioConfig()):

@@ -118,12 +118,15 @@ def predict_durations(model, phoneme_ids):
     """Rounded per-phoneme frame counts for a single utterance (no grads)."""
     ids = np.asarray(phoneme_ids, dtype=np.int64).reshape(1, -1)
     with no_grad():
-        encodings = model.encode(ids)
-        log_dur = model.predict_log_durations(encodings)
-    durations = round_durations(log_dur.data)[0, 0]
+        return _durations_from_encodings(model, model.encode(ids))
+
+
+def _durations_from_encodings(model, encodings):
+    log_dur = model.predict_log_durations(encodings).data[0, 0]
+    durations = round_durations(log_dur)
     if durations.sum() == 0:
         # degenerate prediction: give the highest-scoring phoneme one frame
-        durations[int(np.argmax(log_dur.data[0, 0]))] = 1
+        durations[int(np.argmax(log_dur))] = 1
     return durations
 
 
@@ -139,11 +142,11 @@ def synthesize(model, phoneme_ids, durations=None):
     was_training = model.training
     model.eval()
     try:
-        if durations is None:
-            durations = predict_durations(model, phoneme_ids)
-        durations = np.asarray(durations, dtype=np.int64)
         with no_grad():
             encodings = model.encode(ids)
+            if durations is None:
+                durations = _durations_from_encodings(model, encodings)
+            durations = np.asarray(durations, dtype=np.int64)
             expanded, frame_mask, _ = expand_encodings(
                 encodings, durations.reshape(1, -1))
             pred = model.decode(expanded, Tensor(frame_mask))

@@ -10,6 +10,7 @@ from .losses import (
 )
 from .align import (
     FORWARD_REACH,
+    AlignmentError,
     durations_from_attention,
     durations_from_path,
     extract_durations,
@@ -39,6 +40,7 @@ __all__ = [
     "guided_attention_weights",
     "masked_mae",
     "FORWARD_REACH",
+    "AlignmentError",
     "durations_from_attention",
     "durations_from_path",
     "extract_durations",

@@ -17,6 +17,10 @@ from .model import NEG_INF, shift_frames
 FORWARD_REACH = 3
 
 
+class AlignmentError(RuntimeError):
+    """Extracted durations do not partition the spectrogram's frames."""
+
+
 def masked_attention_path(logits, forward_reach=FORWARD_REACH):
     """Greedy attended-index walk over (N, T) logits with location masking.
 
@@ -79,7 +83,10 @@ def extract_durations(model, phoneme_ids, target_mel, position_rate=None,
     logits = teacher_forced_logits(model, phoneme_ids, target_mel, position_rate)
     path = masked_attention_path(logits, forward_reach)
     durations = durations_from_path(path, len(phoneme_ids))
-    assert durations.sum() == target_mel.shape[1]
+    if durations.sum() != target_mel.shape[1]:
+        raise AlignmentError(
+            f"durations sum to {int(durations.sum())} frames but the target "
+            f"mel has {target_mel.shape[1]}")
     return durations
 
 

@@ -26,6 +26,7 @@ from melsynth.audio_frontend import (
     wav_to_mel,
     write_durations,
 )
+from melsynth.nn_core import NonFiniteError
 
 CFG = AudioConfig()
 
@@ -73,6 +74,12 @@ class TestWavToMel:
         assert fb.max() <= 1.0 + 1e-9
         # every filter has support
         assert np.all(fb.sum(axis=1) > 0)
+
+    def test_filterbank_built_once_and_read_only(self):
+        fb = mel_filterbank(CFG)
+        assert mel_filterbank(CFG) is fb
+        with pytest.raises(ValueError, match="read-only"):
+            fb[0, 0] = 2.0
 
 
 class TestNormalization:
@@ -190,6 +197,14 @@ class TestDataset:
         y = load_wav(tmp_path / "x.wav")
         assert y.shape == x.shape
         assert np.max(np.abs(x - y)) < 1.0 / 32000
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_refused(self, tmp_path, bad):
+        x = sine(440, 0.1)
+        x[10] = bad
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            save_wav(tmp_path / "x.wav", x)
+        assert not (tmp_path / "x.wav").exists()
 
     def test_wrong_rate_rejected(self, tmp_path):
         save_wav(tmp_path / "x.wav", np.zeros(100), sample_rate=16000)

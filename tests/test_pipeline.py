@@ -25,6 +25,7 @@ from melsynth.pipeline import (
     run_student_training,
     run_synthesize,
     run_teacher_training,
+    save_checkpoint,
     spread_durations,
     write_bench_csv,
     write_pgm,
@@ -354,6 +355,22 @@ class TestCli:
         cfg_path.write_text(config_to_text(micro_cfg(corpus)))
         assert main(["extract-durations", "--config", str(cfg_path),
                      "--checkpoint", str(tmp_path / "no.ckpt")]) == 2
+
+    def test_non_finite_synthesis_exits_3(self, student_run, tmp_path,
+                                          capsys):
+        cfg, result = student_run
+        # a mel mean far above the log range overflows exp() in the vocoder
+        ckpt = tmp_path / "hot.ckpt"
+        save_checkpoint(ckpt, result["model"], cfg, "student",
+                        stats=(1e5, 1.0))
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        out = tmp_path / "hot.wav"
+        assert main(["synthesize", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt), "--out", str(out),
+                     "--phonemes", "AA IY UW"]) == 3
+        assert not out.exists()
+        assert "mel of shape (20, " in capsys.readouterr().err
 
     def test_full_chain(self, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -231,6 +231,22 @@ class TestInference:
         mel, used = synthesize(model, ids)
         assert mel.shape[1] == used.sum() >= 1
 
+    def test_predicted_durations_encode_once(self, rng, monkeypatch):
+        model = tiny_student(rng)
+        model.duration_out.bias.data[:] = np.log(4.0)
+        model.eval()
+        ids = rng.integers(1, VOCAB, size=5)
+        expected_durations = predict_durations(model, ids)
+        expected_mel, _ = synthesize(model, ids, expected_durations)
+        calls = []
+        encode = model.encode
+        monkeypatch.setattr(
+            model, "encode", lambda *a, **k: calls.append(1) or encode(*a, **k))
+        mel, durations = synthesize(model, ids)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(durations, expected_durations)
+        np.testing.assert_array_equal(mel, expected_mel)
+
     def test_conv_work_independent_of_utterance_length(self, rng):
         # the whole spectrogram comes from whole-sequence convolutions:
         # the number of conv launches must not grow with frame count

@@ -7,6 +7,7 @@ import pytest
 from melsynth.nn_core import Tensor, no_grad
 from melsynth.nn_core import functional as F
 from melsynth.teacher import (
+    AlignmentError,
     AugmentParams,
     TeacherModel,
     augment_spectrogram,
@@ -22,6 +23,7 @@ from melsynth.teacher import (
     shift_frames,
     teacher_dilations,
 )
+from melsynth.teacher import align
 
 VOCAB = 40
 
@@ -227,6 +229,17 @@ class TestDurations:
         d = extract_durations(model, ids, mel)
         assert d.sum() == 17
         assert len(d) == 6
+
+    def test_frame_mismatch_is_a_named_error(self, rng, monkeypatch):
+        model = tiny_model(rng)
+        model.eval()
+        ids = rng.integers(1, VOCAB, size=6)
+        mel = rng.random((8, 17)).astype(np.float32)
+        # a path that loses its first frame no longer partitions the mel
+        monkeypatch.setattr(align, "durations_from_path",
+                            lambda path, n: np.bincount(path[1:], minlength=n))
+        with pytest.raises(AlignmentError, match="sum to 16 frames .* has 17"):
+            extract_durations(model, ids, mel)
 
 
 class TestAugmentations:
