@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..nn_core import NonFiniteError
 from .lexicon import LEXICON
 from .vocab import PhonemeVocabulary, tokenize_text
 
@@ -50,16 +49,8 @@ def load_wav(path, expected_rate=22050):
 
 
 def save_wav(path, waveform, sample_rate=22050):
-    """Write float waveform in [-1, 1] as 16-bit PCM mono.
-
-    Raises NonFiniteError, writing nothing, when a sample is NaN or infinite:
-    PCM has no encoding for them.
-    """
-    samples = np.asarray(waveform, dtype=np.float64)
-    if not np.isfinite(samples).all():
-        raise NonFiniteError(
-            f"{path}: waveform of {samples.size} samples has non-finite values")
-    clipped = np.clip(samples, -1.0, 1.0)
+    """Write float waveform in [-1, 1] as 16-bit PCM mono."""
+    clipped = np.clip(np.asarray(waveform, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(clipped * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
