@@ -9,6 +9,7 @@ from .layers import (
     GatedResidualBlock,
     Linear,
     PlainResidualBlock,
+    RowLayout,
 )
 from .optim import (
     Adam,
@@ -35,6 +36,7 @@ __all__ = [
     "GatedResidualBlock",
     "Linear",
     "PlainResidualBlock",
+    "RowLayout",
     "Adam",
     "NoamSchedule",
     "PlateauSchedule",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, grad_enabled
 
 
 def _unbroadcast(grad, shape):
@@ -327,50 +327,174 @@ def softmax(x, axis):
 
 
 # ---------------------------------------------------------------------------
-# convolutions
+# guard-banded rows and convolutions
 # ---------------------------------------------------------------------------
+#
+# A (batch, channels, time) batch is laid out as one (channels, width) row:
+# guard, item 0, guard, item 1, ..., guard, each guard `guard` zero columns.
+# A conv that reaches at most `guard` frames to either side then never mixes
+# two items, so the whole batch is one GEMM per kernel tap.
 
-# forward-call counter; lets tests assert a synthesis pass runs a fixed number
-# of convolutions regardless of output length (no per-frame loops)
-CONV_CALLS = 0
+def row_layout(lengths, guard):
+    """(start column of each item, row width) for items of `lengths` frames."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = guard + np.concatenate(([0], np.cumsum(lengths[:-1] + guard)))
+    return starts, int(guard + np.sum(lengths + guard))
 
 
-def conv1d(x, weight, bias, dilation=1, causal=False):
-    """Dilated 1D convolution over (batch, channels, time), length-preserving.
+def _to_row(x, starts, lengths, width):
+    row = np.zeros((x.shape[1], width), dtype=x.dtype)
+    for b, (s, n) in enumerate(zip(starts, lengths)):
+        row[:, s:s + n] = x[b, :, :n]
+    return row
 
-    causal: left-pad (kernel-1)*dilation zeros so output t sees inputs <= t.
-    non-causal: symmetric zero padding.
-    """
-    global CONV_CALLS
-    CONV_CALLS += 1
-    if x.data.shape[1] != weight.data.shape[1]:
+
+def _from_row(row, starts, lengths, frames):
+    out = np.zeros((len(starts), row.shape[0], frames), dtype=row.dtype)
+    for b, (s, n) in enumerate(zip(starts, lengths)):
+        out[b, :, :n] = row[:, s:s + n]
+    return out
+
+
+def pack_rows(x, starts, lengths, width):
+    """(batch, channels, time) -> (channels, width) row; item b keeps its first
+    lengths[b] frames at column starts[b], everything else is zero."""
+    out = _to_row(x.data, starts, lengths, width)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(_from_row(g, starts, lengths, x.data.shape[2]))
+
+    return Tensor.from_op(out, (x,), backward)
+
+
+def unpack_rows(row, starts, lengths, frames):
+    """Inverse of :func:`pack_rows`; frames past each item's length are zero."""
+    out = _from_row(row.data, starts, lengths, frames)
+
+    def backward(g):
+        if row.requires_grad:
+            row.accumulate_grad(_to_row(g, starts, lengths, row.data.shape[1]))
+
+    return Tensor.from_op(out, (row,), backward)
+
+
+def _conv_geometry(x, weight, dilation, causal):
+    """Validate a conv; returns (kernel size, span, zeros on the left)."""
+    if x.data.shape[-2] != weight.data.shape[1]:
         raise ValueError(
-            f"conv1d channel mismatch: input has {x.data.shape[1]}, weight expects {weight.data.shape[1]}"
+            f"conv1d channel mismatch: input has {x.data.shape[-2]}, weight expects {weight.data.shape[1]}"
         )
     if not np.all(np.isfinite(weight.data)):
         raise ValueError("conv1d weights contain non-finite values")
     ksize = weight.data.shape[2]
     span = (ksize - 1) * dilation
-    if causal:
-        pad_left, pad_right = span, 0
-    else:
-        pad_left = span // 2
-        pad_right = span - pad_left
-    out_time = x.data.shape[2]
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (pad_left, pad_right)))
-    out = kernels.conv1d_forward(xpad, weight.data, bias.data, dilation, out_time)
+    return ksize, span, span if causal else span // 2
+
+
+def conv1d(x, weight, bias, dilation=1, causal=False):
+    """Dilated 1D convolution over (batch, channels, time), length-preserving.
+
+    causal: (kernel-1)*dilation zeros on the left, so output t sees inputs <= t.
+    non-causal: centred zero padding (an odd extra zero goes on the right).
+    The batch runs as one guard-banded row through the k-GEMM kernels.
+    """
+    ksize, span, left = _conv_geometry(x, weight, dilation, causal)
+    batch, _, frames = x.data.shape
+    lengths = [frames] * batch
+    starts, width = row_layout(lengths, max(left, span - left))
+    xrow = _to_row(x.data, starts, lengths, width)[None]
+    n = width - span
+    yrow = np.empty((1, weight.data.shape[0], width),
+                    dtype=np.result_type(xrow, weight.data))
+    kernels.conv1d_forward(xrow, weight.data, bias.data, dilation, n,
+                           out=yrow[:, :, left:left + n])
+    out = _from_row(yrow[0], starts, lengths, frames)
 
     def backward(g):
-        g = np.ascontiguousarray(g)
+        grow = _to_row(g, starts, lengths, width)[None, :, left:left + n]
         if weight.requires_grad:
-            weight.accumulate_grad(kernels.conv1d_grad_weight(g, xpad, dilation, ksize))
+            weight.accumulate_grad(kernels.conv1d_grad_weight(grow, xrow, dilation, ksize))
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            gxpad = kernels.conv1d_grad_input(g, weight.data, dilation, xpad.shape[2])
-            x.accumulate_grad(gxpad[:, :, pad_left:pad_left + out_time])
+            gxrow = kernels.conv1d_grad_input(grow, weight.data, dilation, width)
+            x.accumulate_grad(_from_row(gxrow[0], starts, lengths, frames))
 
     return Tensor.from_op(out, (x, weight, bias), backward)
+
+
+def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False,
+                   frames=None, running=None, eps=1e-5):
+    """Fused plain residual block on a guard-banded (channels, width) row:
+
+        out = (x + scale * norm(relu(conv(x))) + shift) * keep
+
+    norm uses ``running`` = (mean, var) when given (eval mode); otherwise the
+    batch statistics over the columns where ``frames`` is 1 (train mode), with
+    a hand-written backward that includes the mean and variance terms.
+    ``keep`` (width,) is the mask on item columns and 0 on the guards, so the
+    output is again a row with zero guards; the conv must reach no further
+    than the guards. Batch norm comes after the ReLU, so it cannot fold into
+    the conv weights; it runs as a per-channel affine epilogue on the GEMM
+    output, in place when no gradient is recorded.
+
+    Returns (out, mean, var): the statistics the normalization used.
+    """
+    ksize, span, left = _conv_geometry(x, weight, dilation, causal)
+    xd = x.data
+    width = xd.shape[1]
+    n = width - span
+    r = np.empty((weight.data.shape[0], width), dtype=np.result_type(xd, weight.data))
+    r[:, :left] = 0
+    r[:, left + n:] = 0
+    kernels.conv1d_forward(xd[None], weight.data, bias.data, dilation, n,
+                           out=r[None, :, left:left + n])
+    np.maximum(r, 0, out=r)
+    if running is None:
+        count = float(frames.sum())
+        if count < 2:
+            raise ValueError("batch norm needs batch*time >= 2 in train mode")
+        mean = (r @ frames) / count
+        centered = r - mean[:, None]
+        var = np.square(centered, out=centered) @ frames / count
+    else:
+        mean, var = running
+    inv = 1.0 / np.sqrt(np.asarray(var, dtype=np.float64) + eps)
+    a64 = scale.data * inv
+    a = a64.astype(r.dtype)[:, None]
+    c = (shift.data - mean * a64).astype(r.dtype)[:, None]
+    recorded = grad_enabled() and any(
+        t.requires_grad for t in (x, weight, bias, scale, shift))
+    out = np.multiply(r, a, out=None if recorded else r)
+    out += c
+    out += xd
+    out *= keep
+
+    def backward(g):
+        g = g * keep  # gradient of the residual sum, zero on guards
+        gshift = g.sum(axis=1)
+        xhat = (r - np.asarray(mean, dtype=r.dtype)[:, None]) * inv.astype(r.dtype)[:, None]
+        gscale = np.einsum("ct,ct->c", g, xhat)
+        if scale.requires_grad:
+            scale.accumulate_grad(gscale)
+        if shift.requires_grad:
+            shift.accumulate_grad(gshift)
+        gr = g * a
+        if running is None:
+            # the statistics depend on every frame they were taken over
+            gr -= (a / count) * (gshift[:, None] + xhat * gscale[:, None]) * frames
+        gr *= r > 0
+        gz = gr[None, :, left:left + n]
+        if weight.requires_grad:
+            weight.accumulate_grad(kernels.conv1d_grad_weight(gz, xd[None], dilation, ksize))
+        if bias.requires_grad:
+            bias.accumulate_grad(gz[0].sum(axis=1))
+        if x.requires_grad:
+            g += kernels.conv1d_grad_input(gz, weight.data, dilation, width)[0]
+            x.accumulate_grad(g)
+
+    return Tensor.from_op(out, (x, weight, bias, scale, shift), backward), mean, var
 
 
 def filter1d_valid(x, kernel, axis):

@@ -1,197 +1,70 @@
-"""Hot convolution kernels with two interchangeable backends.
+"""Convolution kernels: a conv of kernel size k is k GEMMs on shifted views.
 
-The dilated 1D convolutions dominate runtime for both training and
-inference, so they get hand-written kernels:
+All kernels operate on an already zero-padded input ``xpad`` of shape
+(batch, in_channels, padded_time). Tap j of a conv with dilation d reads
+the view ``xpad[b, :, j*d : j*d + out_time]``, so
 
-* ``numpy`` -- batched GEMM built on ``np.matmul`` (default: BLAS beats
-  the loop kernels at production channel counts),
-* ``numba`` -- serial ``@njit`` loops, kept as a dependency-light
-  alternative and as the second column of the benchmark table.
+    out[b] = bias + sum_j weight[:, :, j] @ xpad[b, :, j*d : j*d + out_time]
 
-Select with ``MELSYNTH_BACKEND=numba|numpy`` or :func:`set_backend`.
-Both backends are bit-deterministic run-to-run with one math thread;
-they are not bit-identical to each other (different accumulation order).
-
-All kernels operate on the already left/right padded input ``xpad`` of
-shape (batch, in_channels, padded_time); padding policy lives in the
-caller (:func:`melsynth.nn_core.functional.conv1d`).
+is k matrix products on views of the input: no im2col buffer and no
+transposes. Callers lay a whole batch out as one zero-guard-banded row and
+pass it as batch 1 (:func:`melsynth.nn_core.functional.conv1d`), so each
+product is one wide GEMM. Results are bit-deterministic run-to-run with
+one math thread.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _NUMBA_OK = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def _taps(weight, transpose=False):
+    """Contiguous (out, in) matrices, one per kernel tap."""
+    return [np.ascontiguousarray(weight[:, :, j].T if transpose else weight[:, :, j])
+            for j in range(weight.shape[2])]
 
 
-# ---------------------------------------------------------------------------
-# numpy backend: one batched GEMM over an im2col buffer
-# ---------------------------------------------------------------------------
-
-_SCRATCH = {}
-
-
-def _scratch(shape, dtype):
-    """Reusable im2col buffer; avoids mmap/page-fault churn on big batches.
-
-    Single-threaded like the rest of the engine; contents are consumed by
-    the GEMM before the next call can overwrite them.
-    """
-    key = np.dtype(dtype).str
-    n = int(np.prod(shape))
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.size < n:
-        buf = _SCRATCH[key] = np.empty(n, dtype=dtype)
-    return buf[:n].reshape(shape)
-
-
-def _np_conv1d_forward(xpad, weight, bias, dilation, out_time):
-    batch, cin, _ = xpad.shape
-    cout, _, ksize = weight.shape
-    # fold the batch into the GEMM so the weight matrix is packed once;
-    # np.matmul on a (batch, ...) stack would run `batch` separate GEMMs
-    cols = _scratch((cin, ksize, batch, out_time), xpad.dtype)
-    for k in range(ksize):
-        off = k * dilation
-        cols[:, k] = xpad[:, :, off:off + out_time].transpose(1, 0, 2)
-    w2 = weight.reshape(cout, cin * ksize)
-    out = w2 @ cols.reshape(cin * ksize, batch * out_time)
-    out += bias[:, None]
-    return np.ascontiguousarray(
-        out.reshape(cout, batch, out_time).transpose(1, 0, 2))
-
-
-def _np_conv1d_grad_input(gout, weight, dilation, padded_time):
-    batch, cout, out_time = gout.shape
-    _, cin, ksize = weight.shape
-    w2 = weight.reshape(cout, cin * ksize)
-    gcols = np.matmul(w2.T, gout).reshape(batch, cin, ksize, out_time)
-    gxpad = np.zeros((batch, cin, padded_time), dtype=gout.dtype)
-    for k in range(ksize):
-        off = k * dilation
-        gxpad[:, :, off:off + out_time] += gcols[:, :, k, :]
-    return gxpad
-
-
-def _np_conv1d_grad_weight(gout, xpad, dilation, ksize):
-    batch, cin, _ = xpad.shape
-    cout = gout.shape[1]
-    out_time = gout.shape[2]
-    cols = np.empty((batch, cin, ksize, out_time), dtype=xpad.dtype)
-    for k in range(ksize):
-        off = k * dilation
-        cols[:, :, k, :] = xpad[:, :, off:off + out_time]
-    gw = np.matmul(gout, cols.reshape(batch, cin * ksize, out_time).transpose(0, 2, 1))
-    return gw.sum(axis=0).reshape(cout, cin, ksize)
-
-
-# ---------------------------------------------------------------------------
-# numba backend: explicit loops, vectorized over the time axis
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _nb_conv1d_forward(xpad, weight, bias, dilation, out_time):
-    batch, cin, _ = xpad.shape
-    cout, _, ksize = weight.shape
-    out = np.empty((batch, cout, out_time), dtype=xpad.dtype)
+def conv1d_forward(xpad, weight, bias, dilation, out_time, out=None):
+    """(batch, cin, padded) -> (batch, cout, out_time), written into `out`
+    when given (any view whose rows are contiguous)."""
+    batch = xpad.shape[0]
+    cout = weight.shape[0]
+    if out is None:
+        out = np.empty((batch, cout, out_time), dtype=np.result_type(xpad, weight))
+    taps = _taps(weight)
+    tmp = np.empty((cout, out_time), dtype=out.dtype) if len(taps) > 1 else None
     for b in range(batch):
-        for o in range(cout):
-            acc = np.empty(out_time, dtype=xpad.dtype)
-            acc[:] = bias[o]
-            for c in range(cin):
-                row = xpad[b, c]
-                for k in range(ksize):
-                    off = k * dilation
-                    acc += weight[o, c, k] * row[off:off + out_time]
-            out[b, o] = acc
+        np.matmul(taps[0], xpad[b, :, :out_time], out=out[b])
+        for j, tap in enumerate(taps[1:], 1):
+            off = j * dilation
+            np.matmul(tap, xpad[b, :, off:off + out_time], out=tmp)
+            out[b] += tmp
+        out[b] += bias[:, None]
     return out
 
 
-@njit(cache=True, nogil=True)
-def _nb_conv1d_grad_input(gout, weight, dilation, padded_time):
-    batch, cout, out_time = gout.shape
-    cin = weight.shape[1]
-    ksize = weight.shape[2]
-    gxpad = np.zeros((batch, cin, padded_time), dtype=gout.dtype)
+def conv1d_grad_input(gout, weight, dilation, padded_time):
+    """Gradient w.r.t. ``xpad``: the k transposed taps scattered back."""
+    batch, _, out_time = gout.shape
+    taps = _taps(weight, transpose=True)
+    gxpad = np.empty((batch, weight.shape[1], padded_time), dtype=gout.dtype)
+    tmp = np.empty(gxpad.shape[1:2] + (out_time,), dtype=gout.dtype)
     for b in range(batch):
-        for c in range(cin):
-            grow = gxpad[b, c]
-            for o in range(cout):
-                grad_row = gout[b, o]
-                for k in range(ksize):
-                    off = k * dilation
-                    grow[off:off + out_time] += weight[o, c, k] * grad_row
+        np.matmul(taps[0], gout[b], out=gxpad[b, :, :out_time])
+        gxpad[b, :, out_time:] = 0
+        for j, tap in enumerate(taps[1:], 1):
+            off = j * dilation
+            np.matmul(tap, gout[b], out=tmp)
+            gxpad[b, :, off:off + out_time] += tmp
     return gxpad
 
 
-@njit(cache=True, nogil=True)
-def _nb_conv1d_grad_weight(gout, xpad, dilation, ksize):
-    batch, cin, _ = xpad.shape
-    cout = gout.shape[1]
-    out_time = gout.shape[2]
-    gw = np.zeros((cout, cin, ksize), dtype=gout.dtype)
+def conv1d_grad_weight(gout, xpad, dilation, ksize):
+    """Gradient w.r.t. the (cout, cin, ksize) weight, summed over the batch."""
+    batch, cout, out_time = gout.shape
+    gw = np.zeros((cout, xpad.shape[1], ksize), dtype=gout.dtype)
     for b in range(batch):
-        for o in range(cout):
-            grad_row = gout[b, o]
-            for c in range(cin):
-                row = xpad[b, c]
-                for k in range(ksize):
-                    off = k * dilation
-                    gw[o, c, k] += np.dot(grad_row, row[off:off + out_time])
+        for j in range(ksize):
+            off = j * dilation
+            gw[:, :, j] += gout[b] @ xpad[b, :, off:off + out_time].T
     return gw
-
-
-_BACKENDS = {
-    "numpy": (_np_conv1d_forward, _np_conv1d_grad_input, _np_conv1d_grad_weight),
-}
-if _NUMBA_OK:
-    _BACKENDS["numba"] = (_nb_conv1d_forward, _nb_conv1d_grad_input, _nb_conv1d_grad_weight)
-
-
-def available_backends():
-    return sorted(_BACKENDS)
-
-
-def _default_backend():
-    env = os.environ.get("MELSYNTH_BACKEND", "").strip().lower()
-    if env:
-        if env not in _BACKENDS:
-            raise ValueError(
-                f"MELSYNTH_BACKEND={env!r} not available; choose from {available_backends()}"
-            )
-        return env
-    return "numpy"
-
-
-_active = _default_backend()
-conv1d_forward, conv1d_grad_input, conv1d_grad_weight = _BACKENDS[_active]
-
-
-def set_backend(name):
-    """Switch the conv kernel backend at runtime; returns the previous name."""
-    global _active, conv1d_forward, conv1d_grad_input, conv1d_grad_weight
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {available_backends()}")
-    previous = _active
-    _active = name
-    conv1d_forward, conv1d_grad_input, conv1d_grad_weight = _BACKENDS[name]
-    return previous
-
-
-def active_backend():
-    return _active

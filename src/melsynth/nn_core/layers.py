@@ -6,6 +6,7 @@ import numpy as np
 
 from . import functional as F
 from .module import Module, parameter
+from .tensor import Tensor
 
 
 def _rng(rng):
@@ -83,13 +84,7 @@ class BatchNormTemporal(Module):
             var = F.mean(F.mul(centered, centered), axis=(0, 2), keepdims=True)
             inv = F.div(1.0, F.sqrt(F.add(var, self.eps)))
             norm = F.mul(centered, inv)
-            # running stats use the unbiased variance, update outside the tape
-            mu = m.data.reshape(-1).astype(np.float32)
-            v = var.data.reshape(-1).astype(np.float32) * (n / (n - 1))
-            self._buffers["running_mean"] = ((1 - self.momentum) * self._buffers["running_mean"]
-                                             + self.momentum * mu)
-            self._buffers["running_var"] = ((1 - self.momentum) * self._buffers["running_var"]
-                                            + self.momentum * v)
+            self.update_running(m.data, var.data, n)
         else:
             mu = self._buffers["running_mean"][None, :, None]
             sd = np.sqrt(self._buffers["running_var"][None, :, None] + self.eps)
@@ -97,11 +92,19 @@ class BatchNormTemporal(Module):
         return F.add(F.mul(norm, _per_channel(self.scale)),
                      _per_channel(self.shift))
 
+    def update_running(self, mean, var, count):
+        """Exponential moving average of batch statistics taken over `count`
+        frames; the running variance is the unbiased one. Off the tape."""
+        mu = np.asarray(mean).reshape(-1).astype(np.float32)
+        v = np.asarray(var).reshape(-1).astype(np.float32) * (count / (count - 1))
+        self._buffers["running_mean"] = ((1 - self.momentum) * self._buffers["running_mean"]
+                                         + self.momentum * mu)
+        self._buffers["running_var"] = ((1 - self.momentum) * self._buffers["running_var"]
+                                        + self.momentum * v)
+
 
 def _per_channel(t):
     """View a (channels,) parameter as (1, channels, 1) for broadcasting."""
-    from .tensor import Tensor
-
     out = t.data[None, :, None]
 
     def backward(g):
@@ -133,8 +136,51 @@ class GatedResidualBlock(Module):
         return F.add(x, skip), skip
 
 
+class RowLayout:
+    """Where each item of a (batch, channels, time) batch sits in one
+    guard-banded row (see :func:`functional.row_layout`).
+
+    packed=True gives each item its true length, up to the last frame the
+    mask keeps, so padded frames are never computed; frames it drops count as
+    zeros. packed=False keeps every item at the full time length, so batch
+    statistics see the same frames as the padded batch. ``keep`` holds the
+    mask on item columns and 0 on guards; ``item`` is 1 on item columns.
+    """
+
+    def __init__(self, x, mask, guard, packed):
+        batch, _, frames = x.shape
+        if mask is None:
+            m = np.ones((batch, frames), dtype=x.dtype)
+        else:
+            m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
+            m = np.broadcast_to(m, (batch, 1, frames))[:, 0]
+        if packed:
+            self.lengths = [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 0
+                            for row in m]
+        else:
+            self.lengths = [frames] * batch
+        self.frames = frames
+        self.starts, self.width = F.row_layout(self.lengths, guard)
+        self.keep = np.zeros(self.width, dtype=x.dtype)
+        self.item = np.zeros(self.width, dtype=x.dtype)
+        for s, n, row in zip(self.starts, self.lengths, m):
+            self.keep[s:s + n] = row[:n]
+            self.item[s:s + n] = 1.0
+
+    def pack(self, x):
+        return F.pack_rows(x, self.starts, self.lengths, self.width)
+
+    def unpack(self, row):
+        return F.unpack_rows(row, self.starts, self.lengths, self.frames)
+
+
 class PlainResidualBlock(Module):
-    """Conv -> ReLU -> temporal batch norm -> residual add."""
+    """Conv -> ReLU -> temporal batch norm -> residual add (-> mask), fused.
+
+    ``conv`` and ``norm`` hold the parameters and running statistics; the
+    computation is one :func:`functional.plain_residual` op on a
+    guard-banded row. Eval mode packs items to their true lengths.
+    """
 
     def __init__(self, channels, kernel_size, dilation, causal=False, rng=None):
         super().__init__()
@@ -142,5 +188,24 @@ class PlainResidualBlock(Module):
                            dilation=dilation, causal=causal, rng=rng)
         self.norm = BatchNormTemporal(channels)
 
+    def reach(self):
+        """Frames the conv reads to one side; the guard width it needs."""
+        span = (self.conv.weight.shape[2] - 1) * self.conv.dilation
+        return span if self.conv.causal else span - span // 2
+
     def forward(self, x):
-        return F.add(x, self.norm(F.relu(self.conv(x))))
+        layout = RowLayout(x, None, self.reach(), packed=not self.training)
+        return layout.unpack(self.run(layout.pack(x), layout))
+
+    def run(self, row, layout):
+        """The fused block on a row laid out by `layout`."""
+        norm = self.norm
+        running = None if self.training else (norm._buffers["running_mean"],
+                                              norm._buffers["running_var"])
+        out, mean, var = F.plain_residual(
+            row, self.conv.weight, self.conv.bias, norm.scale, norm.shift,
+            layout.keep, dilation=self.conv.dilation, causal=self.conv.causal,
+            frames=layout.item, running=running, eps=norm.eps)
+        if self.training:
+            norm.update_running(mean, var, sum(layout.lengths))
+        return out

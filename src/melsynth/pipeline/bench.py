@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..audio_frontend import denormalize_standard, griffin_lim
-from ..nn_core import no_grad
-from ..nn_core.kernels import active_backend, available_backends, set_backend
-from ..student import expand_encodings
+from ..student import synthesize_batch
 from .config import audio_config
 from .trainers import phonemize
 
@@ -36,7 +34,6 @@ REFERENCE_ROWS = (
 
 @dataclass
 class BenchRow:
-    backend: str
     batch: int
     sgram: float
     audio: float
@@ -62,18 +59,9 @@ def bench_inputs(cfg, target_seconds=TARGET_SECONDS):
     return ids, durations, audio_seconds
 
 
-def synthesize_batch(model, ids, durations):
-    """(B, N) ids + durations -> (B, bins, T) spectrogram array."""
-    with no_grad():
-        enc = model.encode(ids)
-        expanded, _, _ = expand_encodings(enc, durations)
-        return model.decode(expanded).data
-
-
 def run_benchmark(model, cfg, stats, batch_sizes=(1, 2, 4, 8, 16), repeats=10,
-                  backends=None, vocode=True, target_seconds=TARGET_SECONDS,
-                  reduce="mean"):
-    """Timing rows per (backend, batch size). Model must be in eval mode.
+                  vocode=True, target_seconds=TARGET_SECONDS, reduce="mean"):
+    """Timing rows per batch size. Model must be in eval mode.
 
     reduce="mean" reports average throughput; "min" reports the best run,
     a noise-robust estimate of what the machine can do.
@@ -87,55 +75,45 @@ def run_benchmark(model, cfg, stats, batch_sizes=(1, 2, 4, 8, 16), repeats=10,
     ids, durations, audio_seconds = bench_inputs(cfg, target_seconds)
     iterations = cfg.data.griffin_lim_iterations
     mean, std = stats
-    if backends is None:
-        backends = available_backends()
-    previous = active_backend()
     rows = []
-    try:
-        for backend in backends:
-            set_backend(backend)
-            for batch in batch_sizes:
-                ids_b = np.tile(ids, (batch, 1))
-                dur_b = np.tile(durations, (batch, 1))
-                sgram_t, audio_t = [], []
-                for run in range(repeats + 1):  # first run warms up, dropped
-                    t0 = time.perf_counter()
-                    mels = synthesize_batch(model, ids_b, dur_b)
-                    t1 = time.perf_counter()
-                    if vocode:
-                        for i in range(batch):
-                            griffin_lim(
-                                denormalize_standard(mels[i], mean, std),
+    for batch in batch_sizes:
+        ids_b = [ids] * batch
+        dur_b = [durations] * batch
+        sgram_t, audio_t = [], []
+        for run in range(repeats + 1):  # first run warms up, dropped
+            t0 = time.perf_counter()
+            mels, _ = synthesize_batch(model, ids_b, dur_b)
+            t1 = time.perf_counter()
+            if vocode:
+                for mel in mels:
+                    griffin_lim(denormalize_standard(mel, mean, std),
                                 iterations=iterations, config=acfg)
-                    t2 = time.perf_counter()
-                    if run == 0:
-                        continue
-                    sgram_t.append(t1 - t0)
-                    audio_t.append(t2 - t1)
-                sgram = float(fold(sgram_t))
-                audio = float(fold(audio_t))
-                total = sgram + audio
-                rows.append(BenchRow(
-                    backend=backend, batch=batch, sgram=sgram, audio=audio,
-                    total=total, rtf=total / (batch * audio_seconds)))
-    finally:
-        set_backend(previous)
+            t2 = time.perf_counter()
+            if run == 0:
+                continue
+            sgram_t.append(t1 - t0)
+            audio_t.append(t2 - t1)
+        sgram = float(fold(sgram_t))
+        audio = float(fold(audio_t))
+        total = sgram + audio
+        rows.append(BenchRow(batch=batch, sgram=sgram, audio=audio,
+                             total=total, rtf=total / (batch * audio_seconds)))
     return rows, audio_seconds
 
 
 def format_table(rows, audio_seconds, show_reference=True):
     lines = [f"each batch row is {audio_seconds:.2f} s of audio",
-             f"{'backend':>8} {'batch':>5} {'S-gram(s)':>10} "
+             f"{'batch':>5} {'S-gram(s)':>10} "
              f"{'Audio(s)':>10} {'Total(s)':>10} {'RTF':>8}"]
     for r in rows:
-        lines.append(f"{r.backend:>8} {r.batch:>5d} {r.sgram:>10.3f} "
+        lines.append(f"{r.batch:>5d} {r.sgram:>10.3f} "
                      f"{r.audio:>10.3f} {r.total:>10.3f} {r.rtf:>8.3f}")
     if show_reference:
         lines.append("reference single-core timings for context "
                      "(not measured here):")
         for batch, sgram, audio, total in REFERENCE_ROWS:
             rtf = total / (batch * TARGET_SECONDS)
-            lines.append(f"{'ref':>8} {batch:>5d} {sgram:>10.3f} "
+            lines.append(f"{batch:>5d} {sgram:>10.3f} "
                          f"{audio:>10.3f} {total:>10.3f} {rtf:>8.3f}")
     return "\n".join(lines)
 
@@ -145,10 +123,10 @@ def write_bench_csv(rows, path):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["backend", "batch", "sgram_seconds", "audio_seconds",
+        writer.writerow(["batch", "sgram_seconds", "audio_seconds",
                          "total_seconds", "rtf"])
         for r in rows:
-            writer.writerow([r.backend, r.batch, f"{r.sgram:.6f}",
+            writer.writerow([r.batch, f"{r.sgram:.6f}",
                              f"{r.audio:.6f}", f"{r.total:.6f}",
                              f"{r.rtf:.6f}"])
     return path

@@ -125,8 +125,10 @@ def save_checkpoint(path, model, cfg, kind, epoch=0, step=0, stats=None,
 def load_checkpoint(path, model, cfg, kind):
     """Copy weights into `model`; returns the bookkeeping dict.
 
-    The stored architecture hash must match the (cfg, kind) hash; nothing is
-    copied otherwise.
+    All or nothing: the architecture hash, the stored kind, that every
+    parameter and buffer of the model is present, and every shape are
+    checked before anything is copied, so a failed load leaves the model as
+    it was.
     """
     expected = fnv1a_64(architecture_text(cfg, kind))
     arrays, _ = load_tensors(path, expected_hash=expected)
@@ -134,6 +136,7 @@ def load_checkpoint(path, model, cfg, kind):
     meta = {"extra": {}}
     params = dict(model.named_parameters())
     buffers = dict(model.named_buffers())
+    new_params, new_buffers = {}, {}
     for name, array in arrays.items():
         if name.startswith(META_PREFIX):
             key = name[len(META_PREFIX):]
@@ -145,22 +148,33 @@ def load_checkpoint(path, model, cfg, kind):
                 meta["stats"] = (float(array[0]), float(array[1]))
             else:
                 meta["extra"][key] = np.asarray(array)
-        elif name.startswith("buffer/"):
+            continue
+        if name.startswith("buffer/"):
             key = name[len("buffer/"):]
             if key not in buffers:
                 raise CheckpointError(f"{path}: unknown buffer {key!r}")
-            model.set_buffer(key, array.astype(buffers[key].dtype))
+            target, sink = np.shape(buffers[key]), new_buffers
         else:
             if name not in params:
                 raise CheckpointError(f"{path}: unknown parameter {name!r}")
-            if params[name].data.shape != array.shape:
-                raise CheckpointError(
-                    f"{path}: shape mismatch for {name!r}: "
-                    f"{array.shape} vs {params[name].data.shape}")
-            params[name].data = array.astype(np.float32).copy()
+            key, target, sink = name, params[name].data.shape, new_params
+        if array.shape != target:
+            raise CheckpointError(
+                f"{path}: shape mismatch for {name!r}: "
+                f"{array.shape} vs {target}")
+        sink[key] = array
     if meta.get("kind", kind) != kind:
         raise CheckpointError(
             f"{path}: holds a {meta['kind']} model, wanted {kind}")
+    missing = ([n for n in params if n not in new_params]
+               + [f"buffer/{n}" for n in buffers if n not in new_buffers])
+    if missing:
+        raise CheckpointError(
+            f"{path}: {len(missing)} entries missing, e.g. {missing[:3]}")
+    for name, array in new_params.items():
+        params[name].data = array.astype(np.float32)
+    for key, array in new_buffers.items():
+        model.set_buffer(key, array.copy())
     return meta
 
 

@@ -133,7 +133,18 @@ def parse_config(text, source="<config>"):
             raise ConfigError(f"{where}: unknown key {key!r} in [{section_name}]")
         kind = type(getattr(section, key))
         setattr(section, key, _coerce(value, kind, where))
+    _check_stft_sizes(cfg.audio, source)
     return cfg
+
+
+def _check_stft_sizes(audio, source):
+    """STFT framing the analysis and Griffin-Lim can both honour."""
+    if audio.hop_length < 1:
+        raise ConfigError(f"{source}: [audio] hop_length = {audio.hop_length} "
+                          "must be at least 1")
+    if not 1 <= audio.win_length <= audio.n_fft:
+        raise ConfigError(f"{source}: [audio] win_length = {audio.win_length} "
+                          f"must be between 1 and n_fft = {audio.n_fft}")
 
 
 def load_config(path):

@@ -19,6 +19,7 @@ from .train import (
     student_losses,
     student_training_step,
     synthesize,
+    synthesize_batch,
 )
 
 __all__ = [
@@ -41,4 +42,5 @@ __all__ = [
     "student_losses",
     "student_training_step",
     "synthesize",
+    "synthesize_batch",
 ]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn_core import Conv1d, Embedding, Linear, Module, PlainResidualBlock
+from ..nn_core import (Conv1d, Embedding, Linear, Module, PlainResidualBlock,
+                       RowLayout)
 from ..nn_core import functional as F
 
 
@@ -25,7 +26,17 @@ DURATION_DILATIONS = (4, 3, 1)
 
 
 class PlainStack(Module):
-    """Sequential plain residual blocks with optional padding-mask reset."""
+    """Sequential plain residual blocks with optional padding mask.
+
+    The batch is packed once into a guard-banded row (see
+    :class:`~melsynth.nn_core.layers.RowLayout`), every block runs on that
+    row, and it is unpacked at exit. The guards are as wide as the widest
+    conv reach in the stack and are re-zeroed after every block, so items
+    never see each other. In eval mode each item takes its true length from
+    the mask and padded frames are never computed; in train mode every item
+    keeps the full length, so batch norm sees the same frames as the padded
+    batch. Output frames where the mask is 0 are zero.
+    """
 
     def __init__(self, channels, kernel_size, dilations, rng):
         super().__init__()
@@ -35,12 +46,14 @@ class PlainStack(Module):
         ]
 
     def forward(self, x, mask=None):
+        if not self.blocks:
+            return x
+        layout = RowLayout(x, mask, max(b.reach() for b in self.blocks),
+                           packed=not self.training)
+        h = layout.pack(x)
         for block in self.blocks:
-            x = block(x)
-            if mask is not None:
-                # eval-mode batch norm maps padded zeros off zero; reset them
-                x = F.mul(x, mask)
-        return x
+            h = block.run(h, layout)
+        return layout.unpack(h)
 
 
 class StudentModel(Module):

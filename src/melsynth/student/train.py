@@ -118,11 +118,10 @@ def predict_durations(model, phoneme_ids):
     """Rounded per-phoneme frame counts for a single utterance (no grads)."""
     ids = np.asarray(phoneme_ids, dtype=np.int64).reshape(1, -1)
     with no_grad():
-        return _durations_from_encodings(model, model.encode(ids))
+        return _round_predicted(model.predict_log_durations(model.encode(ids)).data[0, 0])
 
 
-def _durations_from_encodings(model, encodings):
-    log_dur = model.predict_log_durations(encodings).data[0, 0]
+def _round_predicted(log_dur):
     durations = round_durations(log_dur)
     if durations.sum() == 0:
         # degenerate prediction: give the highest-scoring phoneme one frame
@@ -130,27 +129,59 @@ def _durations_from_encodings(model, encodings):
     return durations
 
 
-def synthesize(model, phoneme_ids, durations=None):
-    """Spectrogram for one utterance, fully parallel over frames.
+def synthesize_batch(model, id_seqs, durations=None):
+    """Spectrograms for utterances of any lengths in one parallel pass.
 
-    Returns (mel, durations) where mel is (bins, sum(durations)) in the
-    standardized domain. Durations are predicted unless supplied.
+    id_seqs is a sequence of 1-d phoneme id arrays; durations, when given, a
+    matching sequence of per-phoneme frame counts (predicted otherwise).
+    Returns (mels, durations), two lists: mels[i] is (bins, sum(durations[i]))
+    in the standardized domain. Each item comes out as it would alone.
     """
-    ids = np.asarray(phoneme_ids, dtype=np.int64).reshape(1, -1)
-    if ids.shape[1] == 0:
+    seqs = [np.asarray(ids, dtype=np.int64).reshape(-1) for ids in id_seqs]
+    if not seqs:
+        raise ValueError("empty batch")
+    if any(ids.size == 0 for ids in seqs):
         raise ValueError("empty phoneme sequence")
+    if durations is not None and len(durations) != len(seqs):
+        raise ValueError(f"{len(durations)} duration sequences for "
+                         f"{len(seqs)} utterances")
+    n_max = max(ids.size for ids in seqs)
+    ids = np.zeros((len(seqs), n_max), dtype=np.int64)
+    phoneme_mask = np.zeros((len(seqs), 1, n_max), dtype=np.float32)
+    for i, item in enumerate(seqs):
+        ids[i, :item.size] = item
+        phoneme_mask[i, 0, :item.size] = 1.0
     was_training = model.training
     model.eval()
     try:
         with no_grad():
-            encodings = model.encode(ids)
+            encodings = model.encode(ids, phoneme_mask)
             if durations is None:
-                durations = _durations_from_encodings(model, encodings)
-            durations = np.asarray(durations, dtype=np.int64)
-            expanded, frame_mask, _ = expand_encodings(
-                encodings, durations.reshape(1, -1))
-            pred = model.decode(expanded, Tensor(frame_mask))
+                log_dur = model.predict_log_durations(encodings, phoneme_mask).data
+                durations = [_round_predicted(log_dur[i, 0, :item.size])
+                             for i, item in enumerate(seqs)]
+            durations = [np.asarray(d, dtype=np.int64).reshape(-1) for d in durations]
+            padded = np.zeros((len(seqs), n_max), dtype=np.int64)
+            for i, (item, d) in enumerate(zip(seqs, durations)):
+                if d.size != item.size:
+                    raise ValueError(f"item {i}: {d.size} durations for "
+                                     f"{item.size} phonemes")
+                padded[i, :d.size] = d
+            expanded, frame_mask, lengths = expand_encodings(encodings, padded)
+            pred = model.decode(expanded, frame_mask).data
     finally:
         if was_training:
             model.train()
-    return pred.data[0].copy(), durations
+    mels = [pred[i, :, :int(t)].copy() for i, t in enumerate(lengths)]
+    return mels, durations
+
+
+def synthesize(model, phoneme_ids, durations=None):
+    """Spectrogram for one utterance: a one-item :func:`synthesize_batch`.
+
+    Returns (mel, durations) where mel is (bins, sum(durations)) in the
+    standardized domain. Durations are predicted unless supplied.
+    """
+    mels, used = synthesize_batch(
+        model, [phoneme_ids], None if durations is None else [durations])
+    return mels[0], used[0]

@@ -169,6 +169,92 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path, student, cfg, "student")
 
+    def test_missing_parameter_rejected_without_copy(self, tmp_path, rng):
+        cfg = small_cfg()
+        path = self._rewritten_student(
+            tmp_path, cfg, rng, lambda arrays: arrays.pop("out_proj.weight"))
+        clone, snapshot = self._snapshot(build_student(
+            cfg, vocab_size=30, rng=np.random.default_rng(999)))
+        with pytest.raises(CheckpointError, match="missing.*out_proj.weight"):
+            load_checkpoint(path, clone, cfg, "student")
+        self._assert_unchanged(clone, snapshot)
+
+    def test_missing_buffer_rejected_without_copy(self, tmp_path, rng):
+        cfg = small_cfg()
+        path = self._rewritten_student(
+            tmp_path, cfg, rng,
+            lambda arrays: arrays.pop("buffer/decoder.blocks.1.norm.running_var"))
+        clone, snapshot = self._snapshot(build_student(
+            cfg, vocab_size=30, rng=np.random.default_rng(999)))
+        with pytest.raises(CheckpointError, match="running_var"):
+            load_checkpoint(path, clone, cfg, "student")
+        self._assert_unchanged(clone, snapshot)
+
+    def test_late_bad_shape_rejected_without_copy(self, tmp_path, rng):
+        cfg = small_cfg()
+
+        def reshape_last(arrays):
+            arrays["out_proj.bias"] = np.zeros(3, np.float32)
+
+        path = self._rewritten_student(tmp_path, cfg, rng, reshape_last)
+        clone, snapshot = self._snapshot(build_student(
+            cfg, vocab_size=30, rng=np.random.default_rng(999)))
+        with pytest.raises(CheckpointError, match="shape mismatch"):
+            load_checkpoint(path, clone, cfg, "student")
+        self._assert_unchanged(clone, snapshot)
+
+    def test_teacher_file_as_student_rejected_without_copy(self, tmp_path, rng):
+        cfg = small_cfg()
+        path = tmp_path / "teacher.ckpt"
+        save_checkpoint(path, build_teacher(cfg, vocab_size=30, rng=rng), cfg,
+                        "teacher")
+        clone, snapshot = self._snapshot(build_student(cfg, vocab_size=30, rng=rng))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path, clone, cfg, "student")
+        self._assert_unchanged(clone, snapshot)
+
+    def test_kind_checked_before_copy(self, tmp_path, rng):
+        # student weights under the student hash, but labelled as a teacher
+        cfg = small_cfg()
+
+        def relabel(arrays):
+            arrays["__meta__/kind"] = np.frombuffer(
+                b"teacher", dtype=np.uint8).astype(np.float32)
+
+        path = self._rewritten_student(tmp_path, cfg, rng, relabel)
+        clone, snapshot = self._snapshot(build_student(
+            cfg, vocab_size=30, rng=np.random.default_rng(999)))
+        with pytest.raises(CheckpointError, match="holds a teacher model"):
+            load_checkpoint(path, clone, cfg, "student")
+        self._assert_unchanged(clone, snapshot)
+
+    @staticmethod
+    def _rewritten_student(tmp_path, cfg, rng, edit):
+        """A valid student checkpoint, re-saved under its own hash after edit."""
+        path = tmp_path / "student.ckpt"
+        save_checkpoint(path, build_student(cfg, vocab_size=30, rng=rng), cfg,
+                        "student")
+        arrays, stored = load_tensors(path)
+        arrays = dict(arrays)
+        edit(arrays)
+        save_tensors(path, arrays, stored)
+        return path
+
+    @staticmethod
+    def _snapshot(model):
+        for name, buf in model.named_buffers():
+            model.set_buffer(name, buf + 0.5)
+        return model, ([p.data.copy() for p in model.parameters()],
+                       [b.copy() for _, b in model.named_buffers()])
+
+    @staticmethod
+    def _assert_unchanged(model, snapshot):
+        params, buffers = snapshot
+        for p, before in zip(model.parameters(), params):
+            assert np.array_equal(p.data, before)
+        for (_, b), before in zip(model.named_buffers(), buffers):
+            assert np.array_equal(b, before)
+
     def test_embedded_config_reconstructs_same_hash(self, tmp_path, rng):
         from melsynth.pipeline import architecture_text
         cfg = small_cfg()

@@ -43,8 +43,8 @@ class TestParsing:
         assert cfg.training.base_lr == pytest.approx(0.002)
 
     def test_comments_and_blank_lines_skipped(self):
-        cfg = parse_config("# top\n[audio]\n# inline section comment\n\nn_fft = 512  # trailing\n")
-        assert cfg.audio.n_fft == 512
+        cfg = parse_config("# top\n[audio]\n# inline section comment\n\nn_fft = 2048  # trailing\n")
+        assert cfg.audio.n_fft == 2048
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -61,6 +61,30 @@ class TestParsing:
     def test_bad_value_type_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config("[training]\nbatch_size = many\n")
+
+    def test_window_longer_than_fft_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"my\.cfg: .*win_length = 2048 .*n_fft = 1024"):
+            parse_config("[audio]\nwin_length = 2048\n", source="my.cfg")
+
+    def test_zero_window_rejected(self):
+        with pytest.raises(ConfigError, match="win_length = 0 .*n_fft = 1024"):
+            parse_config("[audio]\nwin_length = 0\n")
+
+    @pytest.mark.parametrize("hop", [0, -256])
+    def test_non_positive_hop_rejected(self, hop):
+        with pytest.raises(ConfigError, match=f"hop_length = {hop} "):
+            parse_config(f"[audio]\nhop_length = {hop}\n")
+
+    def test_window_equal_to_fft_accepted(self):
+        cfg = parse_config("[audio]\nn_fft = 512\nwin_length = 512\nhop_length = 1\n")
+        assert (cfg.audio.n_fft, cfg.audio.win_length, cfg.audio.hop_length) == (512, 512, 1)
+
+    def test_stft_sizes_checked_on_load(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[audio]\nn_fft = 512\n")
+        with pytest.raises(ConfigError, match="bad.cfg"):
+            load_config(path)
 
     def test_missing_file_named_in_error(self, tmp_path):
         with pytest.raises(ConfigError, match="nope.cfg"):

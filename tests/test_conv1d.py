@@ -1,4 +1,4 @@
-"""Dilated convolution contract: padding, causality, oracles, both backends."""
+"""Dilated convolution contract: padding, causality, oracles, gradients."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from conftest import gradcheck
 from melsynth.nn_core import Tensor
 from melsynth.nn_core import functional as F
-from melsynth.nn_core import kernels
 
 
 def conv(x, w, b, dilation=1, causal=False):
@@ -116,39 +115,3 @@ class TestGradients:
         touched = np.nonzero(x.grad[0, 0])[0]
         assert touched.min() == t_probe - 5
         assert touched.max() == t_probe + 5
-
-
-class TestBackendParity:
-    def test_numpy_and_numba_agree(self, rng):
-        if "numba" not in kernels.available_backends():
-            pytest.skip("numba backend unavailable")
-        x = rng.normal(size=(2, 3, 11)).astype(np.float32)
-        w = rng.normal(size=(4, 3, 3)).astype(np.float32)
-        b = rng.normal(size=4).astype(np.float32)
-        g = rng.normal(size=(2, 4, 11)).astype(np.float32)
-        xpad = np.pad(x, ((0, 0), (0, 0), (2, 2)))
-        results = {}
-        for name in ("numpy", "numba"):
-            prev = kernels.set_backend(name)
-            try:
-                results[name] = (
-                    kernels.conv1d_forward(xpad, w, b, 2, 11),
-                    kernels.conv1d_grad_input(g, w, 2, xpad.shape[2]),
-                    kernels.conv1d_grad_weight(g, xpad, 2, 3),
-                )
-            finally:
-                kernels.set_backend(prev)
-        for a, b_ in zip(results["numpy"], results["numba"]):
-            np.testing.assert_allclose(a, b_, rtol=1e-5, atol=1e-5)
-
-    def test_set_backend_roundtrip(self):
-        current = kernels.active_backend()
-        prev = kernels.set_backend("numpy")
-        assert prev == current
-        assert kernels.active_backend() == "numpy"
-        kernels.set_backend(current)
-        assert kernels.active_backend() == current
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("gpu")
