@@ -141,7 +141,10 @@ def read_durations(path):
         if "|" not in line:
             raise DatasetError(f"{Path(path).name}:{lineno}: expected 'id|durations'")
         utt_id, rest = line.split("|", 1)
-        values = np.asarray([int(v) for v in rest.split()], dtype=np.int64)
+        try:
+            values = np.asarray([int(v) for v in rest.split()], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise DatasetError(f"{Path(path).name}:{lineno}: {exc}") from exc
         if np.any(values < 0):
             raise DatasetError(f"{Path(path).name}:{lineno}: negative duration")
         table[utt_id.strip()] = values

@@ -13,12 +13,10 @@ from .layers import (
 )
 from .optim import (
     Adam,
-    NoamSchedule,
     PlateauSchedule,
     clip_grad_norm,
     global_grad_norm,
     noam_lr,
-    schedule_lr,
 )
 from . import functional, kernels
 
@@ -38,12 +36,10 @@ __all__ = [
     "PlainResidualBlock",
     "RowLayout",
     "Adam",
-    "NoamSchedule",
     "PlateauSchedule",
     "clip_grad_norm",
     "global_grad_norm",
     "noam_lr",
-    "schedule_lr",
     "functional",
     "kernels",
 ]

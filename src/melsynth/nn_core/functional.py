@@ -115,26 +115,6 @@ def tanh(x):
     return Tensor.from_op(out, (x,), backward)
 
 
-def exp(x):
-    out = np.exp(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * out)
-
-    return Tensor.from_op(out, (x,), backward)
-
-
-def log(x):
-    out = np.log(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g / x.data)
-
-    return Tensor.from_op(out, (x,), backward)
-
-
 def sqrt(x):
     out = np.sqrt(x.data)
 
@@ -536,8 +516,3 @@ def sinusoid_table(positions, dim):
     table[0::2] = np.sin(angles)
     table[1::2] = np.cos(angles)
     return table
-
-
-def positional_encoding(length, dim, offset=0):
-    """Standard sinusoidal table of shape (dim, length) starting at `offset`."""
-    return sinusoid_table(np.arange(length, dtype=np.float64) + offset, dim)

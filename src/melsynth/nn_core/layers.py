@@ -65,12 +65,13 @@ class BatchNormTemporal(Module):
     exponential moving average; eval mode is a fixed per-channel affine map.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels):
         super().__init__()
         self.scale = parameter(np.ones(channels))
         self.shift = parameter(np.zeros(channels))
-        self.eps = float(eps)
-        self.momentum = float(momentum)
         self.register_buffer("running_mean", np.zeros(channels))
         self.register_buffer("running_var", np.ones(channels))
 

@@ -29,11 +29,13 @@ def clip_grad_norm(params, max_norm):
 class Adam:
     """Standard Adam with bias correction; clips by global norm before updating."""
 
-    def __init__(self, params, lr=0.002, betas=(0.9, 0.999), eps=1e-8, clip_norm=1.0):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr=0.002, clip_norm=1.0):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.clip_norm = clip_norm
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -72,15 +74,6 @@ def noam_lr(base, warmup_steps, step):
     return base * np.sqrt(w) * min(step * w ** -1.5, step ** -0.5)
 
 
-class NoamSchedule:
-    def __init__(self, base, warmup_steps):
-        self.base = float(base)
-        self.warmup_steps = int(warmup_steps)
-
-    def lr(self, step):
-        return noam_lr(self.base, self.warmup_steps, step)
-
-
 class PlateauSchedule:
     """Multiply lr by `factor` after `patience` evaluations with no improvement.
 
@@ -107,17 +100,3 @@ class PlateauSchedule:
                 self.current = max(self.current * self.factor, self.min_lr)
                 self.bad_count = 0
         return self.current
-
-    def lr(self, step=None):
-        return self.current
-
-
-def schedule_lr(schedule, step, metric=None):
-    """Evaluate either schedule kind; plateau requires a metric."""
-    if isinstance(schedule, NoamSchedule):
-        return schedule.lr(step)
-    if isinstance(schedule, PlateauSchedule):
-        if metric is None:
-            raise ValueError("plateau schedule needs a metric")
-        return schedule.update(metric)
-    raise TypeError(f"unknown schedule {type(schedule).__name__}")

@@ -50,17 +50,17 @@ def spread_durations(total_frames, n_phonemes):
     return d
 
 
-def bench_inputs(cfg, target_seconds=TARGET_SECONDS):
+def bench_inputs(cfg):
     acfg = audio_config(cfg)
     _, ids = phonemize(text=BENCH_TEXT)
-    frames = 1 + int(target_seconds * acfg.sample_rate) // acfg.hop_length
+    frames = 1 + int(TARGET_SECONDS * acfg.sample_rate) // acfg.hop_length
     durations = spread_durations(frames, len(ids))
     audio_seconds = frames * acfg.hop_length / acfg.sample_rate
     return ids, durations, audio_seconds
 
 
 def run_benchmark(model, cfg, stats, batch_sizes=(1, 2, 4, 8, 16), repeats=10,
-                  vocode=True, target_seconds=TARGET_SECONDS, reduce="mean"):
+                  vocode=True, reduce="mean"):
     """Timing rows per batch size. Model must be in eval mode.
 
     reduce="mean" reports average throughput; "min" reports the best run,
@@ -72,7 +72,7 @@ def run_benchmark(model, cfg, stats, batch_sizes=(1, 2, 4, 8, 16), repeats=10,
         raise ValueError("reduce must be 'mean' or 'min'")
     fold = np.mean if reduce == "mean" else np.min
     acfg = audio_config(cfg)
-    ids, durations, audio_seconds = bench_inputs(cfg, target_seconds)
+    ids, durations, audio_seconds = bench_inputs(cfg)
     iterations = cfg.data.griffin_lim_iterations
     mean, std = stats
     rows = []
@@ -101,20 +101,19 @@ def run_benchmark(model, cfg, stats, batch_sizes=(1, 2, 4, 8, 16), repeats=10,
     return rows, audio_seconds
 
 
-def format_table(rows, audio_seconds, show_reference=True):
+def format_table(rows, audio_seconds):
     lines = [f"each batch row is {audio_seconds:.2f} s of audio",
              f"{'batch':>5} {'S-gram(s)':>10} "
              f"{'Audio(s)':>10} {'Total(s)':>10} {'RTF':>8}"]
     for r in rows:
         lines.append(f"{r.batch:>5d} {r.sgram:>10.3f} "
                      f"{r.audio:>10.3f} {r.total:>10.3f} {r.rtf:>8.3f}")
-    if show_reference:
-        lines.append("reference single-core timings for context "
-                     "(not measured here):")
-        for batch, sgram, audio, total in REFERENCE_ROWS:
-            rtf = total / (batch * TARGET_SECONDS)
-            lines.append(f"{batch:>5d} {sgram:>10.3f} "
-                         f"{audio:>10.3f} {total:>10.3f} {rtf:>8.3f}")
+    lines.append("reference single-core timings for context "
+                 "(not measured here):")
+    for batch, sgram, audio, total in REFERENCE_ROWS:
+        rtf = total / (batch * TARGET_SECONDS)
+        lines.append(f"{batch:>5d} {sgram:>10.3f} "
+                     f"{audio:>10.3f} {total:>10.3f} {rtf:>8.3f}")
     return "\n".join(lines)
 
 

@@ -84,7 +84,7 @@ def load_tensors(path, expected_hash=None):
         arrays = {}
         for _ in range(count):
             name_len, = struct.unpack("<I", _read_exact(fh, 4, path, "name"))
-            name = _read_exact(fh, name_len, path, "name").decode("utf-8")
+            name = _decode(_read_exact(fh, name_len, path, "name"), path)
             rank, = struct.unpack("<I", _read_exact(fh, 4, path, "rank"))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, path, "dims"))[0]
@@ -99,8 +99,15 @@ def _text_to_array(text):
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
 
 
-def _array_to_text(array):
-    return np.asarray(array).astype(np.uint8).tobytes().decode("utf-8")
+def _decode(raw, path):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: corrupt text entry: {exc}") from exc
+
+
+def _array_to_text(array, path):
+    return _decode(np.asarray(array).astype(np.uint8).tobytes(), path)
 
 
 def save_checkpoint(path, model, cfg, kind, epoch=0, step=0, stats=None,
@@ -141,7 +148,7 @@ def load_checkpoint(path, model, cfg, kind):
         if name.startswith(META_PREFIX):
             key = name[len(META_PREFIX):]
             if key in ("kind", "config_text"):
-                meta[key] = _array_to_text(array)
+                meta[key] = _array_to_text(array, path)
             elif key == "progress":
                 meta["epoch"], meta["step"] = int(array[0]), int(array[1])
             elif key == "stats":
@@ -184,6 +191,7 @@ def peek_config(path):
     key = META_PREFIX + "config_text"
     if key not in arrays:
         raise CheckpointError(f"{path}: no embedded config")
-    cfg = parse_config(_array_to_text(arrays[key]), source=f"{path}(embedded)")
-    kind = _array_to_text(arrays[META_PREFIX + "kind"])
+    cfg = parse_config(_array_to_text(arrays[key], path),
+                       source=f"{path}(embedded)")
+    kind = _array_to_text(arrays[META_PREFIX + "kind"], path)
     return cfg, kind, stored

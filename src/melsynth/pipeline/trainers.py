@@ -22,7 +22,7 @@ from ..audio_frontend import (
     wav_to_mel,
     write_durations,
 )
-from ..nn_core import Adam, NoamSchedule, PlateauSchedule, Tensor, no_grad
+from ..nn_core import Adam, PlateauSchedule, Tensor, no_grad, noam_lr
 from ..student import StudentModel, pad_student_batch, student_losses, \
     student_training_step
 from ..student import synthesize as student_synthesize
@@ -147,8 +147,7 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
     opt = Adam(model.parameters(), lr=cfg.training.base_lr,
                clip_norm=cfg.training.grad_clip)
     steps_per_epoch = max(1, math.ceil(len(train) / cfg.training.batch_size))
-    schedule = NoamSchedule(cfg.training.base_lr,
-                            max(1, cfg.training.warmup_epochs * steps_per_epoch))
+    warmup_steps = max(1, cfg.training.warmup_epochs * steps_per_epoch)
     start_epoch, step = 0, 0
     if resume is not None:
         meta = load_checkpoint(resume, model, cfg, "teacher")
@@ -172,7 +171,7 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
         order = rng.permutation(len(train))
         for idx in iterate_minibatches(order, cfg.training.batch_size):
             step += 1
-            opt.lr = schedule.lr(step)
+            opt.lr = noam_lr(cfg.training.base_lr, warmup_steps, step)
             batch = pad_teacher_batch([train[i] for i in idx],
                                       mel_bins=cfg.audio.mel_bins)
             inputs = build_inputs(batch, model=model, rng=rng, augment=augment)
@@ -214,12 +213,7 @@ def run_extract_durations(cfg, checkpoint_path=None, out_path=None,
     table = {}
     for u in train + holdout:
         prepare_utterance(u, acfg)
-        durations = extract_durations(model, u.phoneme_ids, u.mel)
-        if durations.sum() != u.mel.shape[1]:
-            raise AssertionError(
-                f"durations for {u.id!r} sum to {durations.sum()}, "
-                f"expected {u.mel.shape[1]}")
-        table[u.id] = durations
+        table[u.id] = extract_durations(model, u.phoneme_ids, u.mel)
     out = Path(out_path) if out_path is not None \
         else Path(cfg.data.root) / cfg.data.durations
     write_durations(out, table)
@@ -230,13 +224,9 @@ def run_extract_durations(cfg, checkpoint_path=None, out_path=None,
 # student
 # ---------------------------------------------------------------------------
 
-def _student_items(utts, table, acfg, mean, std):
-    items = []
-    for u in utts:
-        durations = table[u.id]
-        mel = normalize_standard(wav_to_mel(u.waveform, acfg), mean, std)
-        items.append((u.phoneme_ids, durations, mel))
-    return items
+def _student_items(utts, mels, table, mean, std):
+    return [(u.phoneme_ids, table[u.id], normalize_standard(mel, mean, std))
+            for u, mel in zip(utts, mels)]
 
 
 def _check_sidecar(utts, table, source):
@@ -250,11 +240,11 @@ def _check_sidecar(utts, table, source):
                 f"for {u.n_phonemes} phonemes")
 
 
-def evaluate_student(model, items, cfg, batch_size=None):
+def evaluate_student(model, items, cfg):
     """Averaged losses over `items` in eval mode (no parameter updates)."""
     was_training = model.training
     model.eval()
-    batch_size = batch_size or cfg.training.batch_size
+    batch_size = cfg.training.batch_size
     totals = np.zeros(3)
     count = 0
     with no_grad():
@@ -286,10 +276,13 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
     table = read_durations(side)
     _check_sidecar(train + holdout, table, side)
 
-    mean, std = corpus_stats([wav_to_mel(u.waveform, acfg) for u in train])
-    train_items = _student_items(train, table, acfg, mean, std)
-    eval_items = _student_items(holdout, table, acfg, mean, std) \
-        if holdout else train_items
+    train_mels = [wav_to_mel(u.waveform, acfg) for u in train]
+    mean, std = corpus_stats(train_mels)
+    train_items = _student_items(train, train_mels, table, mean, std)
+    del train_mels  # the items hold standardized copies; free the raw ones
+    eval_items = _student_items(
+        holdout, [wav_to_mel(u.waveform, acfg) for u in holdout], table,
+        mean, std) if holdout else train_items
 
     seed = cfg.training.seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -337,7 +330,7 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
         order = rng.permutation(len(train_items))
         for idx in iterate_minibatches(order, cfg.training.batch_size):
             step += 1
-            opt.lr = schedule.lr()
+            opt.lr = schedule.current
             batch = pad_student_batch([train_items[i] for i in idx])
             mae, ssim_loss, duration = student_training_step(model, batch, opt)
             metrics.append(step=step, lr=opt.lr, mae=mae,
@@ -351,7 +344,7 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
         schedule.update(scores["total"])
         eval_log.append(epoch=epoch + 1, step=step, **scores)
         if not quiet:
-            print(f"epoch {epoch + 1}: step {step} lr {schedule.lr():.2e} "
+            print(f"epoch {epoch + 1}: step {step} lr {schedule.current:.2e} "
                   f"eval mae {scores['mae']:.4f} ssim {scores['ssim']:.4f}")
         if (epoch + 1) % cfg.training.checkpoint_every == 0:
             save(epoch + 1)

@@ -30,7 +30,7 @@ def reset_positions(durations):
     return np.arange(total, dtype=np.int64) - starts
 
 
-def expand_encodings(encodings, durations, pe_dim=None):
+def expand_encodings(encodings, durations):
     """Expand (batch, channels, N) by per-item durations (batch, N).
 
     Items may expand to different lengths; the result is zero padded on the
@@ -39,7 +39,6 @@ def expand_encodings(encodings, durations, pe_dim=None):
     """
     durations = np.atleast_2d(np.asarray(durations, dtype=np.int64))
     batch, channels, _ = encodings.shape
-    pe_dim = channels if pe_dim is None else pe_dim
     lengths = durations.sum(axis=1)
     if np.any(lengths < 1):
         raise ValueError("all durations zero; nothing to expand")
@@ -53,7 +52,9 @@ def expand_encodings(encodings, durations, pe_dim=None):
         positions[i, :t_i] = reset_positions(durations[i])
         frame_mask[i, 0, :t_i] = 1.0
     expanded = F.gather_time(encodings, gather)
-    pe = np.stack([F.sinusoid_table(positions[i], pe_dim) for i in range(batch)])
+    # positions restart at every phoneme, so one table over 0..max covers all
+    table = F.sinusoid_table(np.arange(positions.max() + 1), channels)
+    pe = np.ascontiguousarray(table[:, positions].transpose(1, 0, 2))
     pe *= frame_mask  # keep padded cells exactly zero
     out = F.mul(F.add(expanded, pe), frame_mask)
     return out, frame_mask, lengths

@@ -28,12 +28,13 @@ def _blur(x, win_f, win_t):
     return F.filter1d_valid(F.filter1d_valid(x, win_f, axis=1), win_t, axis=2)
 
 
-def ssim_index(x, y, window_size=WINDOW_SIZE, sigma=WINDOW_SIGMA):
+def ssim_index(x, y):
     """Mean local SSIM between two equally shaped (bins, T) spectrograms.
 
     Standardized values are shifted by +SHIFT and clamped to
     [0, DYNAMIC_RANGE] for windowing; constants use L = DYNAMIC_RANGE.
-    The window shrinks (kept odd) when an axis is smaller than window_size.
+    The WINDOW_SIZE Gaussian window (WINDOW_SIGMA) shrinks, kept odd, when an
+    axis is smaller than it.
     Accepts Tensors or arrays; returns a scalar Tensor in [-1, 1].
     """
     if not isinstance(x, Tensor):
@@ -46,10 +47,8 @@ def ssim_index(x, y, window_size=WINDOW_SIZE, sigma=WINDOW_SIGMA):
         x = _lift(x)
         y = _lift(y)
     _, bins, frames = x.shape
-    size_f = _odd_clip(window_size, bins)
-    size_t = _odd_clip(window_size, frames)
-    win_f = gaussian_window(size_f, sigma)
-    win_t = gaussian_window(size_t, sigma)
+    win_f = gaussian_window(_odd_clip(WINDOW_SIZE, bins))
+    win_t = gaussian_window(_odd_clip(WINDOW_SIZE, frames))
 
     # second moments are computed on values centered at the range midpoint;
     # variance/covariance are shift invariant and this avoids float32

@@ -60,9 +60,9 @@ def pad_student_batch(items):
     }
 
 
-def masked_huber(pred, target, mask, delta=HUBER_DELTA):
-    """Huber loss averaged over masked cells."""
-    err = F.huber(F.sub(pred, target), delta)
+def masked_huber(pred, target, mask):
+    """Huber loss (HUBER_DELTA) averaged over masked cells."""
+    err = F.huber(F.sub(pred, target), HUBER_DELTA)
     total = F.sum(F.mul(err, mask))
     count = np.sum(mask.data if isinstance(mask, Tensor) else mask)
     return F.mul(total, 1.0 / float(count))

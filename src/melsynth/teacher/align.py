@@ -15,27 +15,35 @@ from ..nn_core import functional as F
 from .model import NEG_INF, shift_frames
 
 FORWARD_REACH = 3
+STOP_PATIENCE = 10
+SILENCE_PATIENCE = 20
+SILENCE_FLOOR = 0.02
 
 
 class AlignmentError(RuntimeError):
     """Extracted durations do not partition the spectrogram's frames."""
 
 
-def masked_attention_path(logits, forward_reach=FORWARD_REACH):
+def _forward_window(col, prev):
+    """`col` with every entry outside [prev, prev+FORWARD_REACH] at NEG_INF."""
+    masked = np.full(col.shape[0], NEG_INF)
+    window = slice(prev, prev + FORWARD_REACH + 1)
+    masked[window] = col[window]
+    return masked
+
+
+def masked_attention_path(logits):
     """Greedy attended-index walk over (N, T) logits with location masking.
 
     The first frame is unrestricted. Returns int64 indices of length T.
     """
-    n, t = logits.shape
+    t = logits.shape[1]
     path = np.empty(t, dtype=np.int64)
     prev = None
     for i in range(t):
         col = logits[:, i]
         if prev is not None:
-            masked = np.full(n, NEG_INF)
-            hi = min(n, prev + forward_reach + 1)
-            masked[prev:hi] = col[prev:hi]
-            col = masked
+            col = _forward_window(col, prev)
         prev = int(np.argmax(col))
         path[i] = prev
     return path
@@ -46,7 +54,7 @@ def durations_from_path(path, n_phonemes):
     return np.bincount(np.asarray(path, dtype=np.int64), minlength=n_phonemes)
 
 
-def durations_from_attention(attention, location_mask=True, forward_reach=FORWARD_REACH):
+def durations_from_attention(attention, location_mask=True):
     """(N, T) attention scores -> durations summing exactly to T.
 
     Works on weights or logits alike: per-column argmax is scale-free and the
@@ -55,33 +63,31 @@ def durations_from_attention(attention, location_mask=True, forward_reach=FORWAR
     a = np.asarray(attention)
     n, _ = a.shape
     if location_mask:
-        path = masked_attention_path(a, forward_reach)
+        path = masked_attention_path(a)
     else:
         path = np.argmax(a, axis=0)
     return durations_from_path(path, n)
 
 
-def teacher_forced_logits(model, phoneme_ids, target_mel, position_rate=None):
+def teacher_forced_logits(model, phoneme_ids, target_mel):
     """Run the aligner on ground-truth input and return raw logits (N, T)."""
     n = len(phoneme_ids)
     t = target_mel.shape[1]
     if n == 0 or t == 0:
         raise ValueError("empty phoneme or frame sequence")
-    rate = position_rate if position_rate is not None else n / t
     with no_grad():
         ids = np.asarray(phoneme_ids, dtype=np.int64)[None]
         frames = Tensor(shift_frames(target_mel)[None].astype(np.float32))
         keys, _, _ = model.encode_phonemes(ids)
-        queries, _ = model.encode_frames(frames, [rate])
+        queries, _ = model.encode_frames(frames, [n / t])
         logits = model.attention_logits(keys, queries)
     return logits.data[0]
 
 
-def extract_durations(model, phoneme_ids, target_mel, position_rate=None,
-                      forward_reach=FORWARD_REACH):
+def extract_durations(model, phoneme_ids, target_mel):
     """Teacher-forced alignment with location masking; durations sum to T."""
-    logits = teacher_forced_logits(model, phoneme_ids, target_mel, position_rate)
-    path = masked_attention_path(logits, forward_reach)
+    logits = teacher_forced_logits(model, phoneme_ids, target_mel)
+    path = masked_attention_path(logits)
     durations = durations_from_path(path, len(phoneme_ids))
     if durations.sum() != target_mel.shape[1]:
         raise AlignmentError(
@@ -91,14 +97,14 @@ def extract_durations(model, phoneme_ids, target_mel, position_rate=None,
 
 
 def sequential_generate(model, phoneme_ids, max_frames, position_rate,
-                        teacher_frames=None, location_mask=True,
-                        forward_reach=FORWARD_REACH, silence_floor=0.02,
-                        stop_patience=10, silence_patience=20):
+                        teacher_frames=None, location_mask=True):
     """Generate frames one at a time.
 
     With `teacher_frames` given, conditioning uses ground truth (used by the
     parallel/sequential equivalence check); otherwise each prediction is fed
-    back. Returns (mel (bins, T), attention (N, T), reached_max: bool).
+    back, and generation stops early after STOP_PATIENCE frames on the last
+    phoneme or SILENCE_PATIENCE frames with mean level below SILENCE_FLOOR.
+    Returns (mel (bins, T), attention (N, T), reached_max: bool).
     """
     ids = np.asarray(phoneme_ids, dtype=np.int64)
     if ids.size == 0:
@@ -121,12 +127,9 @@ def sequential_generate(model, phoneme_ids, max_frames, position_rate,
             window = Tensor(frames[None, :, :t + 1])
             queries, frame_enc = model.encode_frames(window, [position_rate])
             logits = model.attention_logits(keys, queries).data[0]
-            col = logits[:, t].copy()
+            col = logits[:, t]
             if location_mask and prev is not None:
-                masked = np.full(n, NEG_INF)
-                hi = min(n, prev + forward_reach + 1)
-                masked[prev:hi] = col[prev:hi]
-                col = masked
+                col = _forward_window(col, prev)
             history[:, t] = col
             attention = F.softmax(Tensor(history[None, :, :t + 1]), axis=1)
             pred = model.decode(values, attention, frame_enc)
@@ -138,8 +141,8 @@ def sequential_generate(model, phoneme_ids, max_frames, position_rate,
                 frames[:, t + 1] = frame
                 final_run = final_run + 1 if prev == n - 1 else 0
                 mean_level = float(np.mean(frame))
-                quiet_run = quiet_run + 1 if mean_level < silence_floor else 0
-                if final_run >= stop_patience or quiet_run >= silence_patience:
+                quiet_run = quiet_run + 1 if mean_level < SILENCE_FLOOR else 0
+                if final_run >= STOP_PATIENCE or quiet_run >= SILENCE_PATIENCE:
                     reached_max = False
                     break
     mel = np.stack(outputs, axis=1)

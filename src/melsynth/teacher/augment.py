@@ -23,28 +23,25 @@ class AugmentParams:
     replace_prob: float = 0.05
 
 
-def augment_spectrogram(mel, model, rng, params, phoneme_ids, feedback_passes=None,
-                        position_rate=None):
+def augment_spectrogram(mel, model, rng, params, phoneme_ids, feedback_passes,
+                        position_rate):
     """Degrade one unit-interval spectrogram (bins, T).
 
-    feedback_passes: fixed k, or None to draw uniformly from
-    {0..max_feedback_passes}.
+    feedback_passes: k, drawn once per batch from {0..max_feedback_passes}
+    by the caller; position_rate: the item's N/T.
     """
     x = np.asarray(mel, dtype=np.float32).copy()
     bins, t = x.shape
     if params.noise_std > 0:
         x = np.clip(x + rng.normal(0.0, params.noise_std, x.shape), 0.0, 1.0)
         x = x.astype(np.float32)
-    k = (feedback_passes if feedback_passes is not None
-         else int(rng.integers(0, params.max_feedback_passes + 1)))
-    if k > 0:
+    if feedback_passes > 0:
         ids = np.asarray(phoneme_ids, dtype=np.int64)[None]
-        rate = position_rate if position_rate is not None else ids.shape[1] / t
         was_training = model.training
         model.eval()
         with no_grad():
-            for _ in range(k):
-                pred, _ = model(ids, Tensor(shift_frames(x)[None]), [rate])
+            for _ in range(feedback_passes):
+                pred, _ = model(ids, Tensor(shift_frames(x)[None]), [position_rate])
                 x = pred.data[0].astype(np.float32)
         model.train(was_training)
     if params.replace_prob > 0:

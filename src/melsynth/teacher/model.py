@@ -86,7 +86,7 @@ class TeacherModel(Module):
             hidden = F.mul(hidden, phoneme_mask)
         enc = self.phoneme_stack(hidden, phoneme_mask)
         n = phoneme_ids.shape[1]
-        pe = F.positional_encoding(n, self.channels)[None]
+        pe = F.sinusoid_table(np.arange(n), self.channels)[None]
         keys = self.key_query_proj(F.add(enc, pe))
         values = F.mul(F.add(self.value_proj(enc), emb), np.sqrt(0.5))
         return keys, values, enc

@@ -220,3 +220,9 @@ class TestDurationsSidecar:
         (tmp_path / "d.txt").write_text("u|3 -2\n")
         with pytest.raises(DatasetError):
             read_durations(tmp_path / "d.txt")
+
+    @pytest.mark.parametrize("token", ["x", "2.5", "99999999999999999999"])
+    def test_non_integer_token_names_file_and_line(self, tmp_path, token):
+        (tmp_path / "d.txt").write_text(f"u1|3 2\nu2|3 {token}\n")
+        with pytest.raises(DatasetError, match="d.txt:2"):
+            read_durations(tmp_path / "d.txt")

@@ -89,6 +89,15 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="ghost.ckpt"):
             load_tensors(tmp_path / "ghost.ckpt")
 
+    def test_undecodable_name_rejected(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_tensors(path, {"w": np.zeros(2, np.float32)}, arch_hash=1)
+        raw = bytearray(path.read_bytes())
+        raw[24] = 0xFF  # the name follows magic, version, hash, count, length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="t.ckpt"):
+            load_tensors(path)
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
         save_tensors(path, {}, arch_hash=1)
@@ -227,6 +236,19 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="holds a teacher model"):
             load_checkpoint(path, clone, cfg, "student")
         self._assert_unchanged(clone, snapshot)
+
+    def test_undecodable_text_entry_rejected(self, tmp_path, rng):
+        cfg = small_cfg()
+
+        def corrupt(arrays):
+            arrays["__meta__/kind"] = np.array([0xFF, 0xFE], np.float32)
+
+        path = self._rewritten_student(tmp_path, cfg, rng, corrupt)
+        model = build_student(cfg, vocab_size=30)
+        with pytest.raises(CheckpointError, match="student.ckpt"):
+            load_checkpoint(path, model, cfg, "student")
+        with pytest.raises(CheckpointError, match="student.ckpt"):
+            peek_config(path)
 
     @staticmethod
     def _rewritten_student(tmp_path, cfg, rng, edit):

@@ -192,29 +192,22 @@ class TestLinearAndEmbedding:
 
 class TestPositionalEncoding:
     def test_position_zero_rows(self):
-        table = F.positional_encoding(3, 6, offset=0)
+        table = F.sinusoid_table(np.arange(3), 6)
         np.testing.assert_allclose(table[0::2, 0], 0.0, atol=1e-7)
         np.testing.assert_allclose(table[1::2, 0], 1.0, atol=1e-7)
 
     def test_range(self):
-        table = F.positional_encoding(50, 8, offset=13)
+        table = F.sinusoid_table(np.arange(50) + 13, 8)
         assert table.min() >= -1.0 and table.max() <= 1.0
 
     def test_matches_scalar_formula(self):
         dim, length = 4, 3
-        table = F.positional_encoding(length, dim, offset=0)
+        table = F.sinusoid_table(np.arange(length), dim)
         for pos in range(length):
             for i in range(dim // 2):
                 angle = pos / 10000 ** (2 * i / dim)
                 assert abs(table[2 * i, pos] - np.sin(angle)) < 1e-7
                 assert abs(table[2 * i + 1, pos] - np.cos(angle)) < 1e-7
-
-    def test_offset_shifts_positions(self):
-        np.testing.assert_allclose(
-            F.positional_encoding(4, 6, offset=3),
-            F.positional_encoding(7, 6, offset=0)[:, 3:],
-            atol=1e-7,
-        )
 
     def test_fractional_positions(self):
         table = F.sinusoid_table(np.array([0.5, 2.25]), 4)
@@ -223,4 +216,4 @@ class TestPositionalEncoding:
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
-            F.positional_encoding(3, 5)
+            F.sinusoid_table(np.arange(3), 5)

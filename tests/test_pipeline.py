@@ -353,6 +353,17 @@ class TestCli:
         assert main(["extract-durations", "--config", str(cfg_path),
                      "--checkpoint", str(tmp_path / "no.ckpt")]) == 2
 
+    def test_malformed_durations_is_data_error(self, corpus, tmp_path,
+                                               capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(micro_cfg(corpus)))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("toy000|3 x 2\n")
+        assert main(["train-student", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run"),
+                     "--durations", str(bad)]) == 2
+        assert "bad.csv:1" in capsys.readouterr().err
+
     def test_non_finite_synthesis_exits_3(self, student_run, tmp_path,
                                           capsys):
         cfg, result = student_run

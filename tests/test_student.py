@@ -114,6 +114,24 @@ class TestExpandEncodings:
         for s in starts:
             assert np.allclose(out.data[0, :, s], zero_pe, atol=1e-6)
 
+    def test_matches_per_item_tables(self, rng):
+        # reference: one sinusoid table per item over all T_max positions
+        enc = Tensor(rng.normal(size=(4, 16, 9)).astype(np.float32))
+        dur = rng.integers(0, 12, size=(4, 9))
+        dur[:, 0] = 1
+        dur[3, 5:] = 0
+        out, mask, _ = expand_encodings(enc, dur)
+        t_max = mask.shape[2]
+        expanded = np.zeros((4, 16, t_max), dtype=np.float32)
+        pe = np.zeros((4, 16, t_max), dtype=np.float32)
+        for i in range(4):
+            t = int(dur[i].sum())
+            expanded[i, :, :t] = enc.data[i][:, expansion_indices(dur[i])]
+            positions = np.zeros(t_max, dtype=np.int64)
+            positions[:t] = reset_positions(dur[i])
+            pe[i] = F.sinusoid_table(positions, 16) * mask[i]
+        assert np.array_equal(out.data, (expanded + pe) * mask)
+
     def test_padding_stays_zero(self, rng):
         enc = Tensor(rng.normal(size=(2, 8, 3)).astype(np.float32))
         dur = np.array([[2, 2, 2], [1, 1, 0]])

@@ -22,6 +22,7 @@ from melsynth.teacher import (
     sequential_generate,
     shift_frames,
     teacher_dilations,
+    teacher_forced_logits,
 )
 from melsynth.teacher import align
 
@@ -183,6 +184,20 @@ class TestSequentialEquivalence:
                 teacher_frames=target, location_mask=False)
             np.testing.assert_allclose(seq_mel, parallel.data[0], atol=1e-5)
 
+    def test_masked_walk_matches_teacher_forced_path(self, rng):
+        for trial in range(10):
+            n = int(rng.integers(6, 13))
+            t = int(rng.integers(8, 21))
+            model = tiny_model(np.random.default_rng(200 + trial))
+            model.eval()
+            ids = rng.integers(1, VOCAB, size=n)
+            target = rng.random((8, t)).astype(np.float32)
+            _, attention, _ = sequential_generate(
+                model, ids, max_frames=t, position_rate=n / t,
+                teacher_frames=target)
+            path = masked_attention_path(teacher_forced_logits(model, ids, target))
+            np.testing.assert_array_equal(np.argmax(attention, axis=0), path)
+
     def test_empty_phonemes_rejected(self, rng):
         model = tiny_model(rng)
         with pytest.raises(ValueError):
@@ -248,7 +263,8 @@ class TestAugmentations:
         mel = rng.random((8, 9)).astype(np.float32)
         params = AugmentParams(noise_std=0.0, max_feedback_passes=0, replace_prob=0.0)
         out = augment_spectrogram(mel, model, np.random.default_rng(0), params,
-                                  phoneme_ids=rng.integers(1, VOCAB, size=4))
+                                  phoneme_ids=rng.integers(1, VOCAB, size=4),
+                                  feedback_passes=0, position_rate=4 / 9)
         np.testing.assert_array_equal(out, mel)
 
     def test_full_replacement_draws_from_same_utterance(self, rng):
@@ -256,7 +272,8 @@ class TestAugmentations:
         mel = rng.random((8, 12)).astype(np.float32)
         params = AugmentParams(noise_std=0.0, max_feedback_passes=0, replace_prob=1.0)
         out = augment_spectrogram(mel, model, np.random.default_rng(3), params,
-                                  phoneme_ids=rng.integers(1, VOCAB, size=4))
+                                  phoneme_ids=rng.integers(1, VOCAB, size=4),
+                                  feedback_passes=0, position_rate=4 / 12)
         original_cols = {tuple(mel[:, i]) for i in range(12)}
         for i in range(12):
             assert tuple(out[:, i]) in original_cols
@@ -282,7 +299,8 @@ class TestAugmentations:
         mel = rng.random((8, 30)).astype(np.float32)
         params = AugmentParams(noise_std=0.5, max_feedback_passes=0, replace_prob=0.0)
         out = augment_spectrogram(mel, model, np.random.default_rng(2), params,
-                                  phoneme_ids=rng.integers(1, VOCAB, size=3))
+                                  phoneme_ids=rng.integers(1, VOCAB, size=3),
+                                  feedback_passes=0, position_rate=3 / 30)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
