@@ -497,7 +497,7 @@ def filter1d_valid(x, kernel, axis):
 
 
 # ---------------------------------------------------------------------------
-# positional encodings (constants, no gradient)
+# positional encodings and padded batches (constants, no gradient)
 # ---------------------------------------------------------------------------
 
 def sinusoid_table(positions, dim):
@@ -516,3 +516,30 @@ def sinusoid_table(positions, dim):
     table[0::2] = np.sin(angles)
     table[1::2] = np.cos(angles)
     return table
+
+
+# Every variable-length batch is right-zero-padded along its last axis, with
+# a float32 (B, 1, width) mask of ones over each item's real frames.
+
+def pad_right(arrays, dtype):
+    """Stack arrays that differ only in their last axis, zero padded on the right.
+
+    Returns (len(arrays), *leading, max last extent) of `dtype`; item i keeps
+    its values at [i, ..., :n_i]. Raises ValueError if any other axis differs.
+    """
+    arrays = [np.asarray(a) for a in arrays]
+    leads = {a.shape[:-1] for a in arrays}
+    if len(leads) != 1:
+        raise ValueError(f"cannot pad shapes {[a.shape for a in arrays]}: "
+                         "items must differ only in their last axis")
+    out = np.zeros((len(arrays), *leads.pop(), max(a.shape[-1] for a in arrays)),
+                   dtype=dtype)
+    for i, a in enumerate(arrays):
+        out[i, ..., :a.shape[-1]] = a
+    return out
+
+
+def length_mask(lengths, width):
+    """Float32 (B, 1, width) mask: ones on the first lengths[i] cells of row i."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return (np.arange(width) < lengths[:, None, None]).astype(np.float32)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .tensor import Tensor
@@ -79,6 +81,16 @@ class Module:
     def eval(self):
         return self.train(False)
 
+    @contextmanager
+    def evaluating(self):
+        """Eval mode inside the block; the previous mode returns on any exit."""
+        was_training = self.training
+        self.eval()
+        try:
+            yield self
+        finally:
+            self.train(was_training)
+
     # -- forward ---------------------------------------------------------
 
     def __call__(self, *args, **kwargs):
@@ -86,6 +98,3 @@ class Module:
 
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def num_parameters(self):
-        return int(np.sum([p.size for p in self.parameters()])) if self.parameters() else 0

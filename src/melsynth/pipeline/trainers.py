@@ -109,11 +109,9 @@ def write_pgm(path, matrix):
 
 def evaluate_teacher(model, utts, cfg):
     """Teacher-forced holdout metrics; returns (dict, attention of item 0)."""
-    was_training = model.training
-    model.eval()
-    batch = pad_teacher_batch(utts, mel_bins=cfg.audio.mel_bins)
+    batch = pad_teacher_batch(utts)
     inputs = build_inputs(batch)
-    with no_grad():
+    with model.evaluating(), no_grad():
         pred, attention = model(
             batch["ids"], Tensor(inputs), batch["rates"],
             phoneme_mask=batch["phoneme_mask"], frame_mask=batch["frame_mask"])
@@ -123,8 +121,6 @@ def evaluate_teacher(model, utts, cfg):
             cfg.teacher.guided_g)
     diagonality = batch_diagonality(
         attention.data, batch["n_lengths"], batch["t_lengths"])
-    if was_training:
-        model.train()
     n0, t0 = int(batch["n_lengths"][0]), int(batch["t_lengths"][0])
     return ({"mae": float(mae.data), "guided": float(guided.data),
              "diagonality": diagonality}, attention.data[0, :n0, :t0])
@@ -163,39 +159,34 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
     ckpt_path = out / "teacher.ckpt"
     history = []
     model.train()
-    stop = False
     epoch = start_epoch
-    epochs = cfg.teacher.epochs if max_steps is None \
-        else math.ceil(max_steps / steps_per_epoch)
-    for epoch in range(start_epoch, epochs):
+    # max_steps, when given, replaces the epoch cap and counts across resumes
+    while (step < max_steps if max_steps is not None
+           else epoch < cfg.teacher.epochs):
         order = rng.permutation(len(train))
         for idx in iterate_minibatches(order, cfg.training.batch_size):
             step += 1
             opt.lr = noam_lr(cfg.training.base_lr, warmup_steps, step)
-            batch = pad_teacher_batch([train[i] for i in idx],
-                                      mel_bins=cfg.audio.mel_bins)
+            batch = pad_teacher_batch([train[i] for i in idx])
             inputs = build_inputs(batch, model=model, rng=rng, augment=augment)
             mae, guided, _ = teacher_training_step(
                 model, opt, batch, inputs, g=cfg.teacher.guided_g)
             metrics.append(step=step, lr=opt.lr, mae=mae, guided=guided)
             history.append({"step": step, "mae": mae, "guided": guided})
             if max_steps is not None and step >= max_steps:
-                stop = True
                 break
+        epoch += 1
         scores, attention = evaluate_teacher(model, eval_set, cfg)
-        eval_log.append(epoch=epoch + 1, step=step, **scores)
-        write_pgm(out / "attention" / f"epoch{epoch + 1:04d}.pgm", attention)
+        eval_log.append(epoch=epoch, step=step, **scores)
+        write_pgm(out / "attention" / f"epoch{epoch:04d}.pgm", attention)
         if not quiet:
-            print(f"epoch {epoch + 1}: step {step} "
+            print(f"epoch {epoch}: step {step} "
                   f"eval mae {scores['mae']:.4f} guided {scores['guided']:.5f} "
                   f"diagonality {scores['diagonality']:.4f}")
-        if (epoch + 1) % cfg.training.checkpoint_every == 0:
+        if epoch % cfg.training.checkpoint_every == 0:
             save_checkpoint(ckpt_path, model, cfg, "teacher",
-                            epoch=epoch + 1, step=step)
-        if stop:
-            break
-    save_checkpoint(ckpt_path, model, cfg, "teacher", epoch=epoch + 1,
-                    step=step)
+                            epoch=epoch, step=step)
+    save_checkpoint(ckpt_path, model, cfg, "teacher", epoch=epoch, step=step)
     scores, _ = evaluate_teacher(model, eval_set, cfg)
     return {"checkpoint": ckpt_path, "model": model, "history": history,
             "final_eval": scores, "step": step}
@@ -242,12 +233,10 @@ def _check_sidecar(utts, table, source):
 
 def evaluate_student(model, items, cfg):
     """Averaged losses over `items` in eval mode (no parameter updates)."""
-    was_training = model.training
-    model.eval()
     batch_size = cfg.training.batch_size
     totals = np.zeros(3)
     count = 0
-    with no_grad():
+    with model.evaluating(), no_grad():
         for start in range(0, len(items), batch_size):
             chunk = items[start:start + batch_size]
             batch = pad_student_batch(chunk)
@@ -255,8 +244,6 @@ def evaluate_student(model, items, cfg):
             totals += np.array([float(mae.data), float(ssim_loss.data),
                                 float(duration.data)]) * len(chunk)
             count += len(chunk)
-    if was_training:
-        model.train()
     mae, ssim_loss, duration = totals / count
     return {"mae": mae, "ssim": 1.0 - ssim_loss, "duration": duration,
             "total": mae + ssim_loss + duration}
@@ -321,12 +308,9 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
 
     history = []
     model.train()
-    stop = False
     epoch = start_epoch
-    steps_per_epoch = max(1, math.ceil(len(train_items) / cfg.training.batch_size))
-    epochs = cfg.student.epochs if max_steps is None \
-        else math.ceil(max_steps / steps_per_epoch)
-    for epoch in range(start_epoch, epochs):
+    while (step < max_steps if max_steps is not None
+           else epoch < cfg.student.epochs):
         order = rng.permutation(len(train_items))
         for idx in iterate_minibatches(order, cfg.training.batch_size):
             step += 1
@@ -338,19 +322,17 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
             history.append({"step": step, "mae": mae, "ssim_loss": ssim_loss,
                             "duration": duration})
             if max_steps is not None and step >= max_steps:
-                stop = True
                 break
+        epoch += 1
         scores = evaluate_student(model, eval_items, cfg)
         schedule.update(scores["total"])
-        eval_log.append(epoch=epoch + 1, step=step, **scores)
+        eval_log.append(epoch=epoch, step=step, **scores)
         if not quiet:
-            print(f"epoch {epoch + 1}: step {step} lr {schedule.current:.2e} "
+            print(f"epoch {epoch}: step {step} lr {schedule.current:.2e} "
                   f"eval mae {scores['mae']:.4f} ssim {scores['ssim']:.4f}")
-        if (epoch + 1) % cfg.training.checkpoint_every == 0:
-            save(epoch + 1)
-        if stop:
-            break
-    save(epoch + 1)
+        if epoch % cfg.training.checkpoint_every == 0:
+            save(epoch)
+    save(epoch)
     train_scores = evaluate_student(model, train_items, cfg)
     return {"checkpoint": ckpt_path, "model": model, "history": history,
             "train_eval": train_scores, "stats": (mean, std), "step": step}

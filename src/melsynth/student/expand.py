@@ -39,18 +39,14 @@ def expand_encodings(encodings, durations):
     """
     durations = np.atleast_2d(np.asarray(durations, dtype=np.int64))
     batch, channels, _ = encodings.shape
+    if durations.shape[0] != batch:
+        raise ValueError(f"{durations.shape[0]} duration rows for {batch} items")
     lengths = durations.sum(axis=1)
     if np.any(lengths < 1):
         raise ValueError("all durations zero; nothing to expand")
-    t_max = int(lengths.max())
-    gather = np.zeros((batch, t_max), dtype=np.int64)
-    positions = np.zeros((batch, t_max), dtype=np.int64)
-    frame_mask = np.zeros((batch, 1, t_max), dtype=np.float32)
-    for i in range(batch):
-        t_i = int(lengths[i])
-        gather[i, :t_i] = expansion_indices(durations[i])
-        positions[i, :t_i] = reset_positions(durations[i])
-        frame_mask[i, 0, :t_i] = 1.0
+    gather = F.pad_right([expansion_indices(d) for d in durations], np.int64)
+    positions = F.pad_right([reset_positions(d) for d in durations], np.int64)
+    frame_mask = F.length_mask(lengths, gather.shape[1])
     expanded = F.gather_time(encodings, gather)
     # positions restart at every phoneme, so one table over 0..max covers all
     table = F.sinusoid_table(np.arange(positions.max() + 1), channels)

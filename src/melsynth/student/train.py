@@ -21,40 +21,25 @@ def pad_student_batch(items):
     """
     if not items:
         raise ValueError("empty batch")
-    n_lengths = [len(ids) for ids, _, _ in items]
-    t_lengths = [int(np.sum(d)) for _, d, _ in items]
-    for (ids, dur, mel), t in zip(items, t_lengths):
+    for ids, dur, mel in items:
+        t = int(np.sum(dur))
         if len(dur) != len(ids):
             raise ValueError("durations and phoneme ids differ in length")
         if mel.shape[1] != t:
             raise ValueError(
                 f"target has {mel.shape[1]} frames but durations sum to {t}")
-    batch = len(items)
-    n_max = max(n_lengths)
-    t_max = max(t_lengths)
-    bins = items[0][2].shape[0]
-
-    ids = np.zeros((batch, n_max), dtype=np.int64)
-    durations = np.zeros((batch, n_max), dtype=np.int64)
-    log_durations = np.zeros((batch, 1, n_max), dtype=np.float32)
-    phoneme_mask = np.zeros((batch, 1, n_max), dtype=np.float32)
-    targets = np.zeros((batch, bins, t_max), dtype=np.float32)
-    frame_mask = np.zeros((batch, 1, t_max), dtype=np.float32)
-    for i, (pid, dur, mel) in enumerate(items):
-        n, t = n_lengths[i], t_lengths[i]
-        ids[i, :n] = pid
-        durations[i, :n] = dur
-        log_durations[i, 0, :n] = np.log1p(np.asarray(dur, dtype=np.float64))
-        phoneme_mask[i, 0, :n] = 1.0
-        targets[i, :, :t] = mel
-        frame_mask[i, 0, :t] = 1.0
+    ids, durs, mels = zip(*items)
+    n_lengths = np.array([len(d) for d in durs], dtype=np.int64)
+    t_lengths = np.array([mel.shape[1] for mel in mels], dtype=np.int64)
+    targets = F.pad_right(mels, np.float32)
+    log_durs = [np.log1p(np.asarray(d, dtype=np.float64)) for d in durs]
     return {
-        "ids": ids,
-        "durations": durations,
-        "log_durations": log_durations,
-        "phoneme_mask": phoneme_mask,
+        "ids": F.pad_right(ids, np.int64),
+        "durations": F.pad_right(durs, np.int64),
+        "log_durations": F.pad_right(log_durs, np.float32)[:, None],
+        "phoneme_mask": F.length_mask(n_lengths, n_lengths.max()),
         "targets": targets,
-        "frame_mask": frame_mask,
+        "frame_mask": F.length_mask(t_lengths, targets.shape[2]),
         "n_lengths": n_lengths,
         "t_lengths": t_lengths,
     }
@@ -145,33 +130,22 @@ def synthesize_batch(model, id_seqs, durations=None):
     if durations is not None and len(durations) != len(seqs):
         raise ValueError(f"{len(durations)} duration sequences for "
                          f"{len(seqs)} utterances")
-    n_max = max(ids.size for ids in seqs)
-    ids = np.zeros((len(seqs), n_max), dtype=np.int64)
-    phoneme_mask = np.zeros((len(seqs), 1, n_max), dtype=np.float32)
-    for i, item in enumerate(seqs):
-        ids[i, :item.size] = item
-        phoneme_mask[i, 0, :item.size] = 1.0
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            encodings = model.encode(ids, phoneme_mask)
-            if durations is None:
-                log_dur = model.predict_log_durations(encodings, phoneme_mask).data
-                durations = [_round_predicted(log_dur[i, 0, :item.size])
-                             for i, item in enumerate(seqs)]
-            durations = [np.asarray(d, dtype=np.int64).reshape(-1) for d in durations]
-            padded = np.zeros((len(seqs), n_max), dtype=np.int64)
-            for i, (item, d) in enumerate(zip(seqs, durations)):
-                if d.size != item.size:
-                    raise ValueError(f"item {i}: {d.size} durations for "
-                                     f"{item.size} phonemes")
-                padded[i, :d.size] = d
-            expanded, frame_mask, lengths = expand_encodings(encodings, padded)
-            pred = model.decode(expanded, frame_mask).data
-    finally:
-        if was_training:
-            model.train()
+    ids = F.pad_right(seqs, np.int64)
+    phoneme_mask = F.length_mask([item.size for item in seqs], ids.shape[1])
+    with model.evaluating(), no_grad():
+        encodings = model.encode(ids, phoneme_mask)
+        if durations is None:
+            log_dur = model.predict_log_durations(encodings, phoneme_mask).data
+            durations = [_round_predicted(log_dur[i, 0, :item.size])
+                         for i, item in enumerate(seqs)]
+        durations = [np.asarray(d, dtype=np.int64).reshape(-1) for d in durations]
+        for i, (item, d) in enumerate(zip(seqs, durations)):
+            if d.size != item.size:
+                raise ValueError(f"item {i}: {d.size} durations for "
+                                 f"{item.size} phonemes")
+        expanded, frame_mask, lengths = expand_encodings(
+            encodings, F.pad_right(durations, np.int64))
+        pred = model.decode(expanded, frame_mask).data
     mels = [pred[i, :, :int(t)].copy() for i, t in enumerate(lengths)]
     return mels, durations
 

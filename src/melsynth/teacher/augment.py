@@ -37,13 +37,10 @@ def augment_spectrogram(mel, model, rng, params, phoneme_ids, feedback_passes,
         x = x.astype(np.float32)
     if feedback_passes > 0:
         ids = np.asarray(phoneme_ids, dtype=np.int64)[None]
-        was_training = model.training
-        model.eval()
-        with no_grad():
+        with model.evaluating(), no_grad():
             for _ in range(feedback_passes):
                 pred, _ = model(ids, Tensor(shift_frames(x)[None]), [position_rate])
                 x = pred.data[0].astype(np.float32)
-        model.train(was_training)
     if params.replace_prob > 0:
         snapshot = x.copy()
         chosen = rng.random(t) < params.replace_prob

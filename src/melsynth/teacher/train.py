@@ -6,6 +6,7 @@ import numpy as np
 
 from ..audio_frontend import normalize_unit, wav_to_mel
 from ..nn_core import Tensor
+from ..nn_core import functional as F
 from .augment import AugmentParams, augment_spectrogram
 from .losses import batch_guided_attention_loss, diagonality_score, masked_mae
 from .model import shift_frames
@@ -18,34 +19,21 @@ def prepare_utterance(utt, audio_config):
     return utt
 
 
-def pad_teacher_batch(items, mel_bins=80):
+def pad_teacher_batch(items):
     """Pad utterances to common N and T; build masks and position rates.
 
     Returns dict of numpy arrays: ids (B,N), targets (B,bins,T),
     phoneme_mask (B,1,N), frame_mask (B,1,T), rates (B,), n_lengths, t_lengths.
     """
-    batch = len(items)
-    n_max = max(u.n_phonemes for u in items)
-    t_max = max(u.mel.shape[1] for u in items)
-    ids = np.zeros((batch, n_max), dtype=np.int64)
-    targets = np.zeros((batch, mel_bins, t_max), dtype=np.float32)
-    phoneme_mask = np.zeros((batch, 1, n_max), dtype=np.float32)
-    frame_mask = np.zeros((batch, 1, t_max), dtype=np.float32)
-    rates = np.zeros(batch, dtype=np.float64)
-    n_lengths = np.zeros(batch, dtype=np.int64)
-    t_lengths = np.zeros(batch, dtype=np.int64)
-    for i, u in enumerate(items):
-        n, t = u.n_phonemes, u.mel.shape[1]
-        ids[i, :n] = u.phoneme_ids
-        targets[i, :, :t] = u.mel
-        phoneme_mask[i, 0, :n] = 1.0
-        frame_mask[i, 0, :t] = 1.0
-        rates[i] = n / t
-        n_lengths[i] = n
-        t_lengths[i] = t
+    ids = F.pad_right([u.phoneme_ids for u in items], np.int64)
+    targets = F.pad_right([u.mel for u in items], np.float32)
+    n_lengths = np.array([u.n_phonemes for u in items], dtype=np.int64)
+    t_lengths = np.array([u.mel.shape[1] for u in items], dtype=np.int64)
     return {
-        "ids": ids, "targets": targets, "phoneme_mask": phoneme_mask,
-        "frame_mask": frame_mask, "rates": rates,
+        "ids": ids, "targets": targets,
+        "phoneme_mask": F.length_mask(n_lengths, ids.shape[1]),
+        "frame_mask": F.length_mask(t_lengths, targets.shape[2]),
+        "rates": n_lengths / t_lengths,
         "n_lengths": n_lengths, "t_lengths": t_lengths,
     }
 
@@ -55,19 +43,14 @@ def build_inputs(batch, model=None, rng=None, augment=None):
     targets = batch["targets"]
     if augment is None or rng is None:
         return shift_frames(targets)
-    inputs = np.empty_like(targets)
     k = int(rng.integers(0, augment.max_feedback_passes + 1))  # one draw per batch
-    for i in range(targets.shape[0]):
-        t = int(batch["t_lengths"][i])
-        n = int(batch["n_lengths"][i])
-        degraded = augment_spectrogram(
-            targets[i, :, :t], model, rng, augment,
-            batch["ids"][i, :n], feedback_passes=k,
-            position_rate=batch["rates"][i],
-        )
-        inputs[i] = 0.0
-        inputs[i, :, :t] = degraded
-    return shift_frames(inputs)
+    degraded = [
+        augment_spectrogram(
+            targets[i, :, :t], model, rng, augment, batch["ids"][i, :n],
+            feedback_passes=k, position_rate=batch["rates"][i])
+        for i, (n, t) in enumerate(zip(batch["n_lengths"], batch["t_lengths"]))
+    ]
+    return shift_frames(F.pad_right(degraded, np.float32))
 
 
 def teacher_training_step(model, optimizer, batch, inputs, g=0.2):

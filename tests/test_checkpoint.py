@@ -85,6 +85,18 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="hash mismatch"):
             load_tensors(path, expected_hash=11)
 
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_tensors(path, {"w": np.arange(4, dtype=np.float32)}, arch_hash=1)
+        before = path.read_bytes()
+        # the second entry cannot be cast to float32, so the write fails
+        # after the header and the first entry are already out
+        with pytest.raises(ValueError):
+            save_tensors(path, {"w": np.zeros(4, np.float32), "bad": "x"},
+                         arch_hash=2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ckpt"]
+
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(CheckpointError, match="ghost.ckpt"):
             load_tensors(tmp_path / "ghost.ckpt")

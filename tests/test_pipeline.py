@@ -10,14 +10,17 @@ from melsynth.audio_frontend import (
     read_durations,
 )
 from melsynth.cli import main
+from melsynth.nn_core import noam_lr
 from melsynth.pipeline import (
     MetricsLog,
     TOY_PHONES,
     bench_inputs,
     config_to_text,
     default_config,
+    evaluate_student,
     format_table,
     load_config,
+    load_tensors,
     make_toy_corpus,
     phonemize,
     run_benchmark,
@@ -31,6 +34,12 @@ from melsynth.pipeline import (
     write_pgm,
     write_toy_config,
 )
+
+
+def progress(checkpoint):
+    """Stored (epoch, step) of a checkpoint."""
+    arrays, _ = load_tensors(checkpoint)
+    return tuple(int(v) for v in arrays["__meta__/progress"])
 
 
 def micro_cfg(root):
@@ -174,10 +183,29 @@ class TestTeacherTraining:
         resumed = run_teacher_training(cfg, tmp_path, max_steps=4,
                                        resume=first["checkpoint"])
         assert [h["step"] for h in resumed["history"]] == [3, 4]
-        # warmup lr keeps rising across the resume boundary
+        # the Noam schedule continues at step 3 (3 training utterances in
+        # batches of 2 make 2 steps per epoch); the log keeps 6 digits
+        warmup = cfg.training.warmup_epochs * 2
         lrs = np.loadtxt(tmp_path / "teacher_metrics.csv", delimiter=",",
                          skiprows=1, usecols=1, ndmin=1)
-        assert lrs[0] > first["history"][-1]["step"] * 0.0
+        assert lrs[0] == float(
+            f"{noam_lr(cfg.training.base_lr, warmup, 3):.6g}")
+
+    def test_resume_counts_steps_across_a_partial_epoch(self, corpus,
+                                                         tmp_path):
+        cfg = micro_cfg(corpus)
+        first = run_teacher_training(cfg, tmp_path / "a", max_steps=3)
+        resumed = run_teacher_training(cfg, tmp_path / "b", max_steps=6,
+                                       resume=first["checkpoint"])
+        assert [h["step"] for h in resumed["history"]] == [4, 5, 6]
+
+    def test_resume_with_nothing_left_keeps_progress(self, corpus,
+                                                     teacher_run, tmp_path):
+        cfg, first = teacher_run
+        again = run_teacher_training(cfg, tmp_path, max_steps=2,
+                                     resume=first["checkpoint"])
+        assert again["history"] == []
+        assert progress(again["checkpoint"]) == progress(first["checkpoint"])
 
 
 class TestDurationExtraction:
@@ -239,6 +267,37 @@ class TestStudentTrainingRun:
         assert [h["step"] for h in resumed["history"]] == [3, 4]
         # stats ride the checkpoint (stored as float32)
         assert resumed["stats"] == pytest.approx(first["stats"], rel=1e-6)
+
+    def test_resume_counts_steps_across_a_partial_epoch(self, corpus, sidecar,
+                                                         tmp_path):
+        cfg = micro_cfg(corpus)
+        first = run_student_training(cfg, tmp_path / "a", max_steps=3,
+                                     durations_path=sidecar)
+        resumed = run_student_training(cfg, tmp_path / "b", max_steps=6,
+                                       durations_path=sidecar,
+                                       resume=first["checkpoint"])
+        assert [h["step"] for h in resumed["history"]] == [4, 5, 6]
+
+    def test_resume_with_nothing_left_keeps_progress(self, corpus, sidecar,
+                                                     student_run, tmp_path):
+        cfg, first = student_run
+        again = run_student_training(cfg, tmp_path, durations_path=sidecar,
+                                     max_steps=2, resume=first["checkpoint"])
+        assert again["history"] == []
+        assert progress(again["checkpoint"]) == progress(first["checkpoint"])
+
+    def test_failed_evaluation_restores_train_mode(self, student_run):
+        cfg, result = student_run
+        model = result["model"]
+        model.train()
+        ids = np.array([3, 4, 5])
+        # 5 target frames, but the durations sum to 3
+        bad = [(ids, np.array([1, 1, 1]), np.zeros((cfg.audio.mel_bins, 5),
+                                                   np.float32))]
+        with pytest.raises(ValueError, match="durations sum to 3"):
+            evaluate_student(model, bad, cfg)
+        assert model.training
+        assert all(block.training for block in model.encoder.blocks)
 
 
 @pytest.fixture(scope="module")

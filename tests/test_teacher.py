@@ -312,7 +312,7 @@ class TestBatching:
             Utterance("a", np.array([1, 2, 3]), None, mel=rng.random((8, 5)).astype(np.float32)),
             Utterance("b", np.array([4, 5]), None, mel=rng.random((8, 9)).astype(np.float32)),
         ]
-        batch = pad_teacher_batch(items, mel_bins=8)
+        batch = pad_teacher_batch(items)
         assert batch["ids"].shape == (2, 3)
         assert batch["targets"].shape == (2, 8, 9)
         np.testing.assert_array_equal(batch["phoneme_mask"][:, 0], [[1, 1, 1], [1, 1, 0]])
