@@ -7,7 +7,8 @@ import functools
 import numpy as np
 
 from ..nn_core import NonFiniteError
-from .mel import AudioConfig, hann_window, mel_filterbank, stft_magnitude
+from .mel import (AudioConfig, analysis_window, hann_window, mel_filterbank,
+                  stft_frames, stft_magnitude)
 
 
 @functools.lru_cache(maxsize=8)
@@ -23,39 +24,72 @@ def mel_to_linear_magnitude(log_mel, config=AudioConfig()):
     return np.clip(_filterbank_pinv(config) @ mel_mag, 0.0, None)
 
 
-def istft(spec, config=AudioConfig()):
-    """Least-squares inverse of the centered STFT (window-squared overlap-add).
+def _overlap_add(frames, config, out):
+    """Sum `frames` (n_frames, >= win), placed every hop samples, into `out`.
 
-    `spec` carries the same 2/sum(window) scaling `stft_magnitude` applies;
-    returns the de-padded waveform of length hop * (T - 1).
-
-    The overlap-add works on blocks of hop samples: a frame spans r =
-    ceil(win/hop) blocks (zero-padded to r * hop), so it is r strided adds of
-    every frame at once. Chunks are added last-first, which sums each output
+    `out` is (n_frames + r - 1, hop): the signal in blocks of hop samples. A
+    frame spans r = ceil(win/hop) blocks, so the sum is r strided adds of
+    every frame at once; the last block of a frame is partial when hop does
+    not divide win. Chunks are added last-first, which sums each output
     sample over frames in increasing order, as a frame-by-frame loop would.
     """
     hop, width = config.hop_length, config.win_length
-    win = hann_window(width)
-    spec = np.asarray(spec)
-    n_frames = spec.shape[1]
-    r = -(-width // hop)
-    frames = np.fft.irfft(spec.T, n=config.n_fft, axis=1)[:, :width]
-    frames *= win * (win.sum() / 2.0)
-    wsq = win * win
-    if r * hop != width:
-        frames = np.pad(frames, ((0, 0), (0, r * hop - width)))
-        wsq = np.pad(wsq, (0, r * hop - width))
-    chunks = frames.reshape(n_frames, r, hop)
-    wsq = wsq.reshape(r, hop)
-    y = np.zeros((n_frames + r - 1, hop))
-    norm = np.zeros((n_frames + r - 1, hop))
-    for j in reversed(range(r)):
-        y[j:j + n_frames] += chunks[:, j]
-        norm[j:j + n_frames] += wsq[j]
-    y /= np.maximum(norm, 1e-10)
-    length = hop * (n_frames - 1) + width
-    pad = config.n_fft // 2
-    return y.reshape(-1)[pad:length - pad]
+    n_frames = frames.shape[0]
+    out.fill(0.0)
+    for start in reversed(range(0, width, hop)):
+        j, stop = start // hop, min(start + hop, width)
+        out[j:j + n_frames, :stop - start] += frames[:, start:stop]
+    return out
+
+
+class _Synthesis:
+    """Least-squares inverse of the centered STFT for one frame count.
+
+    The window-squared norm, its 1e-10 clip, the synthesis window and the
+    overlap-add buffer are built once; each call writes the signal into the
+    same buffer and returns a view of it without the n_fft // 2 padding.
+    `padded` views the signal with that padding, the layout `stft_frames`
+    analyses, so re-analysis needs no copy.
+    """
+
+    def __init__(self, config, n_frames):
+        hop, width = config.hop_length, config.win_length
+        win = hann_window(width)
+        self.config = config
+        # undoes the 2/sum(window) scaling stft_magnitude applies
+        self.window = win * (win.sum() / 2.0)
+        shape = (n_frames - 1 + -(-width // hop), hop)
+        self.norm = _overlap_add(np.broadcast_to(win * win, (n_frames, width)),
+                                config, np.empty(shape))
+        np.maximum(self.norm, 1e-10, out=self.norm)
+        self.blocks = np.empty(shape)
+        pad, length = config.n_fft // 2, hop * (n_frames - 1) + width
+        self.padded = self.blocks.reshape(-1)[:length]
+        self.signal = self.blocks.reshape(-1)[pad:length - pad]
+
+    def __call__(self, spec, frames):
+        """Frame-major `spec` (n_frames, bins) -> self.signal.
+
+        `frames` ((n_frames, n_fft)) is scratch for the irfft output.
+        """
+        width = self.config.win_length
+        np.fft.irfft(spec, n=self.config.n_fft, axis=1, out=frames)
+        frames[:, :width] *= self.window
+        _overlap_add(frames, self.config, self.blocks)
+        self.blocks /= self.norm
+        return self.signal
+
+
+def istft(spec, config=AudioConfig()):
+    """Least-squares inverse of the centered STFT (window-squared overlap-add).
+
+    `spec` (bins, frames) carries the same 2/sum(window) scaling
+    `stft_magnitude` applies; returns the de-padded waveform of length
+    hop * (frames - 1).
+    """
+    spec = np.asarray(spec).T
+    return _Synthesis(config, spec.shape[0])(
+        spec, np.empty((spec.shape[0], config.n_fft)))
 
 
 def spectral_convergence(magnitude, waveform, config=AudioConfig()):
@@ -64,30 +98,66 @@ def spectral_convergence(magnitude, waveform, config=AudioConfig()):
     return float(np.linalg.norm(re - magnitude) / np.linalg.norm(magnitude))
 
 
-def griffin_lim(log_mel, iterations=60, config=AudioConfig()):
+def griffin_lim(log_mel, iterations=60, config=AudioConfig(), momentum=0.0):
     """Invert a raw_log mel spectrogram to a waveform, peak limited to <= 1.
 
-    Classic fixed-point iteration: keep the target magnitude, re-estimate
-    phase from the previous reconstruction. Zero initial phase keeps the
-    output deterministic. Raises NonFiniteError when the mel's magnitude is
-    not finite (e.g. exp overflow on a mel far above the log range).
+    Fixed-point iteration: keep the target magnitude, re-estimate phase from
+    the previous reconstruction. With `momentum` alpha > 0 this is the fast
+    Griffin-Lim algorithm (Perraudin, Balazs & Sondergaard, 2013): each
+    projection c_n is extrapolated to t_n = c_n + alpha * (c_n - c_{n-1})
+    before the next inverse STFT, from the second projection on; alpha = 0 is
+    the classic algorithm. Zero initial phase keeps the output deterministic.
+    Raises NonFiniteError when the mel's magnitude is not finite (e.g. exp
+    overflow on a mel far above the log range).
     """
     if iterations < 1:
         raise ValueError("griffin_lim needs at least one iteration")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"griffin_lim momentum {momentum} is outside [0, 1)")
     # the pseudo-inverse output carries the same scaling stft_magnitude applies
     with np.errstate(over="ignore", invalid="ignore"):
-        magnitude = mel_to_linear_magnitude(log_mel, config)
-    if not np.isfinite(magnitude).all():
+        target = np.ascontiguousarray(mel_to_linear_magnitude(log_mel, config).T)
+    if not np.isfinite(target).all():
         raise NonFiniteError(
             f"non-finite linear magnitude from mel of shape {np.shape(log_mel)}")
-    y = istft(magnitude.astype(np.complex128), config)
-    if y.size < config.win_length:  # too short to re-analyze; keep zero phase
-        iterations = 1
-    for _ in range(iterations - 1):
-        rebuilt = stft_magnitude(y, config, return_complex=True)
-        rebuilt *= magnitude / np.maximum(np.abs(rebuilt), 1e-12)
-        y = istft(rebuilt, config)
+    y = _iterate(target, iterations, config, momentum)
     peak = np.max(np.abs(y)) if y.size else 0.0
     if peak > 0.95:
         y = y * (0.95 / peak)
     return y.astype(np.float32)
+
+
+def _iterate(target, iterations, config, momentum):
+    """The phase iterations on a frame-major target magnitude -> signal.
+
+    Every buffer is allocated once and freed on return: one real (frames,
+    n_fft) buffer holds in turn the analysis frames, the |spec| ratio, the
+    irfft output and the synthesis frames; the projection and, for
+    momentum > 0, the previous projection are two complex buffers swapped
+    each iteration; the signal is analysed where the overlap-add wrote it.
+    """
+    n_frames = target.shape[0]
+    synthesis = _Synthesis(config, n_frames)
+    frames = np.empty((n_frames, config.n_fft))
+    spec = target.astype(np.complex128)
+    prev = np.empty_like(spec) if momentum else spec
+    y = synthesis(spec, frames)
+    if y.size < config.win_length:  # too short to re-analyze; keep zero phase
+        return y
+    window = analysis_window(config)
+    ratio = frames[:, :target.shape[1]]
+    for n in range(iterations - 1):
+        spec, prev = prev, spec  # prev keeps the last projection
+        stft_frames(synthesis.padded, config, window, frames, out=spec)
+        np.abs(spec, out=ratio)
+        np.maximum(ratio, 1e-12, out=ratio)
+        np.divide(target, ratio, out=ratio)
+        spec *= ratio
+        if momentum and n:
+            np.subtract(spec, prev, out=prev)
+            prev *= momentum
+            prev += spec
+            y = synthesis(prev, frames)
+        else:
+            y = synthesis(spec, frames)
+    return y

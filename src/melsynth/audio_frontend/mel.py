@@ -66,8 +66,46 @@ def filter_centers_hz(config=AudioConfig()):
     return edges[1:-1]
 
 
+def analysis_window(config):
+    """The Hann window with the 2/sum(window) magnitude scaling folded in."""
+    window = hann_window(config.win_length)
+    return window * (2.0 / window.sum())
+
+
+def reflect_edges(padded, pad):
+    """Fill the first and last `pad` samples of `padded` in place, so that
+    it equals np.pad(padded[pad:-pad], pad, mode="reflect").
+
+    A pad longer than the signal reflects again off the far end, as np.pad
+    does: the padded signal is periodic with period 2 * (signal size - 1).
+    """
+    n = padded.size - 2 * pad
+    x = padded[pad:pad + n]
+    period = max(2 * (n - 1), 1)
+    for edge, start in ((padded[:pad], -pad), (padded[pad + n:], n)):
+        idx = np.arange(start, start + pad) % period
+        np.take(x, np.where(idx < n, idx, period - idx), out=edge)
+
+
+def stft_frames(padded, config, window, frames, out=None):
+    """Centered STFT, frame-major: (frames, bins) into `out`.
+
+    `padded` holds the signal with n_fft // 2 samples of room on each side,
+    which are overwritten with its reflection. `window` is
+    `analysis_window(config)`; `frames` ((frames, n_fft)) is a work buffer,
+    so a caller that analyses many signals of one length allocates nothing
+    per call.
+    """
+    width = config.win_length
+    reflect_edges(padded, config.n_fft // 2)
+    np.multiply(sliding_window_view(padded, width)[::config.hop_length],
+                window, out=frames[:, :width])
+    frames[:, width:] = 0.0
+    return np.fft.rfft(frames, axis=1, out=out)
+
+
 def stft_magnitude(waveform, config=AudioConfig(), return_complex=False):
-    """Centered STFT; magnitudes scaled by 2/sum(window).
+    """Centered STFT (bins, frames); magnitudes scaled by 2/sum(window).
 
     The scaling puts a full-scale sine near log-magnitude 0, so the fixed
     MIN_DB/MAX_DB range covers speech without corpus-dependent statistics.
@@ -77,11 +115,12 @@ def stft_magnitude(waveform, config=AudioConfig(), return_complex=False):
         raise ValueError(
             f"waveform of {x.size} samples is shorter than one window ({config.win_length})"
         )
-    x = np.pad(x, config.n_fft // 2, mode="reflect")
-    window = hann_window(config.win_length)
-    frames = (sliding_window_view(x, config.win_length)[::config.hop_length]
-              * (window * (2.0 / window.sum())))
-    spec = np.fft.rfft(frames, n=config.n_fft, axis=1).T  # (bins, frames)
+    pad = config.n_fft // 2
+    padded = np.empty(x.size + 2 * pad)
+    padded[pad:pad + x.size] = x
+    n_frames = 1 + (padded.size - config.win_length) // config.hop_length
+    spec = stft_frames(padded, config, analysis_window(config),
+                       np.empty((n_frames, config.n_fft))).T
     return spec if return_complex else np.abs(spec)
 
 

@@ -22,7 +22,8 @@ class DataSection:
     root: str = "data"
     holdout: int = 2
     durations: str = "durations.csv"
-    griffin_lim_iterations: int = 60
+    griffin_lim_iterations: int = 30
+    griffin_lim_momentum: float = 0.99
 
 
 @dataclass
@@ -134,6 +135,7 @@ def parse_config(text, source="<config>"):
         kind = type(getattr(section, key))
         setattr(section, key, _coerce(value, kind, where))
     _check_stft_sizes(cfg.audio, source)
+    _check_vocoder(cfg.data, source)
     return cfg
 
 
@@ -145,6 +147,16 @@ def _check_stft_sizes(audio, source):
     if not 1 <= audio.win_length <= audio.n_fft:
         raise ConfigError(f"{source}: [audio] win_length = {audio.win_length} "
                           f"must be between 1 and n_fft = {audio.n_fft}")
+
+
+def _check_vocoder(data, source):
+    """Griffin-Lim settings griffin_lim accepts, caught before any model loads."""
+    if data.griffin_lim_iterations < 1:
+        raise ConfigError(f"{source}: [data] griffin_lim_iterations = "
+                          f"{data.griffin_lim_iterations} must be at least 1")
+    if not 0.0 <= data.griffin_lim_momentum < 1.0:  # false for nan too
+        raise ConfigError(f"{source}: [data] griffin_lim_momentum = "
+                          f"{data.griffin_lim_momentum} must be in [0, 1)")
 
 
 def load_config(path):

@@ -1,6 +1,11 @@
 """Sectioned key=value config: defaults, parsing, rejection, round trip."""
 
+import re
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melsynth.pipeline import (
     ConfigError,
@@ -29,6 +34,11 @@ class TestDefaults:
         assert cfg.student.decoder_blocks == 34
         assert cfg.audio.mel_bins == 80
         assert cfg.audio.hop_length == 256
+
+    def test_vocoder_defaults(self):
+        cfg = default_config()
+        assert cfg.data.griffin_lim_momentum == pytest.approx(0.99)
+        assert cfg.data.griffin_lim_iterations == 30
 
     def test_empty_text_gives_defaults(self):
         assert parse_config("") == default_config()
@@ -76,6 +86,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"hop_length = {hop} "):
             parse_config(f"[audio]\nhop_length = {hop}\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("griffin_lim_iterations", "0"), ("griffin_lim_iterations", "-3"),
+        ("griffin_lim_momentum", "1.0"), ("griffin_lim_momentum", "-0.5"),
+        ("griffin_lim_momentum", "nan"), ("griffin_lim_momentum", "inf")])
+    def test_vocoder_settings_out_of_range_rejected(self, key, value):
+        with pytest.raises(ConfigError,
+                           match=rf"my\.cfg: \[data\] {key} = {re.escape(value)} "):
+            parse_config(f"[data]\n{key} = {value}\n", source="my.cfg")
+
     def test_window_equal_to_fft_accepted(self):
         cfg = parse_config("[audio]\nn_fft = 512\nwin_length = 512\nhop_length = 1\n")
         assert (cfg.audio.n_fft, cfg.audio.win_length, cfg.audio.hop_length) == (512, 512, 1)
@@ -105,6 +124,73 @@ class TestRoundTrip:
         again = parse_config(config_to_text(cfg))
         for kind in ("teacher", "student"):
             assert architecture_text(cfg, kind) == architecture_text(again, kind)
+
+
+# a value config_to_text writes and parse_config reads back unchanged: one
+# line, no comment sign, no surrounding whitespace
+PLAIN_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                  blacklist_characters="#"),
+    max_size=20).map(str.strip)
+
+
+@st.composite
+def data_and_audio(draw):
+    cfg = default_config()
+    data, audio = cfg.data, cfg.audio
+    data.root = draw(PLAIN_TEXT)
+    data.holdout = draw(st.integers())
+    data.durations = draw(PLAIN_TEXT)
+    data.griffin_lim_iterations = draw(st.integers(min_value=1))
+    data.griffin_lim_momentum = draw(st.floats(0.0, 1.0, exclude_max=True))
+    audio.sample_rate = draw(st.integers())
+    audio.n_fft = draw(st.integers(1, 1 << 16))
+    audio.win_length = draw(st.integers(1, audio.n_fft))
+    audio.hop_length = draw(st.integers(min_value=1))
+    audio.mel_bins = draw(st.integers())
+    audio.fmin = draw(st.floats(allow_nan=False))
+    audio.fmax = draw(st.floats(allow_nan=False))
+    return cfg
+
+
+DATA_AUDIO_KEYS = [(name, f.name, f.type) for name, section in (
+    ("data", default_config().data), ("audio", default_config().audio))
+    for f in fields(section)]
+NUMERIC_KEYS = [(s, k) for s, k, kind in DATA_AUDIO_KEYS if kind in ("int", "float")]
+MALFORMED = st.one_of(
+    # no int or float literal starts with x
+    st.tuples(st.sampled_from(NUMERIC_KEYS), st.text().map(lambda v: "x" + v)),
+    st.tuples(st.just(("data", "griffin_lim_iterations")),
+              st.integers(max_value=0).map(str)),
+    st.tuples(st.just(("data", "griffin_lim_momentum")),
+              st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                        st.floats(min_value=1.0), st.just(float("nan"))).map(repr)),
+    st.tuples(st.just(("audio", "hop_length")), st.integers(max_value=0).map(str)),
+    st.tuples(st.just(("audio", "win_length")), st.integers(max_value=0).map(str)),
+)
+
+
+class TestParserProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data_and_audio())
+    def test_round_trip(self, cfg):
+        assert parse_config(config_to_text(cfg)) == cfg
+
+    @settings(max_examples=150, deadline=None)
+    @given(MALFORMED)
+    def test_malformed_value_is_config_error(self, case):
+        (section, key), value = case
+        with pytest.raises(ConfigError, match="<config>:"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(DATA_AUDIO_KEYS), st.text())
+    def test_any_value_parses_or_is_config_error(self, key, value):
+        section, name, _ = key
+        try:
+            parse_config(f"[{section}]\n{name} = {value}\n")
+        except ConfigError:
+            pass
 
 
 class TestArchitectureText:

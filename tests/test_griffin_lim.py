@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from melsynth.audio_frontend import (
     AudioConfig,
@@ -13,11 +16,16 @@ from melsynth.audio_frontend import (
     stft_magnitude,
     wav_to_mel,
 )
+from melsynth.audio_frontend.mel import reflect_edges
 from melsynth.nn_core import NonFiniteError
 
 CFG = AudioConfig()
-# hop 300 does not divide the 1024-sample window
-PARITY_CONFIGS = [CFG, AudioConfig(hop_length=300)]
+HOP300 = AudioConfig(hop_length=300)  # hop 300 does not divide the window
+# a 400-sample window in a 1024-point FFT: the 512-sample reflect pad can be
+# longer than the signal, and np.pad then reflects it off both ends
+WIN400 = AudioConfig(win_length=400)
+PARITY_CONFIGS = [CFG, HOP300, WIN400]
+PARITY_IDS = ["hop256", "hop300", "win400"]
 
 
 # Frame-by-frame reference implementations: the vectorised code must match.
@@ -52,19 +60,86 @@ def reference_istft(spec, config):
     return y[pad:length - pad]
 
 
-def reference_griffin_lim(log_mel, iterations, config):
+def reference_griffin_lim(log_mel, iterations, config, momentum=0.0):
     magnitude = mel_to_linear_magnitude(log_mel, config)
     y = reference_istft(magnitude.astype(np.complex128), config)
     if y.size < config.win_length:
         iterations = 1
+    prev = None
     for _ in range(iterations - 1):
         rebuilt = reference_stft(y, config, return_complex=True)
         phase = rebuilt / np.maximum(np.abs(rebuilt), 1e-12)
-        y = reference_istft(magnitude * phase, config)
+        projected = magnitude * phase
+        extrapolated = (projected if prev is None
+                        else projected + momentum * (projected - prev))
+        prev = projected
+        y = reference_istft(extrapolated, config)
     peak = np.max(np.abs(y)) if y.size else 0.0
     if peak > 0.95:
         y = y * (0.95 / peak)
     return y.astype(np.float32)
+
+
+# The vectorised Griffin-Lim that allocated per iteration: at momentum 0 the
+# buffer-reusing loop must reproduce it bit for bit.
+
+def allocating_stft(y, config):
+    x = np.pad(y, config.n_fft // 2, mode="reflect")
+    window = hann_window(config.win_length)
+    frames = (sliding_window_view(x, config.win_length)[::config.hop_length]
+              * (window * (2.0 / window.sum())))
+    return np.fft.rfft(frames, n=config.n_fft, axis=1).T
+
+
+def allocating_istft(spec, config):
+    hop, width = config.hop_length, config.win_length
+    win = hann_window(width)
+    n_frames = spec.shape[1]
+    r = -(-width // hop)
+    frames = np.fft.irfft(spec.T, n=config.n_fft, axis=1)[:, :width]
+    frames *= win * (win.sum() / 2.0)
+    wsq = win * win
+    if r * hop != width:
+        frames = np.pad(frames, ((0, 0), (0, r * hop - width)))
+        wsq = np.pad(wsq, (0, r * hop - width))
+    chunks = frames.reshape(n_frames, r, hop)
+    wsq = wsq.reshape(r, hop)
+    y = np.zeros((n_frames + r - 1, hop))
+    norm = np.zeros((n_frames + r - 1, hop))
+    for j in reversed(range(r)):
+        y[j:j + n_frames] += chunks[:, j]
+        norm[j:j + n_frames] += wsq[j]
+    y /= np.maximum(norm, 1e-10)
+    pad = config.n_fft // 2
+    return y.reshape(-1)[pad:hop * (n_frames - 1) + width - pad]
+
+
+def allocating_griffin_lim(log_mel, iterations, config):
+    magnitude = mel_to_linear_magnitude(log_mel, config)
+    y = allocating_istft(magnitude.astype(np.complex128), config)
+    if y.size < config.win_length:
+        iterations = 1
+    for _ in range(iterations - 1):
+        rebuilt = allocating_stft(y, config)
+        rebuilt *= magnitude / np.maximum(np.abs(rebuilt), 1e-12)
+        y = allocating_istft(rebuilt, config)
+    peak = np.max(np.abs(y)) if y.size else 0.0
+    if peak > 0.95:
+        y = y * (0.95 / peak)
+    return y.astype(np.float32)
+
+
+def speech_like_mel(n_frames, config, seed):
+    """A raw_log mel the shape and range of a tts-b1 request's: smooth
+    formant-like bands over a floor, a few hundred frames."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_frames)
+    bins = np.arange(config.n_mels)[:, None]
+    mel = np.full((config.n_mels, n_frames), -9.0)
+    for _ in range(4):
+        centre = rng.uniform(5, 60) + 6 * np.sin(t / rng.uniform(8, 30))
+        mel = np.maximum(mel, rng.uniform(-3, 0) - ((bins - centre) / 4) ** 2)
+    return (mel + rng.normal(scale=0.3, size=mel.shape)).astype(np.float32)
 
 
 def chord(seconds, rate=22050):
@@ -95,7 +170,7 @@ class TestIstft:
 
 
 class TestParityWithFrameLoop:
-    @pytest.mark.parametrize("config", PARITY_CONFIGS, ids=["hop256", "hop300"])
+    @pytest.mark.parametrize("config", PARITY_CONFIGS, ids=PARITY_IDS)
     def test_stft(self, config):
         x = chord(0.7)
         for as_complex in (False, True):
@@ -104,7 +179,7 @@ class TestParityWithFrameLoop:
                 reference_stft(x, config, return_complex=as_complex),
                 rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("config", PARITY_CONFIGS, ids=["hop256", "hop300"])
+    @pytest.mark.parametrize("config", PARITY_CONFIGS, ids=PARITY_IDS)
     def test_istft(self, config):
         spec = reference_stft(chord(0.7), config, return_complex=True)
         # a random phase gives frames that do not overlap consistently
@@ -115,20 +190,58 @@ class TestParityWithFrameLoop:
                                        reference_istft(s, config),
                                        rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("config", PARITY_CONFIGS, ids=["hop256", "hop300"])
+    @pytest.mark.parametrize("config", PARITY_CONFIGS, ids=PARITY_IDS)
     def test_griffin_lim(self, config):
         mel = wav_to_mel(chord(0.8), config)
         np.testing.assert_allclose(griffin_lim(mel, 60, config),
                                    reference_griffin_lim(mel, 60, config),
                                    rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("config", PARITY_CONFIGS, ids=["hop256", "hop300"])
+    @pytest.mark.parametrize("config", [CFG, HOP300], ids=["hop256", "hop300"])
+    def test_fast_griffin_lim(self, config):
+        mel = wav_to_mel(chord(0.8), config)
+        np.testing.assert_allclose(
+            griffin_lim(mel, 60, config, momentum=0.99),
+            reference_griffin_lim(mel, 60, config, momentum=0.99),
+            rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.99])
+    def test_griffin_lim_pad_longer_than_signal(self, momentum):
+        # 5 frames de-pad to 256 * 4 + 400 - 1024 = 400 samples: one window,
+        # shorter than the 512-sample reflect pad
+        mel = wav_to_mel(chord(0.2), WIN400)[:, :5]
+        y = griffin_lim(mel, 8, WIN400, momentum=momentum)
+        assert WIN400.win_length <= y.size <= WIN400.n_fft // 2
+        np.testing.assert_allclose(
+            y, reference_griffin_lim(mel, 8, WIN400, momentum=momentum),
+            rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("config", [CFG, HOP300], ids=["hop256", "hop300"])
     def test_griffin_lim_shorter_than_one_window(self, config):
         mel = wav_to_mel(chord(0.2), config)[:, :3]
         y = griffin_lim(mel, 60, config)
         assert 0 < y.size < config.win_length
         np.testing.assert_allclose(y, reference_griffin_lim(mel, 60, config),
                                    rtol=0, atol=1e-6)
+
+
+class TestBitIdenticalAtZeroMomentum:
+    @pytest.mark.parametrize("config", [CFG, HOP300], ids=["hop256", "hop300"])
+    def test_matches_allocating_loop(self, config):
+        mel = speech_like_mel(330, config, seed=2)
+        for iterations in (1, 2, 7, 30):
+            assert np.array_equal(griffin_lim(mel, iterations, config),
+                                  allocating_griffin_lim(mel, iterations, config))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), pad=st.integers(0, 100))
+def test_reflect_edges_matches_np_pad(n, pad):
+    x = np.random.default_rng(n).normal(size=n)
+    padded = np.full(n + 2 * pad, np.nan)
+    padded[pad:pad + n] = x
+    reflect_edges(padded, pad)
+    assert np.array_equal(padded, np.pad(x, pad, mode="reflect"))
 
 
 class TestMelInversion:
@@ -176,6 +289,16 @@ class TestGriffinLim:
         for earlier, later in zip(errors, errors[1:]):
             assert later <= earlier + 1e-6
 
+    def test_fast_spectral_convergence_non_increasing(self):
+        mel = wav_to_mel(sine(440, 0.5), CFG)
+        target = mel_to_linear_magnitude(mel, CFG)
+        errors = []
+        for iters in (1, 2, 3, 5, 8, 13, 21):
+            y = griffin_lim(mel, iterations=iters, config=CFG, momentum=0.99)
+            errors.append(spectral_convergence(target, y, CFG))
+        for earlier, later in zip(errors, errors[1:]):
+            assert later <= earlier + 1e-6
+
     def test_non_finite_magnitude_rejected(self):
         mel = wav_to_mel(sine(440, 0.3), CFG)
         mel[5, 7] = 1e5  # exp overflows to inf
@@ -185,6 +308,12 @@ class TestGriffinLim:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             griffin_lim(np.zeros((80, 10), dtype=np.float32), iterations=0)
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, float("nan")])
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            griffin_lim(np.zeros((80, 10), dtype=np.float32), 3,
+                        momentum=momentum)
 
     def test_deterministic(self):
         mel = wav_to_mel(sine(600, 0.3), CFG)

@@ -1,5 +1,8 @@
 """End-to-end pipeline: toy corpus, training loops, sidecars, CLI, timing."""
 
+import copy
+import importlib
+
 import numpy as np
 import pytest
 
@@ -385,6 +388,34 @@ class TestBenchmark:
         assert lines[0].startswith("batch,sgram_seconds,")
         assert len(lines) == 1 + len(rows)
 
+    def test_no_vocode_reports_zero_audio(self, student_run):
+        cfg, result = student_run
+        rows, _ = run_benchmark(result["model"], cfg, result["stats"],
+                                batch_sizes=(1,), repeats=2, vocode=False)
+        assert rows[0].audio == 0.0 and rows[0].total == rows[0].sgram
+
+    def test_vocoder_settings_come_from_config(self, student_run, tmp_path,
+                                               monkeypatch):
+        cfg, result = student_run
+        cfg = copy.deepcopy(cfg)
+        cfg.data.griffin_lim_iterations = 3
+        cfg.data.griffin_lim_momentum = 0.5
+        calls = []
+
+        def vocoder(mel, iterations, config, momentum):
+            calls.append((iterations, momentum))
+            return np.zeros(256, dtype=np.float32)
+
+        for module in ("trainers", "bench"):
+            monkeypatch.setattr(importlib.import_module(
+                f"melsynth.pipeline.{module}"), "griffin_lim", vocoder)
+        run_synthesize(cfg, None, tmp_path / "a.wav", phonemes="AA IY",
+                       model=result["model"], stats=result["stats"])
+        run_benchmark(result["model"], cfg, result["stats"],
+                      batch_sizes=(1,), repeats=1)
+        # one synthesis, then the benchmark's warm-up and timed run
+        assert calls == [(3, 0.5)] * 3
+
 
 class TestCli:
     def test_no_command_is_usage_error(self, capsys):
@@ -405,6 +436,17 @@ class TestCli:
     def test_missing_config_file(self, corpus, tmp_path, capsys):
         assert main(["train-teacher", "--config", str(tmp_path / "no.cfg"),
                      "--out", str(tmp_path)]) == 2
+
+    def test_bad_vocoder_setting_is_config_error(self, corpus, tmp_path,
+                                                 capsys):
+        cfg = micro_cfg(corpus)
+        cfg.data.griffin_lim_iterations = 0
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        assert main(["synthesize", "--config", str(cfg_path),
+                     "--checkpoint", str(tmp_path / "no.ckpt"),
+                     "--out", str(tmp_path / "o.wav"), "--phonemes", "AA"]) == 2
+        assert "c.cfg: [data] griffin_lim_iterations = 0" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_data_error(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

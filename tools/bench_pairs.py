@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of perfbench, kept raw in one BENCH file.
+
+    python3 tools/bench_pairs.py run --parent ../parent --change . \
+        --seeds 1-10 --seconds 25 --out BENCH.json
+    python3 tools/bench_pairs.py summary BENCH.json
+
+`run` runs every workload of BENCHMARK.json once per seed on each tree,
+untraced, one process at a time; the side that runs first alternates from
+seed to seed. Each tree runs its own perfbench/run.py. Every line a run
+prints is stored unchanged. `summary` prints, per workload and end-to-end
+metric, both sides' medians, the parent's interquartile range and the pairs
+the change reads better in (ties count for neither), as a Markdown table.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def seed_range(text):
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run_one(tree, workload, seed, seconds):
+    cmd = [sys.executable, str(Path(tree) / "perfbench" / "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    return {"returncode": done.returncode,
+            "lines": done.stdout.splitlines(),
+            "stderr_tail": done.stderr.splitlines()[-5:]}
+
+
+def cmd_run(args):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = []
+    for seed in args.seeds:
+        for workload in [w["name"] for w in spec["workloads"]]:
+            sides = ["parent", "change"]
+            if seed % 2 == 0:
+                sides.reverse()
+            for order, side in enumerate(sides):
+                tree = args.parent if side == "parent" else args.change
+                run = run_one(tree, workload, seed, args.seconds)
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "order": order, **run})
+                print(f"{workload} seed {seed} {side}: "
+                      f"exit {run['returncode']}", file=sys.stderr)
+    args.out.write_text(json.dumps({
+        "command": "python3 tools/bench_pairs.py run " + " ".join(sys.argv[2:]),
+        "seconds": args.seconds,
+        "seeds": args.seeds,
+        "runs": runs,
+    }, indent=1) + "\n")
+    return 0
+
+
+def result(run):
+    """The final JSON line of a run, or None when the run printed none."""
+    for line in reversed(run["lines"]):
+        if line.startswith("{"):
+            return json.loads(line)
+    return None
+
+
+def quartiles(values):
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def cmd_summary(args):
+    bench = json.loads(args.bench.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    print(f"{len(bench['seeds'])} pairs per workload, {bench['seconds']} s "
+          f"runs, untraced; `{bench['command']}`\n")
+    print("| workload | metric | parent median | parent IQR | change median "
+          "| change | pairs better | failed (parent/change) |")
+    print("|---|---|---|---|---|---|---|---|")
+    for workload in [w["name"] for w in spec["workloads"]]:
+        pairs = {}
+        for run in bench["runs"]:
+            if run["workload"] == workload:
+                pairs.setdefault(run["seed"], {})[run["side"]] = result(run)
+        failed = [sum(r[side]["failed"] if r.get(side) else 1
+                      for r in pairs.values()) for side in ("parent", "change")]
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            values = [(p["parent"]["metrics"][name]["value"],
+                       p["change"]["metrics"][name]["value"])
+                      for p in pairs.values()
+                      if p.get("parent") and p.get("change")
+                      and name in p["parent"]["metrics"]
+                      and name in p["change"]["metrics"]]
+            if not values:
+                continue
+            parent, change = zip(*values)
+            sign = 1 if metric["better"] == "lower" else -1
+            better = sum(sign * (c - p) < 0 for p, c in values)
+            q1, q3 = quartiles(parent)
+            mp, mc = statistics.median(parent), statistics.median(change)
+            print(f"| {workload} | {name} ({metric['unit']}) | {mp:.4g} "
+                  f"| {q3 - q1:.2g} | {mc:.4g} | {mc / mp - 1:+.1%} "
+                  f"| {better}/{len(values)} | {failed[0]}/{failed[1]} |")
+    return 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    run = sub.add_parser("run")
+    run.add_argument("--parent", type=Path, required=True)
+    run.add_argument("--change", type=Path, required=True)
+    run.add_argument("--seeds", type=seed_range, default="1-10")
+    run.add_argument("--seconds", type=float, default=25.0)
+    run.add_argument("--out", type=Path, required=True)
+    summary = sub.add_parser("summary")
+    summary.add_argument("bench", type=Path)
+    args = parser.parse_args(argv)
+    return cmd_run(args) if args.command == "run" else cmd_summary(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
