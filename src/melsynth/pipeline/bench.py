@@ -87,8 +87,7 @@ def run_benchmark(model, cfg, stats, batch_sizes=(1, 2, 4, 8, 16), repeats=10,
                 for mel in mels:
                     griffin_lim(denormalize_standard(mel, mean, std),
                                 iterations=cfg.data.griffin_lim_iterations,
-                                config=acfg,
-                                momentum=cfg.data.griffin_lim_momentum)
+                                config=acfg)
             t2 = time.perf_counter()
             if run == 0:
                 continue

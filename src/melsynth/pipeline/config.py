@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..audio_frontend import AudioConfig, PhonemeVocabulary
+from ..audio_frontend.griffin_lim import GRIFFIN_LIM_ITERATIONS
 
 
 class ConfigError(ValueError):
@@ -22,8 +23,7 @@ class DataSection:
     root: str = "data"
     holdout: int = 2
     durations: str = "durations.csv"
-    griffin_lim_iterations: int = 30
-    griffin_lim_momentum: float = 0.99
+    griffin_lim_iterations: int = GRIFFIN_LIM_ITERATIONS
 
 
 @dataclass
@@ -150,13 +150,10 @@ def _check_stft_sizes(audio, source):
 
 
 def _check_vocoder(data, source):
-    """Griffin-Lim settings griffin_lim accepts, caught before any model loads."""
+    """An iteration count griffin_lim accepts, caught before any model loads."""
     if data.griffin_lim_iterations < 1:
         raise ConfigError(f"{source}: [data] griffin_lim_iterations = "
                           f"{data.griffin_lim_iterations} must be at least 1")
-    if not 0.0 <= data.griffin_lim_momentum < 1.0:  # false for nan too
-        raise ConfigError(f"{source}: [data] griffin_lim_momentum = "
-                          f"{data.griffin_lim_momentum} must be in [0, 1)")
 
 
 def load_config(path):

@@ -379,7 +379,7 @@ def run_synthesize(cfg, checkpoint_path, out_path, text=None, phonemes=None,
     mel_std, durations = student_synthesize(model, ids)
     mel = denormalize_standard(mel_std, stats[0], stats[1])
     wave = griffin_lim(mel, iterations=cfg.data.griffin_lim_iterations,
-                       config=acfg, momentum=cfg.data.griffin_lim_momentum)
+                       config=acfg)
     save_wav(out_path, wave, acfg.sample_rate)
     return {"path": Path(out_path), "frames": int(durations.sum()),
             "durations": durations,
