@@ -118,9 +118,8 @@ def stft_magnitude(waveform, config=AudioConfig(), return_complex=False):
     pad = config.n_fft // 2
     padded = np.empty(x.size + 2 * pad)
     padded[pad:pad + x.size] = x
-    n_frames = 1 + (padded.size - config.win_length) // config.hop_length
     spec = stft_frames(padded, config, analysis_window(config),
-                       np.empty((n_frames, config.n_fft))).T
+                       np.empty((frame_count(x.size, config), config.n_fft))).T
     return spec if return_complex else np.abs(spec)
 
 
@@ -132,8 +131,10 @@ def wav_to_mel(waveform, config=AudioConfig()):
 
 
 def frame_count(n_samples, config=AudioConfig()):
-    """T for a centered STFT of n_samples: 1 + n_samples // hop."""
-    return 1 + n_samples // config.hop_length
+    """T for a centered STFT of n_samples: windows of win_length samples,
+    hop apart, over the signal with n_fft // 2 samples reflected on each side."""
+    padded = n_samples + 2 * (config.n_fft // 2)
+    return 1 + (padded - config.win_length) // config.hop_length
 
 
 def normalize_unit(mel):

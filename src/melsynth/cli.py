@@ -19,6 +19,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text):
+    """argparse type of step and repeat counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="melsynth",
                      description="teacher/student spectrogram synthesis")
@@ -41,7 +52,7 @@ def build_parser():
     p = sub.add_parser("train-teacher", help="train the aligner")
     common(p)
     p.add_argument("--out", metavar="DIR", required=True)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_count, default=None)
     p.add_argument("--resume", metavar="PATH", default=None)
 
     p = sub.add_parser("extract-durations",
@@ -54,7 +65,7 @@ def build_parser():
     common(p)
     p.add_argument("--out", metavar="DIR", required=True)
     p.add_argument("--durations", metavar="PATH", default=None)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_count, default=None)
     p.add_argument("--resume", metavar="PATH", default=None)
 
     p = sub.add_parser("synthesize", help="text or phonemes to a WAV file")
@@ -67,7 +78,7 @@ def build_parser():
     p = sub.add_parser("benchmark", help="inference timing table")
     common(p, checkpoint=True)
     p.add_argument("--batch-sizes", default="1,2,4,8,16")
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--repeats", type=_count, default=10)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="also write the table as CSV")
     p.add_argument("--no-vocode", action="store_true",

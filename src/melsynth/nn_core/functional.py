@@ -311,16 +311,10 @@ def softmax(x, axis):
 # ---------------------------------------------------------------------------
 #
 # A (batch, channels, time) batch is laid out as one (channels, width) row:
-# guard, item 0, guard, item 1, ..., guard, each guard `guard` zero columns.
-# A conv that reaches at most `guard` frames to either side then never mixes
-# two items, so the whole batch is one GEMM per kernel tap.
-
-def row_layout(lengths, guard):
-    """(start column of each item, row width) for items of `lengths` frames."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    starts = guard + np.concatenate(([0], np.cumsum(lengths[:-1] + guard)))
-    return starts, int(guard + np.sum(lengths + guard))
-
+# guard, item 0, guard, item 1, ..., guard, each guard `guard` zero columns
+# (see :class:`~melsynth.nn_core.layers.RowLayout`). A conv that reaches at
+# most `guard` frames to either side then never mixes two items, so the
+# whole batch is one GEMM per kernel tap.
 
 def _to_row(x, starts, lengths, width):
     row = np.zeros((x.shape[1], width), dtype=x.dtype)
@@ -375,33 +369,31 @@ def _conv_geometry(x, weight, dilation, causal):
 def conv1d(x, weight, bias, dilation=1, causal=False):
     """Dilated 1D convolution over (batch, channels, time), length-preserving.
 
+    A 2-D (channels, time) input, such as a guard-banded row, is one item.
     causal: (kernel-1)*dilation zeros on the left, so output t sees inputs <= t.
     non-causal: centred zero padding (an odd extra zero goes on the right).
-    The batch runs as one guard-banded row through the k-GEMM kernels.
     """
     ksize, span, left = _conv_geometry(x, weight, dilation, causal)
-    batch, _, frames = x.data.shape
-    lengths = [frames] * batch
-    starts, width = row_layout(lengths, max(left, span - left))
-    xrow = _to_row(x.data, starts, lengths, width)[None]
-    n = width - span
-    yrow = np.empty((1, weight.data.shape[0], width),
-                    dtype=np.result_type(xrow, weight.data))
-    kernels.conv1d_forward(xrow, weight.data, bias.data, dilation, n,
-                           out=yrow[:, :, left:left + n])
-    out = _from_row(yrow[0], starts, lengths, frames)
+    xb = x.data if x.data.ndim == 3 else x.data[None]
+    frames = xb.shape[2]
+    xpad = xb
+    if span:
+        xpad = np.zeros(xb.shape[:2] + (frames + span,), dtype=xb.dtype)
+        xpad[:, :, left:left + frames] = xb
+    out = kernels.conv1d_forward(xpad, weight.data, bias.data, dilation, frames)
 
     def backward(g):
-        grow = _to_row(g, starts, lengths, width)[None, :, left:left + n]
+        gb = g.reshape(out.shape)
         if weight.requires_grad:
-            weight.accumulate_grad(kernels.conv1d_grad_weight(grow, xrow, dilation, ksize))
+            weight.accumulate_grad(kernels.conv1d_grad_weight(gb, xpad, dilation, ksize))
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2)))
+            bias.accumulate_grad(gb.sum(axis=(0, 2)))
         if x.requires_grad:
-            gxrow = kernels.conv1d_grad_input(grow, weight.data, dilation, width)
-            x.accumulate_grad(_from_row(gxrow[0], starts, lengths, frames))
+            gx = kernels.conv1d_grad_input(gb, weight.data, dilation, frames + span)
+            x.accumulate_grad(gx[:, :, left:left + frames].reshape(x.data.shape))
 
-    return Tensor.from_op(out, (x, weight, bias), backward)
+    return Tensor.from_op(out if x.data.ndim == 3 else out[0], (x, weight, bias),
+                          backward)
 
 
 def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False,

@@ -7,10 +7,11 @@ the view ``xpad[b, :, j*d : j*d + out_time]``, so
     out[b] = bias + sum_j weight[:, :, j] @ xpad[b, :, j*d : j*d + out_time]
 
 is k matrix products on views of the input: no im2col buffer and no
-transposes. Callers lay a whole batch out as one zero-guard-banded row and
-pass it as batch 1 (:func:`melsynth.nn_core.functional.conv1d`), so each
-product is one wide GEMM. Results are bit-deterministic run-to-run with
-one math thread.
+transposes. The residual stacks lay their whole batch out as one
+zero-guard-banded row and pass it as batch 1, so each product is one wide
+GEMM; :func:`melsynth.nn_core.functional.conv1d` passes its zero-padded
+batch as it is. Results are bit-deterministic run-to-run with one math
+thread.
 """
 
 from __future__ import annotations

@@ -27,6 +27,11 @@ class Conv1d(Module):
         self.dilation = int(dilation)
         self.causal = bool(causal)
 
+    def reach(self):
+        """Frames the conv reads to one side; the guard width it needs."""
+        span = (self.weight.shape[2] - 1) * self.dilation
+        return span if self.causal else span - span // 2
+
     def forward(self, x):
         return F.conv1d(x, self.weight, self.bias,
                         dilation=self.dilation, causal=self.causal)
@@ -130,8 +135,8 @@ class GatedResidualBlock(Module):
 
     def forward(self, x):
         z = self.conv(x)
-        filt = F.narrow(z, 1, 0, self.half)
-        gate = F.narrow(z, 1, self.half, self.half)
+        filt = F.narrow(z, -2, 0, self.half)
+        gate = F.narrow(z, -2, self.half, self.half)
         gated = F.mul(F.tanh(filt), F.sigmoid(gate))
         skip = self.proj(gated)
         return F.add(x, skip), skip
@@ -139,7 +144,7 @@ class GatedResidualBlock(Module):
 
 class RowLayout:
     """Where each item of a (batch, channels, time) batch sits in one
-    guard-banded row (see :func:`functional.row_layout`).
+    guard-banded row: guard, item 0, guard, ..., guard, each `guard` zeros.
 
     packed=True gives each item its true length, up to the last frame the
     mask keeps, so padded frames are never computed; frames it drops count as
@@ -161,7 +166,8 @@ class RowLayout:
         else:
             self.lengths = [frames] * batch
         self.frames = frames
-        self.starts, self.width = F.row_layout(self.lengths, guard)
+        offsets = np.cumsum([guard] + [n + guard for n in self.lengths])
+        self.starts, self.width = offsets[:-1], int(offsets[-1])
         self.keep = np.zeros(self.width, dtype=x.dtype)
         self.item = np.zeros(self.width, dtype=x.dtype)
         for s, n, row in zip(self.starts, self.lengths, m):
@@ -189,13 +195,8 @@ class PlainResidualBlock(Module):
                            dilation=dilation, causal=causal, rng=rng)
         self.norm = BatchNormTemporal(channels)
 
-    def reach(self):
-        """Frames the conv reads to one side; the guard width it needs."""
-        span = (self.conv.weight.shape[2] - 1) * self.conv.dilation
-        return span if self.conv.causal else span - span // 2
-
     def forward(self, x):
-        layout = RowLayout(x, None, self.reach(), packed=not self.training)
+        layout = RowLayout(x, None, self.conv.reach(), packed=not self.training)
         return layout.unpack(self.run(layout.pack(x), layout))
 
     def run(self, row, layout):

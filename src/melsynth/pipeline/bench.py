@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..audio_frontend import denormalize_standard, griffin_lim
+from ..audio_frontend import denormalize_standard, frame_count, griffin_lim
 from ..student import synthesize_batch
 from .config import audio_config
 from .trainers import phonemize
@@ -53,7 +53,7 @@ def spread_durations(total_frames, n_phonemes):
 def bench_inputs(cfg):
     acfg = audio_config(cfg)
     _, ids = phonemize(text=BENCH_TEXT)
-    frames = 1 + int(TARGET_SECONDS * acfg.sample_rate) // acfg.hop_length
+    frames = frame_count(int(TARGET_SECONDS * acfg.sample_rate), acfg)
     durations = spread_durations(frames, len(ids))
     audio_seconds = frames * acfg.hop_length / acfg.sample_rate
     return ids, durations, audio_seconds

@@ -134,26 +134,48 @@ def parse_config(text, source="<config>"):
             raise ConfigError(f"{where}: unknown key {key!r} in [{section_name}]")
         kind = type(getattr(section, key))
         setattr(section, key, _coerce(value, kind, where))
+    _check_counts(cfg, source)
     _check_stft_sizes(cfg.audio, source)
-    _check_vocoder(cfg.data, source)
+    _check_attention(cfg.teacher, source)
     return cfg
+
+
+# (section, key) of every setting that counts something and must be >= 1
+COUNT_KEYS = (("audio", "hop_length"), ("data", "griffin_lim_iterations"),
+              ("training", "batch_size"), ("training", "checkpoint_every"),
+              ("teacher", "encoder_blocks"), ("teacher", "decoder_blocks"))
+# widths split in halves (sine and cosine positional features, the gated
+# blocks' filter and gate), so they must be even as well
+EVEN_KEYS = (("teacher", "residual_channels"), ("teacher", "gate_channels"),
+             ("student", "channels"))
+
+
+def _check_counts(cfg, source):
+    """Counts and widths the trainers, models and vocoder can run, caught
+    before any model builds."""
+    for section, key in COUNT_KEYS + EVEN_KEYS:
+        value = getattr(getattr(cfg, section), key)
+        if value < 1:
+            raise ConfigError(f"{source}: [{section}] {key} = {value} "
+                              "must be at least 1")
+        if value % 2 and (section, key) in EVEN_KEYS:
+            raise ConfigError(f"{source}: [{section}] {key} = {value} "
+                              "must be even")
 
 
 def _check_stft_sizes(audio, source):
     """STFT framing the analysis and Griffin-Lim can both honour."""
-    if audio.hop_length < 1:
-        raise ConfigError(f"{source}: [audio] hop_length = {audio.hop_length} "
-                          "must be at least 1")
     if not 1 <= audio.win_length <= audio.n_fft:
         raise ConfigError(f"{source}: [audio] win_length = {audio.win_length} "
                           f"must be between 1 and n_fft = {audio.n_fft}")
 
 
-def _check_vocoder(data, source):
-    """An iteration count griffin_lim accepts, caught before any model loads."""
-    if data.griffin_lim_iterations < 1:
-        raise ConfigError(f"{source}: [data] griffin_lim_iterations = "
-                          f"{data.griffin_lim_iterations} must be at least 1")
+def _check_attention(teacher, source):
+    """Attention values add the raw embeddings, so the widths must match."""
+    if teacher.attention_dim != teacher.embedding_dim:
+        raise ConfigError(f"{source}: [teacher] attention_dim = "
+                          f"{teacher.attention_dim} must equal embedding_dim = "
+                          f"{teacher.embedding_dim}")
 
 
 def load_config(path):

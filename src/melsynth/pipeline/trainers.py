@@ -215,7 +215,15 @@ def run_extract_durations(cfg, checkpoint_path=None, out_path=None,
 # student
 # ---------------------------------------------------------------------------
 
-def _student_items(utts, mels, table, mean, std):
+def _student_items(utts, mels, table, mean, std, source):
+    """(ids, durations, standardized mel) per utterance; each utterance's
+    durations must add up to its mel's frame count."""
+    for u, mel in zip(utts, mels):
+        total = int(table[u.id].sum())
+        if total != mel.shape[1]:
+            raise DatasetError(
+                f"utterance {u.id!r}: durations in sidecar {source} sum to "
+                f"{total} frames but its mel has {mel.shape[1]}")
     return [(u.phoneme_ids, table[u.id], normalize_standard(mel, mean, std))
             for u, mel in zip(utts, mels)]
 
@@ -265,11 +273,11 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
 
     train_mels = [wav_to_mel(u.waveform, acfg) for u in train]
     mean, std = corpus_stats(train_mels)
-    train_items = _student_items(train, train_mels, table, mean, std)
+    train_items = _student_items(train, train_mels, table, mean, std, side)
     del train_mels  # the items hold standardized copies; free the raw ones
     eval_items = _student_items(
         holdout, [wav_to_mel(u.waveform, acfg) for u in holdout], table,
-        mean, std) if holdout else train_items
+        mean, std, side) if holdout else train_items
 
     seed = cfg.training.seed if seed is None else seed
     rng = np.random.default_rng(seed)

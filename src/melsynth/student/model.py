@@ -29,13 +29,12 @@ class PlainStack(Module):
     """Sequential plain residual blocks with optional padding mask.
 
     The batch is packed once into a guard-banded row (see
-    :class:`~melsynth.nn_core.layers.RowLayout`), every block runs on that
-    row, and it is unpacked at exit. The guards are as wide as the widest
-    conv reach in the stack and are re-zeroed after every block, so items
-    never see each other. In eval mode each item takes its true length from
-    the mask and padded frames are never computed; in train mode every item
-    keeps the full length, so batch norm sees the same frames as the padded
-    batch. Output frames where the mask is 0 are zero.
+    :class:`~melsynth.nn_core.layers.RowLayout`), as in the teacher's
+    GatedStack, with the guards re-zeroed after every block. In eval mode
+    each item takes its true length from the mask and padded frames are never
+    computed; in train mode every item keeps the full length, so batch norm
+    sees the same frames as the padded batch. Output frames where the mask
+    is 0 are zero.
     """
 
     def __init__(self, channels, kernel_size, dilations, rng):
@@ -48,7 +47,7 @@ class PlainStack(Module):
     def forward(self, x, mask=None):
         if not self.blocks:
             return x
-        layout = RowLayout(x, mask, max(b.reach() for b in self.blocks),
+        layout = RowLayout(x, mask, max(b.conv.reach() for b in self.blocks),
                            packed=not self.training)
         h = layout.pack(x)
         for block in self.blocks:

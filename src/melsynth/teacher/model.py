@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn_core import Conv1d, Embedding, GatedResidualBlock, Linear, Module, Tensor
+from ..nn_core import Conv1d, Embedding, GatedResidualBlock, Linear, Module, RowLayout
 from ..nn_core import functional as F
 
 NEG_INF = -1e9
@@ -24,7 +24,14 @@ def teacher_dilations(n_blocks):
 
 
 class GatedStack(Module):
-    """Chain of gated residual blocks; stack output is the sum of skip outputs."""
+    """Chain of gated residual blocks; stack output is the sum of skip outputs.
+
+    The batch is packed once into a guard-banded row (see
+    :class:`~melsynth.nn_core.layers.RowLayout`), each item at its true
+    length, so padded frames are never computed. The guards are as wide as
+    the widest conv reach and are re-zeroed after every block, so items
+    never see each other. Output frames past an item's length are zero.
+    """
 
     def __init__(self, channels, gate_channels, kernel_size, dilations, causal, rng):
         super().__init__()
@@ -34,16 +41,15 @@ class GatedStack(Module):
         ]
 
     def forward(self, x, mask=None):
+        layout = RowLayout(x, mask, max(b.conv.reach() for b in self.blocks),
+                           packed=True)
+        h = layout.pack(x)
         skips = None
         for block in self.blocks:
-            x, skip = block(x)
-            if mask is not None:
-                # keep padded cells at exactly zero through the stack
-                x = F.mul(x, mask)
+            h, skip = block(h)
+            h = F.mul(h, layout.keep)
             skips = skip if skips is None else F.add(skips, skip)
-        if mask is not None:
-            skips = F.mul(skips, mask)
-        return skips
+        return layout.unpack(skips)
 
 
 class TeacherModel(Module):
@@ -82,8 +88,6 @@ class TeacherModel(Module):
         """Returns (keys, values, encoder_output) for (batch, N) ids."""
         emb = self.embedding(phoneme_ids)
         hidden = F.relu(self.phoneme_prenet(emb))
-        if phoneme_mask is not None:
-            hidden = F.mul(hidden, phoneme_mask)
         enc = self.phoneme_stack(hidden, phoneme_mask)
         n = phoneme_ids.shape[1]
         pe = F.sinusoid_table(np.arange(n), self.channels)[None]
@@ -95,8 +99,6 @@ class TeacherModel(Module):
         """Causal encoding of shifted input frames; query positions advance at
         `position_rates` phonemes per frame (one rate per batch item)."""
         hidden = F.relu(self.frame_prenet(frames))
-        if frame_mask is not None:
-            hidden = F.mul(hidden, frame_mask)
         enc = self.frame_stack(hidden, frame_mask)
         t = frames.shape[2]
         rates = np.atleast_1d(np.asarray(position_rates, dtype=np.float64))
@@ -111,8 +113,6 @@ class TeacherModel(Module):
     def decode(self, values, attention, frame_encoding, frame_mask=None):
         context = F.matmul(values, attention)
         dec_in = F.add(self.context_proj(context), frame_encoding)
-        if frame_mask is not None:
-            dec_in = F.mul(dec_in, frame_mask)
         skips = self.decoder_stack(dec_in, frame_mask)
         hidden = F.relu(self.post1(skips))
         return F.sigmoid(self.post2(hidden))
@@ -120,14 +120,14 @@ class TeacherModel(Module):
     # -- full forward --------------------------------------------------------
 
     def forward(self, phoneme_ids, frames, position_rates, phoneme_mask=None,
-                frame_mask=None, logit_bias=None):
+                frame_mask=None):
         """Parallel teacher-forced pass.
 
         phoneme_ids: (batch, N) ints; frames: (batch, mel_bins, T) tensor of
         shifted unit-interval input; position_rates: per-item N/T.
         Returns (predictions (batch, mel_bins, T), attention (batch, N, T)).
         Padded phonemes must be masked to NEG_INF via phoneme_mask so softmax
-        ignores them; logit_bias adds arbitrary extra masking (location masks).
+        ignores them.
         """
         phoneme_ids = np.asarray(phoneme_ids)
         if phoneme_ids.shape[1] == 0 or frames.shape[2] == 0:
@@ -137,8 +137,6 @@ class TeacherModel(Module):
         logits = self.attention_logits(keys, queries)
         if phoneme_mask is not None:
             logits = F.add(logits, (1.0 - np.swapaxes(phoneme_mask, 1, 2)) * NEG_INF)
-        if logit_bias is not None:
-            logits = F.add(logits, logit_bias)
         attention = F.softmax(logits, axis=1)
         pred = self.decode(values, attention, frame_enc, frame_mask)
         return pred, attention

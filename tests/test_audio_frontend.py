@@ -42,6 +42,12 @@ class TestWavToMel:
         assert mel.shape == (80, 838)
         assert frame_count(n) == 838
 
+    def test_frame_count_with_window_shorter_than_fft(self):
+        config = AudioConfig(win_length=800)
+        n = CFG.sample_rate
+        assert wav_to_mel(sine(440, 1.0), config).shape == (80, 88)
+        assert frame_count(n, config) == 88
+
     def test_silence_clamps_to_floor(self):
         mel = wav_to_mel(np.zeros(4096, dtype=np.float32))
         np.testing.assert_array_equal(mel, np.float32(MIN_DB))

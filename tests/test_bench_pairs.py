@@ -1,0 +1,72 @@
+"""tools/bench_pairs.py summary: the verdict of each metric against its bound."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+SPEC = {
+    "workloads": [{"name": "w"}],
+    "end_to_end": [
+        {"name": "time_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "noisy_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25},
+    ],
+}
+
+
+def run(seed, side, failed=0, **metrics):
+    line = {"failed": failed,
+            "metrics": {k: {"value": v} for k, v in metrics.items()}}
+    return {"workload": "w", "seed": seed, "side": side,
+            "lines": ["warming up", json.dumps(line)]}
+
+
+def bench(parent, change):
+    """Synthetic BENCH dict: parent[i] and change[i] are seed i+1's metrics."""
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change), 1):
+        runs += [run(seed, "parent", **p), run(seed, "change", **c)]
+    return {"seeds": list(range(1, len(parent) + 1)), "seconds": 1.0,
+            "command": "test", "runs": runs}
+
+
+def verdicts(parent, change):
+    return {row[1].split()[0]: row[-1]
+            for row in bench_pairs.summary_rows(bench(parent, change), SPEC)}
+
+
+class TestVerdict:
+    PARENT = [{"time_s": 1.0 + 0.01 * i, "noisy_s": 1.0 + 0.3 * i, "rate": 10.0 + i}
+              for i in range(4)]
+
+    def test_within_bound_is_ok(self):
+        change = [{"time_s": 1.2, "noisy_s": 1.3, "rate": 9.0}] * 4
+        got = verdicts(self.PARENT, change)
+        assert got == {"time_s": "ok", "noisy_s": "unresolved", "rate": "ok"}
+
+    def test_beyond_bound_is_worse_in_either_direction(self):
+        change = [{"time_s": 1.4, "noisy_s": 2.0, "rate": 7.0}] * 4
+        got = verdicts(self.PARENT, change)
+        assert got == {"time_s": "worse", "noisy_s": "worse", "rate": "worse"}
+
+    def test_better_beyond_bound_is_ok(self):
+        change = [{"time_s": 0.5, "noisy_s": 1.0, "rate": 20.0}] * 4
+        assert verdicts(self.PARENT, change)["rate"] == "ok"
+        assert verdicts(self.PARENT, change)["time_s"] == "ok"
+
+    @pytest.mark.parametrize("better,change,expected", [
+        ("lower", [1.26] * 3, "worse"),
+        ("lower", [1.24] * 3, "ok"),
+        ("higher", [0.74] * 3, "worse"),
+        ("higher", [0.76] * 3, "ok"),
+    ])
+    def test_bound_is_relative_to_parent_median(self, better, change, expected):
+        metric = {"better": better, "bound": 0.25}
+        assert bench_pairs.verdict([1.0, 1.0, 1.0], change, metric) == expected

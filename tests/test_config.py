@@ -91,6 +91,25 @@ class TestParsing:
             parse_config(f"[data]\ngriffin_lim_iterations = {iterations}\n",
                          source="my.cfg")
 
+    @pytest.mark.parametrize("text,message", [
+        ("[training]\nbatch_size = 0\n", r"\[training\] batch_size = 0 must be at least 1"),
+        ("[training]\nbatch_size = -1\n", r"\[training\] batch_size = -1 "),
+        ("[training]\ncheckpoint_every = 0\n",
+         r"\[training\] checkpoint_every = 0 must be at least 1"),
+        ("[teacher]\ngate_channels = 81\n", r"\[teacher\] gate_channels = 81 must be even"),
+        ("[teacher]\ngate_channels = 0\n", r"\[teacher\] gate_channels = 0 must be at least 1"),
+        ("[teacher]\nresidual_channels = 39\n",
+         r"\[teacher\] residual_channels = 39 must be even"),
+        ("[student]\nchannels = 127\n", r"\[student\] channels = 127 must be even"),
+        ("[teacher]\nattention_dim = 64\n",
+         r"\[teacher\] attention_dim = 64 must equal embedding_dim = 128"),
+        ("[teacher]\nencoder_blocks = 0\n", r"\[teacher\] encoder_blocks = 0 must be at least 1"),
+        ("[teacher]\ndecoder_blocks = 0\n", r"\[teacher\] decoder_blocks = 0 must be at least 1"),
+    ])
+    def test_unrunnable_model_or_trainer_value_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=r"my\.cfg: " + message):
+            parse_config(text, source="my.cfg")
+
     def test_window_equal_to_fft_accepted(self):
         cfg = parse_config("[audio]\nn_fft = 512\nwin_length = 512\nhop_length = 1\n")
         assert (cfg.audio.n_fft, cfg.audio.win_length, cfg.audio.hop_length) == (512, 512, 1)

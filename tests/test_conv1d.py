@@ -66,6 +66,17 @@ class TestForward:
         np.testing.assert_allclose(out[0, :, 0], [1.0, -2.0, 0.5], atol=1e-7)
 
 
+    def test_row_is_a_batch_of_one(self, rng):
+        x = rng.normal(size=(3, 17)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        for dilation, causal in ((1, False), (2, True), (3, False)):
+            row = conv(x, w, b, dilation=dilation, causal=causal)
+            batch = conv(x[None], w, b, dilation=dilation, causal=causal)
+            assert row.shape == (4, 17)
+            np.testing.assert_array_equal(row, batch[0])
+
+
 class TestErrors:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel mismatch"):

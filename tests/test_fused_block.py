@@ -290,7 +290,7 @@ class TestPackedLayout:
         block.eval()
         randomize_norms([block], rng)
         x, mask = batch_with_lengths(rng, 3, LENGTHS)
-        layout = RowLayout(Tensor(x), mask, block.reach(), packed=True)
+        layout = RowLayout(Tensor(x), mask, block.conv.reach(), packed=True)
         row = block.run(layout.pack(Tensor(x)), layout).data
         assert np.all(row[:, layout.item == 0] == 0)
 

@@ -447,6 +447,32 @@ class TestCli:
                      "--out", str(tmp_path / "o.wav"), "--phonemes", "AA"]) == 2
         assert "c.cfg: [data] griffin_lim_iterations = 0" in capsys.readouterr().err
 
+    def test_unrunnable_training_setting_is_config_error(self, corpus, tmp_path,
+                                                         capsys):
+        cfg = micro_cfg(corpus)
+        cfg.training.batch_size = -1
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        assert main(["train-teacher", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run"), "--max-steps", "2"]) == 2
+        assert "c.cfg: [training] batch_size = -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["train-teacher", "--out", "o", "--max-steps", "-1"],
+        ["train-teacher", "--out", "o", "--max-steps", "0"],
+        ["train-student", "--out", "o", "--max-steps", "0"],
+        ["train-student", "--out", "o", "--max-steps", "two"],
+        ["benchmark", "--checkpoint", "x.ckpt", "--repeats", "0"],
+    ])
+    def test_counts_below_one_are_usage_errors(self, args, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_checkpoint_is_data_error(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(config_to_text(micro_cfg(corpus)))
@@ -463,6 +489,23 @@ class TestCli:
                      "--out", str(tmp_path / "run"),
                      "--durations", str(bad)]) == 2
         assert "bad.csv:1" in capsys.readouterr().err
+
+    def test_durations_not_adding_up_is_data_error(self, corpus, sidecar,
+                                                   tmp_path, capsys):
+        lines = sidecar.read_text().strip().split("\n")
+        utt_id, counts = lines[0].split("|")
+        counts = counts.split()
+        counts[-1] = str(int(counts[-1]) + 5)
+        lines[0] = f"{utt_id}|{' '.join(counts)}"
+        bad = tmp_path / "off.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(micro_cfg(corpus)))
+        assert main(["train-student", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run"),
+                     "--durations", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"utterance {utt_id!r}: durations in sidecar {bad} sum to" in err
 
     def test_non_finite_synthesis_exits_3(self, student_run, tmp_path,
                                           capsys):

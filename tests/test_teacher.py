@@ -4,11 +4,13 @@ sequential/parallel equivalence, duration extraction, augmentations."""
 import numpy as np
 import pytest
 
+from conftest import gradcheck
 from melsynth.nn_core import Tensor, no_grad
 from melsynth.nn_core import functional as F
 from melsynth.teacher import (
     AlignmentError,
     AugmentParams,
+    GatedStack,
     TeacherModel,
     augment_spectrogram,
     durations_from_attention,
@@ -324,3 +326,51 @@ class TestBatching:
         shifted = shift_frames(x)
         np.testing.assert_array_equal(shifted[0, 0], [0, 0, 1])
         np.testing.assert_array_equal(shifted[0, 1], [0, 3, 4])
+
+
+def peak_error(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+
+
+class TestPackedStacks:
+    NS = (7, 3, 5)
+    TS = (11, 20, 6)
+
+    def test_padded_batch_matches_items_alone(self, rng):
+        model = tiny_model(rng, enc_blocks=4, dec_blocks=5)
+        model.eval()
+        ids = F.pad_right([rng.integers(1, VOCAB, size=n) for n in self.NS], np.int64)
+        mels = [rng.random((8, t)).astype(np.float32) for t in self.TS]
+        frames = shift_frames(F.pad_right(mels, np.float32))
+        pmask = F.length_mask(self.NS, ids.shape[1])
+        fmask = F.length_mask(self.TS, frames.shape[2])
+        rates = np.array(self.NS) / np.array(self.TS)
+        with no_grad():
+            pred, att = model(ids, Tensor(frames), rates,
+                              phoneme_mask=pmask, frame_mask=fmask)
+            for i, (n, t) in enumerate(zip(self.NS, self.TS)):
+                alone, att_alone = model(ids[i:i + 1, :n], Tensor(frames[i:i + 1, :, :t]),
+                                         rates[i:i + 1])
+                assert peak_error(pred.data[i, :, :t], alone.data[0]) < 1e-5
+                assert peak_error(att.data[i, :n, :t], att_alone.data[0]) < 1e-5
+            _, _, enc = model.encode_phonemes(ids, pmask)
+            _, frame_enc = model.encode_frames(Tensor(frames), rates, fmask)
+            dec = model.decoder_stack(frame_enc, fmask)
+        for i, (n, t) in enumerate(zip(self.NS, self.TS)):
+            assert not np.any(enc.data[i, :, n:])
+            assert not np.any(frame_enc.data[i, :, t:])
+            assert not np.any(dec.data[i, :, t:])
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_masked_stack_gradients(self, rng, causal):
+        stack = GatedStack(2, 4, 3, (1, 2), causal, rng)
+        for _, p in stack.named_parameters():
+            p.data = p.data.astype(np.float64)
+        x = Tensor(rng.normal(size=(2, 2, 6)), requires_grad=True)
+        mask = F.length_mask([6, 3], 6)
+
+        def loss():
+            out = stack(x, mask)
+            return F.add(F.mul(out, out).mean(), F.abs_(F.add(out, 0.3)).mean())
+
+        gradcheck(loss, [x] + stack.parameters())

@@ -9,8 +9,12 @@
 untraced, one process at a time; the side that runs first alternates from
 seed to seed. Each tree runs its own perfbench/run.py. Every line a run
 prints is stored unchanged. `summary` prints, per workload and end-to-end
-metric, both sides' medians, the parent's interquartile range and the pairs
-the change reads better in (ties count for neither), as a Markdown table.
+metric, both sides' medians, the parent's interquartile range, the pairs
+the change reads better in (ties count for neither) and a verdict against
+the metric's bound in BENCHMARK.json, as a Markdown table:
+`worse` when the change's median is worse than the parent's by more than
+the bound, `unresolved` when the parent's IQR over its median exceeds the
+bound, `ok` otherwise.
 """
 
 import argparse
@@ -75,14 +79,19 @@ def quartiles(values):
     return q1, q3
 
 
-def cmd_summary(args):
-    bench = json.loads(args.bench.read_text())
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    print(f"{len(bench['seeds'])} pairs per workload, {bench['seconds']} s "
-          f"runs, untraced; `{bench['command']}`\n")
-    print("| workload | metric | parent median | parent IQR | change median "
-          "| change | pairs better | failed (parent/change) |")
-    print("|---|---|---|---|---|---|---|---|")
+def verdict(parent, change, metric):
+    """`worse`, `unresolved` or `ok` for one metric's paired values."""
+    mp = statistics.median(parent)
+    sign = 1 if metric["better"] == "lower" else -1
+    if sign * (statistics.median(change) - mp) > metric["bound"] * abs(mp):
+        return "worse"
+    q1, q3 = quartiles(parent)
+    return "unresolved" if q3 - q1 > metric["bound"] * abs(mp) else "ok"
+
+
+def summary_rows(bench, spec):
+    """One row per workload and end-to-end metric, as Markdown cells."""
+    rows = []
     for workload in [w["name"] for w in spec["workloads"]]:
         pairs = {}
         for run in bench["runs"]:
@@ -105,9 +114,23 @@ def cmd_summary(args):
             better = sum(sign * (c - p) < 0 for p, c in values)
             q1, q3 = quartiles(parent)
             mp, mc = statistics.median(parent), statistics.median(change)
-            print(f"| {workload} | {name} ({metric['unit']}) | {mp:.4g} "
-                  f"| {q3 - q1:.2g} | {mc:.4g} | {mc / mp - 1:+.1%} "
-                  f"| {better}/{len(values)} | {failed[0]}/{failed[1]} |")
+            rows.append([workload, f"{name} ({metric['unit']})", f"{mp:.4g}",
+                         f"{q3 - q1:.2g}", f"{mc:.4g}", f"{mc / mp - 1:+.1%}",
+                         f"{better}/{len(values)}", f"{failed[0]}/{failed[1]}",
+                         verdict(parent, change, metric)])
+    return rows
+
+
+def cmd_summary(args):
+    bench = json.loads(args.bench.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    print(f"{len(bench['seeds'])} pairs per workload, {bench['seconds']} s "
+          f"runs, untraced; `{bench['command']}`\n")
+    print("| workload | metric | parent median | parent IQR | change median "
+          "| change | pairs better | failed (parent/change) | verdict |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    for row in summary_rows(bench, spec):
+        print("| " + " | ".join(row) + " |")
     return 0
 
 
