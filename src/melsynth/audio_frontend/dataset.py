@@ -59,9 +59,17 @@ def save_wav(path, waveform, sample_rate=22050):
         wf.writeframes(pcm.tobytes())
 
 
+def _read_lines(path):
+    """The lines of a UTF-8 text file; DatasetError naming it if it is not one."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _read_phoneme_sidecar(path):
     table = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_lines(path), 1):
         if not line.strip():
             continue
         if "|" not in line:
@@ -89,7 +97,7 @@ def load_dataset(root, holdout=100, vocab=None, sample_rate=22050):
         phoneme_table = _read_phoneme_sidecar(sidecar)
 
     utterances = []
-    for lineno, line in enumerate(metadata.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_lines(metadata), 1):
         if not line.strip():
             continue
         parts = line.split("|")
@@ -135,7 +143,7 @@ def write_durations(path, durations):
 
 def read_durations(path):
     table = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_lines(path), 1):
         if not line.strip():
             continue
         if "|" not in line:

@@ -32,7 +32,6 @@ class PhonemeVocabulary:
         symbols = [PAD] + PUNCTUATION + [WORD_BOUNDARY] + ARPABET + STRESSED + LETTERS
         self._id_of = {s: i for i, s in enumerate(symbols)}
         self._symbol_of = symbols
-        assert len(self._id_of) == len(symbols), "duplicate vocabulary symbol"
 
     def __len__(self):
         return len(self._symbol_of)

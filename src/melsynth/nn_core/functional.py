@@ -311,7 +311,7 @@ def softmax(x, axis):
 # ---------------------------------------------------------------------------
 #
 # A (batch, channels, time) batch is laid out as one (channels, width) row:
-# guard, item 0, guard, item 1, ..., guard, each guard `guard` zero columns
+# item 0, guard, item 1, ..., guard, item B-1, each guard `guard` zero columns
 # (see :class:`~melsynth.nn_core.layers.RowLayout`). A conv that reaches at
 # most `guard` frames to either side then never mixes two items, so the
 # whole batch is one GEMM per kernel tap.
@@ -354,7 +354,7 @@ def unpack_rows(row, starts, lengths, frames):
 
 
 def _conv_geometry(x, weight, dilation, causal):
-    """Validate a conv; returns (kernel size, span, zeros on the left)."""
+    """Validate a conv; returns (kernel size, frames read left of the output)."""
     if x.data.shape[-2] != weight.data.shape[1]:
         raise ValueError(
             f"conv1d channel mismatch: input has {x.data.shape[-2]}, weight expects {weight.data.shape[1]}"
@@ -363,34 +363,30 @@ def _conv_geometry(x, weight, dilation, causal):
         raise ValueError("conv1d weights contain non-finite values")
     ksize = weight.data.shape[2]
     span = (ksize - 1) * dilation
-    return ksize, span, span if causal else span // 2
+    return ksize, span if causal else span // 2
 
 
 def conv1d(x, weight, bias, dilation=1, causal=False):
     """Dilated 1D convolution over (batch, channels, time), length-preserving.
 
     A 2-D (channels, time) input, such as a guard-banded row, is one item.
-    causal: (kernel-1)*dilation zeros on the left, so output t sees inputs <= t.
-    non-causal: centred zero padding (an odd extra zero goes on the right).
+    Frames past either end read as zeros. causal: output t sees inputs <= t.
+    non-causal: centred (an odd extra frame is read on the right).
     """
-    ksize, span, left = _conv_geometry(x, weight, dilation, causal)
+    ksize, left = _conv_geometry(x, weight, dilation, causal)
     xb = x.data if x.data.ndim == 3 else x.data[None]
-    frames = xb.shape[2]
-    xpad = xb
-    if span:
-        xpad = np.zeros(xb.shape[:2] + (frames + span,), dtype=xb.dtype)
-        xpad[:, :, left:left + frames] = xb
-    out = kernels.conv1d_forward(xpad, weight.data, bias.data, dilation, frames)
+    out = kernels.conv1d_forward(xb, weight.data, bias.data, dilation, left=left)
 
     def backward(g):
         gb = g.reshape(out.shape)
         if weight.requires_grad:
-            weight.accumulate_grad(kernels.conv1d_grad_weight(gb, xpad, dilation, ksize))
+            weight.accumulate_grad(
+                kernels.conv1d_grad_weight(gb, xb, dilation, ksize, left=left))
         if bias.requires_grad:
             bias.accumulate_grad(gb.sum(axis=(0, 2)))
         if x.requires_grad:
-            gx = kernels.conv1d_grad_input(gb, weight.data, dilation, frames + span)
-            x.accumulate_grad(gx[:, :, left:left + frames].reshape(x.data.shape))
+            gx = kernels.conv1d_grad_input(gb, weight.data, dilation, left=left)
+            x.accumulate_grad(gx.reshape(x.data.shape))
 
     return Tensor.from_op(out if x.data.ndim == 3 else out[0], (x, weight, bias),
                           backward)
@@ -413,15 +409,9 @@ def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False
 
     Returns (out, mean, var): the statistics the normalization used.
     """
-    ksize, span, left = _conv_geometry(x, weight, dilation, causal)
+    ksize, left = _conv_geometry(x, weight, dilation, causal)
     xd = x.data
-    width = xd.shape[1]
-    n = width - span
-    r = np.empty((weight.data.shape[0], width), dtype=np.result_type(xd, weight.data))
-    r[:, :left] = 0
-    r[:, left + n:] = 0
-    kernels.conv1d_forward(xd[None], weight.data, bias.data, dilation, n,
-                           out=r[None, :, left:left + n])
+    r = kernels.conv1d_forward(xd[None], weight.data, bias.data, dilation, left=left)[0]
     np.maximum(r, 0, out=r)
     if running is None:
         count = float(frames.sum())
@@ -457,13 +447,13 @@ def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False
             # the statistics depend on every frame they were taken over
             gr -= (a / count) * (gshift[:, None] + xhat * gscale[:, None]) * frames
         gr *= r > 0
-        gz = gr[None, :, left:left + n]
         if weight.requires_grad:
-            weight.accumulate_grad(kernels.conv1d_grad_weight(gz, xd[None], dilation, ksize))
+            weight.accumulate_grad(
+                kernels.conv1d_grad_weight(gr[None], xd[None], dilation, ksize, left=left))
         if bias.requires_grad:
-            bias.accumulate_grad(gz[0].sum(axis=1))
+            bias.accumulate_grad(gr.sum(axis=1))
         if x.requires_grad:
-            g += kernels.conv1d_grad_input(gz, weight.data, dilation, width)[0]
+            g += kernels.conv1d_grad_input(gr[None], weight.data, dilation, left=left)[0]
             x.accumulate_grad(g)
 
     return Tensor.from_op(out, (x, weight, bias, scale, shift), backward), mean, var

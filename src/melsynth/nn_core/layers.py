@@ -144,7 +144,7 @@ class GatedResidualBlock(Module):
 
 class RowLayout:
     """Where each item of a (batch, channels, time) batch sits in one
-    guard-banded row: guard, item 0, guard, ..., guard, each `guard` zeros.
+    guard-banded row: item 0, guard, ..., guard, item B-1, each `guard` zeros.
 
     packed=True gives each item its true length, up to the last frame the
     mask keeps, so padded frames are never computed; frames it drops count as
@@ -166,8 +166,8 @@ class RowLayout:
         else:
             self.lengths = [frames] * batch
         self.frames = frames
-        offsets = np.cumsum([guard] + [n + guard for n in self.lengths])
-        self.starts, self.width = offsets[:-1], int(offsets[-1])
+        offsets = np.cumsum([0] + [n + guard for n in self.lengths])
+        self.starts, self.width = offsets[:-1], int(offsets[-1]) - guard
         self.keep = np.zeros(self.width, dtype=x.dtype)
         self.item = np.zeros(self.width, dtype=x.dtype)
         for s, n, row in zip(self.starts, self.lengths, m):

@@ -122,9 +122,6 @@ class Tensor:
         out = Tensor(self.data, requires_grad=False)
         return out
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.size != 1:
             raise AutodiffError(f"backward requires a scalar, got shape {self.shape}")

@@ -12,6 +12,7 @@ state) rides along as float32 tensors under reserved "__meta__/" names.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -73,10 +74,12 @@ def save_tensors(path, named_arrays, arch_hash):
 
 
 def _read_exact(fh, n, path, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"{path}: truncated while reading {what}")
-    return buf
+    """Read n bytes, checked against the bytes left before reading."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointError(
+            f"{path}: truncated while reading {what} ({n} bytes, {left} left)")
+    return fh.read(n)
 
 
 def load_tensors(path, expected_hash=None):
@@ -105,9 +108,11 @@ def load_tensors(path, expected_hash=None):
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, path, "dims"))[0]
                 for _ in range(rank))
-            n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if rank else 4
-            raw = _read_exact(fh, n_bytes, path, f"data of {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            raw = _read_exact(fh, 4 * math.prod(shape), path, f"data of {name!r}")
+            try:
+                arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            except ValueError as exc:  # e.g. more dims than numpy allows
+                raise CheckpointError(f"{path}: bad shape for {name!r}: {exc}") from exc
     return arrays, stored
 
 
@@ -123,7 +128,10 @@ def _decode(raw, path):
 
 
 def _array_to_text(array, path):
-    return _decode(np.asarray(array).astype(np.uint8).tobytes(), path)
+    codes = np.asarray(array)
+    if not np.all((codes >= 0) & (codes <= 255) & (codes == np.round(codes))):
+        raise CheckpointError(f"{path}: corrupt text entry: not byte values")
+    return _decode(codes.astype(np.uint8).tobytes(), path)
 
 
 def save_checkpoint(path, model, cfg, kind, epoch=0, step=0, stats=None,
@@ -149,9 +157,9 @@ def load_checkpoint(path, model, cfg, kind):
     """Copy weights into `model`; returns the bookkeeping dict.
 
     All or nothing: the architecture hash, the stored kind, that every
-    parameter and buffer of the model is present, and every shape are
-    checked before anything is copied, so a failed load leaves the model as
-    it was.
+    parameter and buffer of the model is present, every shape, and that
+    parameters, buffers, progress and stats are finite are checked before
+    anything is copied, so a failed load leaves the model as it was.
     """
     expected = fnv1a_64(architecture_text(cfg, kind))
     arrays, _ = load_tensors(path, expected_hash=expected)
@@ -165,10 +173,14 @@ def load_checkpoint(path, model, cfg, kind):
             key = name[len(META_PREFIX):]
             if key in ("kind", "config_text"):
                 meta[key] = _array_to_text(array, path)
-            elif key == "progress":
-                meta["epoch"], meta["step"] = int(array[0]), int(array[1])
-            elif key == "stats":
-                meta["stats"] = (float(array[0]), float(array[1]))
+            elif key in ("progress", "stats"):
+                if array.shape != (2,) or not np.all(np.isfinite(array)):
+                    raise CheckpointError(
+                        f"{path}: {name!r} is not two finite numbers: {array}")
+                if key == "progress":
+                    meta["epoch"], meta["step"] = int(array[0]), int(array[1])
+                else:
+                    meta["stats"] = (float(array[0]), float(array[1]))
             else:
                 meta["extra"][key] = np.asarray(array)
             continue
@@ -185,6 +197,8 @@ def load_checkpoint(path, model, cfg, kind):
             raise CheckpointError(
                 f"{path}: shape mismatch for {name!r}: "
                 f"{array.shape} vs {target}")
+        if not np.all(np.isfinite(array)):
+            raise CheckpointError(f"{path}: non-finite values in {name!r}")
         sink[key] = array
     if meta.get("kind", kind) != kind:
         raise CheckpointError(

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from ..audio_frontend import AudioConfig, PhonemeVocabulary
 from ..audio_frontend.griffin_lim import GRIFFIN_LIM_ITERATIONS
+from ..teacher.augment import AugmentParams
 
 
 class ConfigError(ValueError):
@@ -74,20 +75,13 @@ class TrainingSection:
 
 
 @dataclass
-class AugmentSection:
-    noise_std: float = 0.02
-    max_feedback_passes: int = 3
-    replace_prob: float = 0.05
-
-
-@dataclass
 class PipelineConfig:
     data: DataSection = field(default_factory=DataSection)
     audio: AudioSection = field(default_factory=AudioSection)
     teacher: TeacherSection = field(default_factory=TeacherSection)
     student: StudentSection = field(default_factory=StudentSection)
     training: TrainingSection = field(default_factory=TrainingSection)
-    augment: AugmentSection = field(default_factory=AugmentSection)
+    augment: AugmentParams = field(default_factory=AugmentParams)
 
 
 SECTION_ORDER = ("data", "audio", "teacher", "student", "training", "augment")
@@ -135,6 +129,7 @@ def parse_config(text, source="<config>"):
         kind = type(getattr(section, key))
         setattr(section, key, _coerce(value, kind, where))
     _check_counts(cfg, source)
+    _check_ranges(cfg, source)
     _check_stft_sizes(cfg.audio, source)
     _check_attention(cfg.teacher, source)
     return cfg
@@ -163,6 +158,28 @@ def _check_counts(cfg, source):
                               "must be even")
 
 
+# (section, key, rule, test) of every real-valued setting outside whose range
+# training fails or misbehaves
+RANGE_KEYS = (
+    ("training", "base_lr", "above 0", lambda v: v > 0),
+    ("training", "grad_clip", "above 0", lambda v: v > 0),
+    ("teacher", "guided_g", "above 0", lambda v: v > 0),
+    ("augment", "noise_std", "at least 0", lambda v: v >= 0),
+    ("training", "min_lr", "at least 0", lambda v: v >= 0),
+    ("augment", "max_feedback_passes", "at least 0", lambda v: v >= 0),
+    ("augment", "replace_prob", "in [0, 1]", lambda v: 0 <= v <= 1),
+    # above 1 the plateau schedule would raise the learning rate
+    ("training", "plateau_factor", "in (0, 1]", lambda v: 0 < v <= 1),
+)
+
+
+def _check_ranges(cfg, source):
+    for section, key, rule, test in RANGE_KEYS:
+        value = getattr(getattr(cfg, section), key)
+        if not test(value):
+            raise ConfigError(f"{source}: [{section}] {key} = {value} must be {rule}")
+
+
 def _check_stft_sizes(audio, source):
     """STFT framing the analysis and Griffin-Lim can both honour."""
     if not 1 <= audio.win_length <= audio.n_fft:
@@ -182,7 +199,11 @@ def load_config(path):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_config(text, source=str(path))
 
 
 def config_to_text(cfg):

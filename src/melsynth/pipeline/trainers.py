@@ -27,7 +27,6 @@ from ..student import StudentModel, pad_student_batch, student_losses, \
     student_training_step
 from ..student import synthesize as student_synthesize
 from ..teacher import (
-    AugmentParams,
     TeacherModel,
     batch_diagonality,
     build_inputs,
@@ -149,9 +148,6 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
         meta = load_checkpoint(resume, model, cfg, "teacher")
         start_epoch, step = meta["epoch"], meta["step"]
 
-    augment = AugmentParams(noise_std=cfg.augment.noise_std,
-                            max_feedback_passes=cfg.augment.max_feedback_passes,
-                            replace_prob=cfg.augment.replace_prob)
     metrics = MetricsLog(out / "teacher_metrics.csv",
                          ["step", "lr", "mae", "guided"])
     eval_log = MetricsLog(out / "teacher_eval.csv",
@@ -168,7 +164,7 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
             step += 1
             opt.lr = noam_lr(cfg.training.base_lr, warmup_steps, step)
             batch = pad_teacher_batch([train[i] for i in idx])
-            inputs = build_inputs(batch, model=model, rng=rng, augment=augment)
+            inputs = build_inputs(batch, model=model, rng=rng, augment=cfg.augment)
             mae, guided, _ = teacher_training_step(
                 model, opt, batch, inputs, g=cfg.teacher.guided_g)
             metrics.append(step=step, lr=opt.lr, mae=mae, guided=guided)

@@ -15,7 +15,6 @@ from .train import (
     batch_ssim,
     masked_huber,
     pad_student_batch,
-    predict_durations,
     student_losses,
     student_training_step,
     synthesize,
@@ -34,7 +33,6 @@ __all__ = [
     "gaussian_window",
     "masked_huber",
     "pad_student_batch",
-    "predict_durations",
     "reset_positions",
     "round_durations",
     "ssim_index",

@@ -99,13 +99,6 @@ def student_training_step(model, batch, opt):
     return float(mae.data), float(ssim_loss.data), float(duration_loss.data)
 
 
-def predict_durations(model, phoneme_ids):
-    """Rounded per-phoneme frame counts for a single utterance (no grads)."""
-    ids = np.asarray(phoneme_ids, dtype=np.int64).reshape(1, -1)
-    with no_grad():
-        return _round_predicted(model.predict_log_durations(model.encode(ids)).data[0, 0])
-
-
 def _round_predicted(log_dur):
     durations = round_durations(log_dur)
     if durations.sum() == 0:

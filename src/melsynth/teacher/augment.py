@@ -16,7 +16,7 @@ from ..nn_core import Tensor, no_grad
 from .model import shift_frames
 
 
-@dataclass(frozen=True)
+@dataclass
 class AugmentParams:
     noise_std: float = 0.02
     max_feedback_passes: int = 3

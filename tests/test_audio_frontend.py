@@ -1,7 +1,12 @@
 """Mel extraction, normalization regimes, vocabulary, corpus loading."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melsynth.audio_frontend import (
     LEXICON,
@@ -129,6 +134,11 @@ class TestVocabulary:
         ids = [vocab.id(vocab.symbol(i)) for i in range(len(vocab))]
         assert ids == list(range(len(vocab)))
 
+    def test_symbols_are_unique(self):
+        vocab = PhonemeVocabulary()
+        symbols = [vocab.symbol(i) for i in range(len(vocab))]
+        assert len(set(symbols)) == len(symbols)
+
     def test_encode_decode_roundtrip(self):
         vocab = PhonemeVocabulary()
         symbols = ["DH", "AH", " ", "K", "AE", "T", "."]
@@ -196,6 +206,13 @@ class TestDataset:
         vocab = PhonemeVocabulary()
         assert vocab.decode(train[0].phoneme_ids.tolist()) == ["HH", "AH", "L", "OW"]
 
+    @pytest.mark.parametrize("name", ["metadata.csv", "phonemes.csv"])
+    def test_undecodable_text_file_named(self, tmp_path, name):
+        make_toy_corpus(tmp_path, [("u1", "the sun")])
+        (tmp_path / name).write_bytes(b"u1|the s\xffun\n")
+        with pytest.raises(DatasetError, match=f"{name}: not UTF-8"):
+            load_dataset(tmp_path, holdout=0)
+
     def test_wav_roundtrip(self, tmp_path):
         x = sine(440, 0.1, amp=0.8)
         save_wav(tmp_path / "x.wav", x)
@@ -232,3 +249,43 @@ class TestDurationsSidecar:
         (tmp_path / "d.txt").write_text(f"u1|3 2\nu2|3 {token}\n")
         with pytest.raises(DatasetError, match="d.txt:2"):
             read_durations(tmp_path / "d.txt")
+
+
+# an utterance id as load_dataset reads it from a metadata.csv line
+UTTERANCE_IDS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).map(
+    lambda text: text.split("|")[0].strip()).filter(lambda i: len(i.splitlines()) <= 1)
+
+
+def read_durations_of(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "durations.csv"
+        path.write_bytes(raw)
+        return read_durations(path)
+
+
+class TestDurationsSidecarProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(UTTERANCE_IDS, st.lists(st.integers(0, 2**63 - 1), max_size=8)))
+    def test_round_trip(self, table):
+        table = {k: np.array(v, dtype=np.int64) for k, v in table.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "durations.csv"
+            write_durations(path, table)
+            back = read_durations(path)
+        assert back.keys() == table.keys()
+        for key, counts in table.items():
+            np.testing.assert_array_equal(back[key], counts)
+            assert back[key].dtype == np.int64
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_any_bytes_give_a_table_or_dataset_error(self, raw):
+        try:
+            table = read_durations_of(raw)
+        except DatasetError:
+            return
+        assert all(isinstance(v, np.ndarray) and np.all(v >= 0) for v in table.values())
+
+    def test_undecodable_file_named(self):
+        with pytest.raises(DatasetError, match="durations.csv: not UTF-8"):
+            read_durations_of(b"u1|3 \xff 2\n")

@@ -1,10 +1,16 @@
 """Binary weight container: round trips, corruption, architecture guard."""
 
 import struct
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from melsynth.nn_core import PlainResidualBlock
 from melsynth.pipeline import (
     CheckpointError,
     default_config,
@@ -117,6 +123,18 @@ class TestContainer:
         raw[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
+            load_tensors(path)
+
+
+    @pytest.mark.parametrize("dims", [(0xFFFFFFFF, 0xFFFFFFFF), (2**31 - 1, 1)])
+    def test_dims_larger_than_the_file_rejected(self, tmp_path, dims):
+        path = tmp_path / "t.ckpt"
+        save_tensors(path, {"w": np.zeros((2, 2), np.float32)}, arch_hash=1)
+        raw = bytearray(path.read_bytes())
+        # the dims follow magic, version, hash, count, name length, "w", rank
+        raw[29:37] = struct.pack("<II", *dims)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="truncated while reading data"):
             load_tensors(path)
 
 
@@ -262,6 +280,35 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="student.ckpt"):
             peek_config(path)
 
+    @pytest.mark.parametrize("entry", ["encoder.blocks.0.conv.weight",
+                                       "buffer/encoder.blocks.1.norm.running_var"])
+    def test_non_finite_value_rejected_without_copy(self, tmp_path, rng, entry):
+        cfg = small_cfg()
+
+        def poison(arrays):
+            arrays[entry] = arrays[entry].copy()
+            arrays[entry].flat[1] = np.nan
+
+        path = self._rewritten_student(tmp_path, cfg, rng, poison)
+        clone, snapshot = self._snapshot(build_student(
+            cfg, vocab_size=30, rng=np.random.default_rng(999)))
+        with pytest.raises(CheckpointError, match=f"student.ckpt.*{entry}"):
+            load_checkpoint(path, clone, cfg, "student")
+        self._assert_unchanged(clone, snapshot)
+
+    @pytest.mark.parametrize("key,value", [("progress", [np.inf, 3.0]),
+                                           ("stats", [-6.0, np.nan]),
+                                           ("stats", [-6.0])])
+    def test_bad_progress_or_stats_rejected(self, tmp_path, rng, key, value):
+        cfg = small_cfg()
+
+        def poison(arrays):
+            arrays["__meta__/" + key] = np.array(value, np.float32)
+
+        path = self._rewritten_student(tmp_path, cfg, rng, poison)
+        with pytest.raises(CheckpointError, match=f"student.ckpt.*{key}"):
+            load_checkpoint(path, build_student(cfg, vocab_size=30), cfg, "student")
+
     @staticmethod
     def _rewritten_student(tmp_path, cfg, rng, edit):
         """A valid student checkpoint, re-saved under its own hash after edit."""
@@ -300,3 +347,48 @@ class TestModelCheckpoint:
         assert kind == "teacher"
         assert embedded == cfg
         assert fnv1a_64(architecture_text(embedded, kind)) == stored
+
+
+# ---------------------------------------------------------------------------
+# property: a damaged file loads or raises CheckpointError, all or nothing
+# ---------------------------------------------------------------------------
+
+def tiny_model():
+    return PlainResidualBlock(2, kernel_size=2, dilation=1,
+                              rng=np.random.default_rng(5))
+
+
+@lru_cache(maxsize=1)
+def tiny_checkpoint():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiny.ckpt"
+        save_checkpoint(path, tiny_model(), small_cfg(), "student", epoch=2,
+                        step=7, stats=(-5.0, 2.0))
+        return path.read_bytes()
+
+
+def loads_or_rejects(raw):
+    """Load `raw` into a fresh model; a CheckpointError must leave it as it was."""
+    model, snapshot = TestModelCheckpoint._snapshot(tiny_model())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.ckpt"
+        path.write_bytes(raw)
+        try:
+            load_checkpoint(path, model, small_cfg(), "student")
+        except CheckpointError:
+            TestModelCheckpoint._assert_unchanged(model, snapshot)
+
+
+class TestDamagedCheckpoint:
+    def test_every_truncation(self):
+        raw = tiny_checkpoint()
+        for size in range(len(raw)):
+            loads_or_rejects(raw[:size])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_single_byte_change(self, data):
+        raw = bytearray(tiny_checkpoint())
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]))
+        loads_or_rejects(bytes(raw))

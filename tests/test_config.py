@@ -110,6 +110,38 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"my\.cfg: " + message):
             parse_config(text, source="my.cfg")
 
+    @pytest.mark.parametrize("text,message", [
+        ("[training]\nbase_lr = 0\n", r"\[training\] base_lr = 0.0 must be above 0"),
+        ("[training]\ngrad_clip = -1\n", r"\[training\] grad_clip = -1.0 must be above 0"),
+        ("[teacher]\nguided_g = 0\n", r"\[teacher\] guided_g = 0.0 must be above 0"),
+        ("[augment]\nnoise_std = -0.1\n",
+         r"\[augment\] noise_std = -0.1 must be at least 0"),
+        ("[training]\nmin_lr = -1e-05\n", r"\[training\] min_lr = -1e-05 must be at least 0"),
+        ("[augment]\nmax_feedback_passes = -1\n",
+         r"\[augment\] max_feedback_passes = -1 must be at least 0"),
+        ("[augment]\nreplace_prob = 1.5\n",
+         r"\[augment\] replace_prob = 1.5 must be in \[0, 1\]"),
+        ("[training]\nplateau_factor = 1.5\n",
+         r"\[training\] plateau_factor = 1.5 must be in \(0, 1\]"),
+    ])
+    def test_out_of_range_value_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=r"my\.cfg: " + message):
+            parse_config(text, source="my.cfg")
+
+    def test_range_ends_accepted_nan_rejected(self):
+        cfg = parse_config("[augment]\nnoise_std = 0\nmax_feedback_passes = 0\n"
+                           "replace_prob = 1\n[training]\nmin_lr = 0\n"
+                           "plateau_factor = 1\n")
+        assert (cfg.augment.replace_prob, cfg.training.plateau_factor) == (1.0, 1.0)
+        with pytest.raises(ConfigError, match="base_lr = nan"):
+            parse_config("[training]\nbase_lr = nan\n")
+
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "bin.cfg"
+        path.write_bytes(b"[training]\nseed = 1\xff\n")
+        with pytest.raises(ConfigError, match="bin.cfg: not UTF-8"):
+            load_config(path)
+
     def test_window_equal_to_fft_accepted(self):
         cfg = parse_config("[audio]\nn_fft = 512\nwin_length = 512\nhop_length = 1\n")
         assert (cfg.audio.n_fft, cfg.audio.win_length, cfg.audio.hop_length) == (512, 512, 1)

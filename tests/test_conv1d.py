@@ -102,6 +102,20 @@ class TestGradients:
 
         gradcheck(loss, [x, w, b])
 
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_finite_differences_input_shorter_than_reach(self, rng, causal):
+        # 3 frames under a k=3, dilation-4 conv: two of the taps fall wholly
+        # past the input's ends and read only zeros
+        x = Tensor(rng.normal(size=(2, 2, 3)).astype(np.float64), requires_grad=True)
+        w = Tensor(rng.normal(scale=0.4, size=(3, 2, 3)).astype(np.float64), requires_grad=True)
+        b = Tensor(rng.normal(scale=0.2, size=3).astype(np.float64), requires_grad=True)
+
+        def loss():
+            y = F.conv1d(x, w, b, dilation=4, causal=causal)
+            return F.mul(y, y).mean()
+
+        gradcheck(loss, [x, w, b])
+
     def test_causality_by_gradient_sparsity(self, rng):
         # d(out_t)/d(in_s) must vanish for s > t in a causal stack
         x = Tensor(rng.normal(size=(1, 1, 10)).astype(np.float64), requires_grad=True)

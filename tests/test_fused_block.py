@@ -113,36 +113,40 @@ def peak_error(a, b):
 # kernels
 # ---------------------------------------------------------------------------
 
+def check_kernels_against_im2col(rng, time, ksize, dilation, left):
+    """The kernels on an unpadded input against im2col on the np.pad'ded one."""
+    span = (ksize - 1) * dilation
+    x = rng.normal(size=(2, 5, time)).astype(np.float32)
+    xpad = np.pad(x, ((0, 0), (0, 0), (left, span - left)))
+    w = rng.normal(size=(4, 5, ksize)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
+    g = rng.normal(size=(2, 4, time)).astype(np.float32)
+    pairs = [
+        (kernels.conv1d_forward(x, w, b, dilation, left=left),
+         im2col_forward(xpad, w, b, dilation, time)),
+        (kernels.conv1d_grad_input(g, w, dilation, left=left),
+         im2col_grad_input(g, w, dilation, xpad.shape[2])[:, :, left:left + time]),
+        (kernels.conv1d_grad_weight(g, x, dilation, ksize, left=left),
+         im2col_grad_weight(g, xpad, dilation, ksize)),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
 class TestKernels:
     @pytest.mark.parametrize("ksize,dilation", [(3, 1), (3, 2), (2, 3), (1, 1)])
     def test_match_im2col(self, rng, ksize, dilation):
         span = (ksize - 1) * dilation
-        xpad = rng.normal(size=(2, 5, 13 + span)).astype(np.float32)
-        w = rng.normal(size=(4, 5, ksize)).astype(np.float32)
-        b = rng.normal(size=4).astype(np.float32)
-        g = rng.normal(size=(2, 4, 13)).astype(np.float32)
-        pairs = [
-            (kernels.conv1d_forward(xpad, w, b, dilation, 13),
-             im2col_forward(xpad, w, b, dilation, 13)),
-            (kernels.conv1d_grad_input(g, w, dilation, xpad.shape[2]),
-             im2col_grad_input(g, w, dilation, xpad.shape[2])),
-            (kernels.conv1d_grad_weight(g, xpad, dilation, ksize),
-             im2col_grad_weight(g, xpad, dilation, ksize)),
-        ]
-        for got, want in pairs:
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        check_kernels_against_im2col(rng, 13, ksize, dilation, span // 2)
 
-    def test_forward_writes_into_row_view(self, rng):
-        xpad = rng.normal(size=(1, 3, 20)).astype(np.float32)
-        w = rng.normal(size=(3, 3, 3)).astype(np.float32)
-        b = np.zeros(3, np.float32)
-        row = np.full((1, 3, 20), 7.0, np.float32)
-        got = kernels.conv1d_forward(xpad, w, b, 2, 16, out=row[:, :, 2:18])
-        assert np.shares_memory(got, row)
-        np.testing.assert_allclose(row[:, :, 2:18], im2col_forward(xpad, w, b, 2, 16),
-                                   rtol=1e-5, atol=1e-5)
-        assert np.all(row[:, :, :2] == 7.0) and np.all(row[:, :, 18:] == 7.0)
+    @pytest.mark.parametrize("time", [1, 2, 4])
+    @pytest.mark.parametrize("ksize", [2, 3, 4])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_input_shorter_than_reach(self, rng, time, ksize, causal):
+        # dilation 5 puts some taps wholly past the input's ends
+        span = (ksize - 1) * 5
+        check_kernels_against_im2col(rng, time, ksize, 5, span if causal else span // 2)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_functional_conv_matches_im2col(self, rng, causal):
@@ -277,13 +281,20 @@ class TestPackedLayout:
         x, mask = batch_with_lengths(rng, 2, LENGTHS)
         packed = RowLayout(Tensor(x), mask, guard=4, packed=True)
         assert packed.lengths == list(LENGTHS)
-        assert packed.width == sum(LENGTHS) + 4 * (len(LENGTHS) + 1)
+        assert packed.width == sum(LENGTHS) + 4 * (len(LENGTHS) - 1)
         padded = RowLayout(Tensor(x), mask, guard=4, packed=False)
-        assert padded.width == 3 * max(LENGTHS) + 4 * 4
+        assert padded.width == 3 * max(LENGTHS) + 4 * 2
         assert padded.item.sum() == 3 * max(LENGTHS)
         assert padded.keep.sum() == sum(LENGTHS)
         row = packed.pack(Tensor(x))
         np.testing.assert_array_equal(packed.unpack(row).data, x)
+
+    def test_one_item_row_is_the_item(self, rng):
+        x, mask = batch_with_lengths(rng, 2, (9,))
+        layout = RowLayout(Tensor(x), mask, guard=4, packed=True)
+        assert layout.width == 9
+        assert np.all(layout.item == 1.0)
+        np.testing.assert_array_equal(layout.pack(Tensor(x)).data, x[0])
 
     def test_guards_stay_zero(self, rng):
         block = PlainResidualBlock(3, kernel_size=3, dilation=2, rng=rng)

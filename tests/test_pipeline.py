@@ -458,6 +458,35 @@ class TestCli:
         assert "c.cfg: [training] batch_size = -1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_out_of_range_setting_is_config_error(self, corpus, tmp_path,
+                                                  capsys):
+        cfg = micro_cfg(corpus)
+        cfg.training.grad_clip = -1.0
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        assert main(["train-teacher", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run"), "--max-steps", "2"]) == 2
+        assert "c.cfg: [training] grad_clip = -1.0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_bytes(b"[training]\n\xff\n")
+        assert main(["train-teacher", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "c.cfg: not UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_durations_is_data_error(self, corpus, tmp_path,
+                                                 capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(micro_cfg(corpus)))
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"toy000|3 \xff 2\n")
+        assert main(["train-student", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run"),
+                     "--durations", str(bad)]) == 2
+        assert "bad.csv: not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["train-teacher", "--out", "o", "--max-steps", "-1"],
         ["train-teacher", "--out", "o", "--max-steps", "0"],

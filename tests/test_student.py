@@ -15,7 +15,6 @@ from melsynth.student import (
     expansion_indices,
     masked_huber,
     pad_student_batch,
-    predict_durations,
     reset_positions,
     round_durations,
     student_dilations,
@@ -34,6 +33,11 @@ def tiny_student(rng, **overrides):
                   dec_blocks=4, duration_blocks=2, rng=rng)
     kwargs.update(overrides)
     return StudentModel(**kwargs)
+
+
+def predicted_log_durations(model, ids):
+    with no_grad():
+        return model.predict_log_durations(model.encode(ids.reshape(1, -1))).data[0, 0]
 
 
 def random_items(rng, count=2, bins=6):
@@ -244,17 +248,17 @@ class TestInference:
         model.eval()
         ids = rng.integers(1, VOCAB, size=4)
         # fresh model predicts near-zero log durations which round to zero
-        dur = predict_durations(model, ids)
-        assert dur.sum() >= 1
+        assert round_durations(predicted_log_durations(model, ids)).sum() == 0
         mel, used = synthesize(model, ids)
-        assert mel.shape[1] == used.sum() >= 1
+        assert mel.shape[1] == used.sum() == 1
 
     def test_predicted_durations_encode_once(self, rng, monkeypatch):
         model = tiny_student(rng)
         model.duration_out.bias.data[:] = np.log(4.0)
         model.eval()
         ids = rng.integers(1, VOCAB, size=5)
-        expected_durations = predict_durations(model, ids)
+        expected_durations = round_durations(predicted_log_durations(model, ids))
+        assert expected_durations.sum() > 0
         expected_mel, _ = synthesize(model, ids, expected_durations)
         calls = []
         encode = model.encode
