@@ -459,6 +459,59 @@ def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False
     return Tensor.from_op(out, (x, weight, bias, scale, shift), backward), mean, var
 
 
+def gated_residual(x, weight, bias, proj_weight, proj_bias, keep, dilation=1,
+                   causal=False):
+    """Fused gated residual block on a guard-banded (channels, width) row:
+
+        out = (x + proj(tanh(f) * sigmoid(g))) * keep,   [f; g] = conv(x)
+
+    with a 1x1 projection ``proj_weight`` (channels, half, 1). ``keep``
+    (width,) is 1 on item columns and 0 on the guards, so the output is again
+    a row with zero guards; the conv must reach no further than the guards.
+    The backward sends ``g * keep`` into the projection and both gate
+    derivatives into one conv gradient.
+    """
+    ksize, left = _conv_geometry(x, weight, dilation, causal)
+    xd = x.data
+    z = kernels.conv1d_forward(xd[None], weight.data, bias.data, dilation, left=left)[0]
+    half = z.shape[0] // 2
+    th = np.tanh(z[:half], out=z[:half])
+    sg = z[half:]  # 1 / (1 + exp(-g)), F.sigmoid's formula, in place
+    np.negative(sg, out=sg)
+    np.exp(sg, out=sg)
+    sg += 1.0
+    np.divide(1.0, sg, out=sg)
+    gated = th * sg
+    wp = proj_weight.data[:, :, 0]
+    out = wp @ gated
+    out += proj_bias.data[:, None]
+    out += xd
+    out *= keep
+
+    def backward(g):
+        g = g * keep  # gradient of the residual sum, zero on guards
+        if proj_weight.requires_grad:
+            proj_weight.accumulate_grad((g @ gated.T)[:, :, None])
+        if proj_bias.requires_grad:
+            proj_bias.accumulate_grad(g.sum(axis=1))
+        gs = wp.T @ g
+        gs *= sg
+        gz = np.empty_like(z)
+        np.multiply(gs, 1.0 - th * th, out=gz[:half])
+        gs *= th
+        np.multiply(gs, 1.0 - sg, out=gz[half:])
+        if weight.requires_grad:
+            weight.accumulate_grad(
+                kernels.conv1d_grad_weight(gz[None], xd[None], dilation, ksize, left=left))
+        if bias.requires_grad:
+            bias.accumulate_grad(gz.sum(axis=1))
+        if x.requires_grad:
+            g += kernels.conv1d_grad_input(gz[None], weight.data, dilation, left=left)[0]
+            x.accumulate_grad(g)
+
+    return Tensor.from_op(out, (x, weight, bias, proj_weight, proj_bias), backward)
+
+
 def filter1d_valid(x, kernel, axis):
     """Valid-mode correlation with a fixed 1D kernel along `axis` (no parameters)."""
     kernel = np.asarray(kernel, dtype=x.data.dtype)

@@ -121,25 +121,33 @@ def _per_channel(t):
 
 
 class GatedResidualBlock(Module):
-    """Dilated conv -> tanh/sigmoid gate -> 1x1 projection; residual + skip outs."""
+    """Dilated conv -> tanh/sigmoid gate -> 1x1 projection -> residual add
+    (-> mask), fused.
+
+    ``conv`` and ``proj`` hold the parameters; the computation is one
+    :func:`functional.gated_residual` op on a guard-banded row. The block's
+    skip output is its residual output minus its input.
+    """
 
     def __init__(self, residual_channels, gate_channels, kernel_size, dilation,
                  causal, rng=None):
         super().__init__()
         if gate_channels % 2 != 0:
             raise ValueError("gate_channels must be even (filter/gate halves)")
-        self.half = gate_channels // 2
         self.conv = Conv1d(residual_channels, gate_channels, kernel_size,
                            dilation=dilation, causal=causal, rng=rng)
-        self.proj = Conv1d(self.half, residual_channels, 1, rng=rng)
+        self.proj = Conv1d(gate_channels // 2, residual_channels, 1, rng=rng)
 
     def forward(self, x):
-        z = self.conv(x)
-        filt = F.narrow(z, -2, 0, self.half)
-        gate = F.narrow(z, -2, self.half, self.half)
-        gated = F.mul(F.tanh(filt), F.sigmoid(gate))
-        skip = self.proj(gated)
-        return F.add(x, skip), skip
+        layout = RowLayout(x, None, self.conv.reach(), packed=True)
+        return layout.unpack(self.run(layout.pack(x), layout))
+
+    def run(self, row, layout):
+        """The fused block on a row laid out by `layout`."""
+        return F.gated_residual(
+            row, self.conv.weight, self.conv.bias, self.proj.weight,
+            self.proj.bias, layout.keep, dilation=self.conv.dilation,
+            causal=self.conv.causal)
 
 
 class RowLayout:
@@ -151,6 +159,8 @@ class RowLayout:
     zeros. packed=False keeps every item at the full time length, so batch
     statistics see the same frames as the padded batch. ``keep`` holds the
     mask on item columns and 0 on guards; ``item`` is 1 on item columns.
+    A mask must be a prefix mask (see :func:`functional.length_mask`): a
+    zero before an item's last nonzero frame raises ValueError.
     """
 
     def __init__(self, x, mask, guard, packed):
@@ -160,9 +170,14 @@ class RowLayout:
         else:
             m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
             m = np.broadcast_to(m, (batch, 1, frames))[:, 0]
+        nz = m != 0
+        ends = np.where(nz.any(axis=1), frames - np.argmax(nz[:, ::-1], axis=1), 0)
+        holes = np.flatnonzero(nz.sum(axis=1) != ends)
+        if holes.size:
+            raise ValueError(f"mask of item {holes[0]} has a zero before its "
+                             f"last nonzero frame")
         if packed:
-            self.lengths = [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 0
-                            for row in m]
+            self.lengths = ends.tolist()
         else:
             self.lengths = [frames] * batch
         self.frames = frames

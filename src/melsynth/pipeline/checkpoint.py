@@ -24,6 +24,7 @@ from .config import architecture_text, config_to_text, parse_config
 MAGIC = b"SPDY"
 VERSION = 1
 META_PREFIX = "__meta__/"
+MAX_COUNT = 2 ** 24  # float32 holds every whole number up to here
 
 
 class CheckpointError(ValueError):
@@ -134,9 +135,22 @@ def _array_to_text(array, path):
     return _decode(codes.astype(np.uint8).tobytes(), path)
 
 
+def _whole(values, top):
+    """Whether every value is a whole number in [0, top]."""
+    return bool(np.all((values >= 0) & (values <= top) & (values == np.round(values))))
+
+
 def save_checkpoint(path, model, cfg, kind, epoch=0, step=0, stats=None,
                     extra=None):
-    """Write model weights + buffers + run bookkeeping under one hash."""
+    """Write model weights + buffers + run bookkeeping under one hash.
+
+    Epoch and step are stored as float32, so each must be a whole number in
+    [0, MAX_COUNT]; anything else raises ValueError.
+    """
+    for what, value in (("epoch", epoch), ("step", step)):
+        if not (value == int(value) and 0 <= value <= MAX_COUNT):
+            raise ValueError(f"{what} {value} is not a whole number in "
+                             f"[0, {MAX_COUNT}]")
     arch_hash = fnv1a_64(architecture_text(cfg, kind))
     entries = {}
     for name, p in model.named_parameters():
@@ -160,6 +174,9 @@ def load_checkpoint(path, model, cfg, kind):
     parameter and buffer of the model is present, every shape, and that
     parameters, buffers, progress and stats are finite are checked before
     anything is copied, so a failed load leaves the model as it was.
+    Progress must be two whole numbers in [0, MAX_COUNT]; a stored plateau
+    schedule must be a finite lr above 0, a best value (finite, or NaN for
+    none) and a whole bad-count of at least 0.
     """
     expected = fnv1a_64(architecture_text(cfg, kind))
     arrays, _ = load_tensors(path, expected_hash=expected)
@@ -173,14 +190,27 @@ def load_checkpoint(path, model, cfg, kind):
             key = name[len(META_PREFIX):]
             if key in ("kind", "config_text"):
                 meta[key] = _array_to_text(array, path)
-            elif key in ("progress", "stats"):
+            elif key == "progress":
+                if not (array.shape == (2,) and _whole(array, MAX_COUNT)):
+                    raise CheckpointError(
+                        f"{path}: {name!r} is not two whole numbers in "
+                        f"[0, {MAX_COUNT}]: {array}")
+                meta["epoch"], meta["step"] = int(array[0]), int(array[1])
+            elif key == "stats":
                 if array.shape != (2,) or not np.all(np.isfinite(array)):
                     raise CheckpointError(
                         f"{path}: {name!r} is not two finite numbers: {array}")
-                if key == "progress":
-                    meta["epoch"], meta["step"] = int(array[0]), int(array[1])
-                else:
-                    meta["stats"] = (float(array[0]), float(array[1]))
+                meta["stats"] = (float(array[0]), float(array[1]))
+            elif key == "plateau":
+                if not (array.shape == (3,) and np.isfinite(array[0])
+                        and array[0] > 0 and not np.isinf(array[1])
+                        and _whole(array[2:], np.inf)):
+                    raise CheckpointError(
+                        f"{path}: {name!r} is not a finite lr above 0, a best "
+                        f"value (finite, or NaN for none) and a whole "
+                        f"bad-count of at least 0: {array}")
+                lr, best, bad = (float(v) for v in array)
+                meta["plateau"] = (lr, None if math.isnan(best) else best, int(bad))
             else:
                 meta["extra"][key] = np.asarray(array)
             continue

@@ -30,7 +30,7 @@ from ..teacher import (
     TeacherModel,
     batch_diagonality,
     build_inputs,
-    extract_durations,
+    extract_batch_durations,
     iterate_minibatches,
     pad_teacher_batch,
     prepare_utterance,
@@ -190,17 +190,19 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
 
 def run_extract_durations(cfg, checkpoint_path=None, out_path=None,
                           model=None):
-    """Teacher-forced alignment for every corpus utterance -> sidecar file."""
+    """Teacher-forced alignment for every corpus utterance -> sidecar file,
+    in batches of `training.batch_size`."""
     acfg = audio_config(cfg)
     train, holdout, vocab = load_corpus(cfg)
     if model is None:
         model = build_teacher(cfg, len(vocab))
         load_checkpoint(checkpoint_path, model, cfg, "teacher")
     model.eval()
+    utts = [prepare_utterance(u, acfg) for u in train + holdout]
     table = {}
-    for u in train + holdout:
-        prepare_utterance(u, acfg)
-        table[u.id] = extract_durations(model, u.phoneme_ids, u.mel)
+    for chunk in iterate_minibatches(utts, cfg.training.batch_size):
+        for u, durations in zip(chunk, extract_batch_durations(model, chunk)):
+            table[u.id] = durations
     out = Path(out_path) if out_path is not None \
         else Path(cfg.data.root) / cfg.data.durations
     write_durations(out, table)
@@ -288,11 +290,8 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
     if resume is not None:
         meta = load_checkpoint(resume, model, cfg, "student")
         start_epoch, step = meta["epoch"], meta["step"]
-        state = meta["extra"].get("plateau")
-        if state is not None:
-            schedule.current = float(state[0])
-            schedule.best = None if np.isnan(state[1]) else float(state[1])
-            schedule.bad_count = int(state[2])
+        if "plateau" in meta:
+            schedule.current, schedule.best, schedule.bad_count = meta["plateau"]
         if "stats" in meta:
             mean, std = meta["stats"]
 

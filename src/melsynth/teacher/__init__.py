@@ -13,12 +13,13 @@ from .align import (
     AlignmentError,
     durations_from_attention,
     durations_from_path,
+    extract_batch_durations,
     extract_durations,
     masked_attention_path,
     sequential_generate,
     teacher_forced_logits,
 )
-from .augment import AugmentParams, augment_spectrogram
+from .augment import AugmentParams, augment_batch
 from .train import (
     batch_diagonality,
     build_inputs,
@@ -43,12 +44,13 @@ __all__ = [
     "AlignmentError",
     "durations_from_attention",
     "durations_from_path",
+    "extract_batch_durations",
     "extract_durations",
     "masked_attention_path",
     "sequential_generate",
     "teacher_forced_logits",
     "AugmentParams",
-    "augment_spectrogram",
+    "augment_batch",
     "batch_diagonality",
     "build_inputs",
     "iterate_minibatches",

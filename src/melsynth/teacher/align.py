@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..audio_frontend import Utterance
 from ..nn_core import Tensor, no_grad
 from ..nn_core import functional as F
 from .model import NEG_INF, shift_frames
+from .train import pad_teacher_batch
 
 FORWARD_REACH = 3
 STOP_PATIENCE = 10
@@ -69,31 +71,52 @@ def durations_from_attention(attention, location_mask=True):
     return durations_from_path(path, n)
 
 
+def batch_logits(model, batch):
+    """Teacher-forced attention logits (B, N, T) of a padded teacher batch;
+    item i's are the [:n_i, :t_i] corner."""
+    with no_grad():
+        keys, _, _ = model.encode_phonemes(batch["ids"], batch["phoneme_mask"])
+        queries, _ = model.encode_frames(Tensor(shift_frames(batch["targets"])),
+                                         batch["rates"], batch["frame_mask"])
+        return model.attention_logits(keys, queries).data
+
+
+def _single(phoneme_ids, target_mel):
+    return Utterance("unnamed", np.asarray(phoneme_ids, dtype=np.int64), None,
+                     mel=np.asarray(target_mel))
+
+
 def teacher_forced_logits(model, phoneme_ids, target_mel):
     """Run the aligner on ground-truth input and return raw logits (N, T)."""
-    n = len(phoneme_ids)
-    t = target_mel.shape[1]
+    n, t = len(phoneme_ids), target_mel.shape[1]
     if n == 0 or t == 0:
         raise ValueError("empty phoneme or frame sequence")
-    with no_grad():
-        ids = np.asarray(phoneme_ids, dtype=np.int64)[None]
-        frames = Tensor(shift_frames(target_mel)[None].astype(np.float32))
-        keys, _, _ = model.encode_phonemes(ids)
-        queries, _ = model.encode_frames(frames, [n / t])
-        logits = model.attention_logits(keys, queries)
-    return logits.data[0]
+    return batch_logits(model, pad_teacher_batch([_single(phoneme_ids, target_mel)]))[0]
+
+
+def extract_batch_durations(model, utts):
+    """Teacher-forced alignment with location masking for prepared
+    utterances, in one batch; each item's durations sum to its frames."""
+    for u in utts:
+        if u.n_phonemes == 0 or u.mel.shape[1] == 0:
+            raise ValueError(f"utterance {u.id!r}: empty phoneme or frame sequence")
+    batch = pad_teacher_batch(utts)
+    logits = batch_logits(model, batch)
+    table = []
+    for u, item in zip(utts, logits):
+        n, t = u.n_phonemes, u.mel.shape[1]
+        durations = durations_from_path(masked_attention_path(item[:n, :t]), n)
+        if durations.sum() != t:
+            raise AlignmentError(
+                f"utterance {u.id!r}: durations sum to {int(durations.sum())} "
+                f"frames but the target mel has {t}")
+        table.append(durations)
+    return table
 
 
 def extract_durations(model, phoneme_ids, target_mel):
-    """Teacher-forced alignment with location masking; durations sum to T."""
-    logits = teacher_forced_logits(model, phoneme_ids, target_mel)
-    path = masked_attention_path(logits)
-    durations = durations_from_path(path, len(phoneme_ids))
-    if durations.sum() != target_mel.shape[1]:
-        raise AlignmentError(
-            f"durations sum to {int(durations.sum())} frames but the target "
-            f"mel has {target_mel.shape[1]}")
-    return durations
+    """Durations of one utterance: a batch of one."""
+    return extract_batch_durations(model, [_single(phoneme_ids, target_mel)])[0]
 
 
 def sequential_generate(model, phoneme_ids, max_frames, position_rate,

@@ -29,8 +29,10 @@ class GatedStack(Module):
     The batch is packed once into a guard-banded row (see
     :class:`~melsynth.nn_core.layers.RowLayout`), each item at its true
     length, so padded frames are never computed. The guards are as wide as
-    the widest conv reach and are re-zeroed after every block, so items
-    never see each other. Output frames past an item's length are zero.
+    the widest conv reach and every block zeroes them, so items never see
+    each other. On item columns every block adds its skip output to the
+    row, so the sum of the skips is the last row minus the first.
+    Output frames past an item's length are zero.
     """
 
     def __init__(self, channels, gate_channels, kernel_size, dilations, causal, rng):
@@ -43,13 +45,10 @@ class GatedStack(Module):
     def forward(self, x, mask=None):
         layout = RowLayout(x, mask, max(b.conv.reach() for b in self.blocks),
                            packed=True)
-        h = layout.pack(x)
-        skips = None
+        h0 = h = layout.pack(x)
         for block in self.blocks:
-            h, skip = block(h)
-            h = F.mul(h, layout.keep)
-            skips = skip if skips is None else F.add(skips, skip)
-        return layout.unpack(skips)
+            h = block.run(h, layout)
+        return layout.unpack(F.sub(h, h0))
 
 
 class TeacherModel(Module):

@@ -7,7 +7,7 @@ import numpy as np
 from ..audio_frontend import normalize_unit, wav_to_mel
 from ..nn_core import Tensor
 from ..nn_core import functional as F
-from .augment import AugmentParams, augment_spectrogram
+from .augment import augment_batch
 from .losses import batch_guided_attention_loss, diagonality_score, masked_mae
 from .model import shift_frames
 
@@ -44,13 +44,8 @@ def build_inputs(batch, model=None, rng=None, augment=None):
     if augment is None or rng is None:
         return shift_frames(targets)
     k = int(rng.integers(0, augment.max_feedback_passes + 1))  # one draw per batch
-    degraded = [
-        augment_spectrogram(
-            targets[i, :, :t], model, rng, augment, batch["ids"][i, :n],
-            feedback_passes=k, position_rate=batch["rates"][i])
-        for i, (n, t) in enumerate(zip(batch["n_lengths"], batch["t_lengths"]))
-    ]
-    return shift_frames(F.pad_right(degraded, np.float32))
+    return shift_frames(augment_batch(batch, model, rng, augment,
+                                      feedback_passes=k))
 
 
 def teacher_training_step(model, optimizer, batch, inputs, g=0.2):

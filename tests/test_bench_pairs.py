@@ -70,3 +70,34 @@ class TestVerdict:
     def test_bound_is_relative_to_parent_median(self, better, change, expected):
         metric = {"better": better, "bound": 0.25}
         assert bench_pairs.verdict([1.0, 1.0, 1.0], change, metric) == expected
+
+
+class TestBetter:
+    PARENT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]
+    LOWER = {"better": "lower", "bound": 0.25}
+
+    def test_beyond_iqr_in_eight_pairs_is_better(self):
+        change = [0.9] * 8 + [1.5, 1.5]
+        assert bench_pairs.pairs_better(self.PARENT, change, self.LOWER) == 8
+        assert bench_pairs.verdict(self.PARENT, change, self.LOWER) == "better"
+
+    def test_seven_pairs_are_not_enough(self):
+        change = [0.9] * 7 + [1.5] * 3
+        assert bench_pairs.verdict(self.PARENT, change, self.LOWER) == "ok"
+
+    def test_gain_within_the_parent_iqr_is_ok(self):
+        # parent IQR is 0.015; every pair reads better, by less than that
+        change = [p - 0.01 for p in self.PARENT]
+        assert bench_pairs.pairs_better(self.PARENT, change, self.LOWER) == 10
+        assert bench_pairs.verdict(self.PARENT, change, self.LOWER) == "ok"
+
+    def test_higher_is_better(self):
+        metric = {"better": "higher", "bound": 0.25}
+        assert bench_pairs.verdict(self.PARENT, [1.1] * 10, metric) == "better"
+        assert bench_pairs.verdict(self.PARENT, [0.9] * 10, metric) == "ok"
+
+    def test_summary_row(self):
+        parent = [{"time_s": p, "noisy_s": p, "rate": p} for p in self.PARENT]
+        change = [{"time_s": 0.8, "noisy_s": 1.0, "rate": 1.2}] * 10
+        assert verdicts(parent, change) == {"time_s": "better", "noisy_s": "ok",
+                                            "rate": "better"}

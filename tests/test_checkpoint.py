@@ -309,6 +309,55 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match=f"student.ckpt.*{key}"):
             load_checkpoint(path, build_student(cfg, vocab_size=30), cfg, "student")
 
+    @pytest.mark.parametrize("value", [[-5.0, -5.0], [2.5, 3.7],
+                                       [0.0, 2.0 ** 24 + 2], [1.0, np.nan]])
+    def test_progress_must_be_whole_counts(self, tmp_path, rng, value):
+        cfg = small_cfg()
+
+        def poison(arrays):
+            arrays["__meta__/progress"] = np.array(value, np.float32)
+
+        path = self._rewritten_student(tmp_path, cfg, rng, poison)
+        with pytest.raises(CheckpointError, match="student.ckpt.*progress.*whole"):
+            load_checkpoint(path, build_student(cfg, vocab_size=30), cfg, "student")
+
+    @pytest.mark.parametrize("value", [[1e-3], [np.nan, 0.5, 0.0],
+                                       [0.0, 0.5, 0.0], [-1e-3, 0.5, 0.0],
+                                       [1e-3, np.inf, 0.0], [1e-3, 0.5, 1.5],
+                                       [1e-3, 0.5, -1.0], [1e-3, 0.5, np.nan]])
+    def test_bad_plateau_rejected(self, tmp_path, rng, value):
+        cfg = small_cfg()
+
+        def poison(arrays):
+            arrays["__meta__/plateau"] = np.array(value, np.float32)
+
+        path = self._rewritten_student(tmp_path, cfg, rng, poison)
+        with pytest.raises(CheckpointError, match="student.ckpt.*plateau"):
+            load_checkpoint(path, build_student(cfg, vocab_size=30), cfg, "student")
+
+    @pytest.mark.parametrize("best,want", [(0.25, 0.25), (np.nan, None)])
+    def test_plateau_read_back(self, tmp_path, rng, best, want):
+        cfg = small_cfg()
+        path = tmp_path / "student.ckpt"
+        save_checkpoint(path, build_student(cfg, vocab_size=30, rng=rng), cfg,
+                        "student", epoch=3, step=2 ** 24,
+                        extra={"plateau": [0.5, best, 4]})
+        meta = load_checkpoint(path, build_student(cfg, vocab_size=30), cfg,
+                               "student")
+        assert (meta["epoch"], meta["step"]) == (3, 2 ** 24)
+        assert meta["plateau"] == (0.5, want, 4)
+
+    @pytest.mark.parametrize("progress", [{"epoch": 2 ** 24 + 1},
+                                          {"step": 2 ** 24 + 1},
+                                          {"step": -1}])
+    def test_unstorable_progress_not_saved(self, tmp_path, rng, progress):
+        cfg = small_cfg()
+        path = tmp_path / "student.ckpt"
+        with pytest.raises(ValueError, match="whole number"):
+            save_checkpoint(path, build_student(cfg, vocab_size=30, rng=rng),
+                            cfg, "student", **progress)
+        assert not path.exists()
+
     @staticmethod
     def _rewritten_student(tmp_path, cfg, rng, edit):
         """A valid student checkpoint, re-saved under its own hash after edit."""

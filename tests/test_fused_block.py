@@ -296,6 +296,14 @@ class TestPackedLayout:
         assert np.all(layout.item == 1.0)
         np.testing.assert_array_equal(layout.pack(Tensor(x)).data, x[0])
 
+    def test_mask_with_hole_rejected(self, rng):
+        x, mask = batch_with_lengths(rng, 2, LENGTHS)
+        mask[1, 0, 2] = 0.0  # a zero before the item's last one
+        with pytest.raises(ValueError, match="item 1 has a zero"):
+            RowLayout(Tensor(x), mask, guard=4, packed=True)
+        with pytest.raises(ValueError, match="item 1 has a zero"):
+            RowLayout(Tensor(x), mask, guard=4, packed=False)
+
     def test_guards_stay_zero(self, rng):
         block = PlainResidualBlock(3, kernel_size=3, dilation=2, rng=rng)
         block.eval()

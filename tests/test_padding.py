@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import augment_item_reference
 from melsynth.audio_frontend import Utterance
 from melsynth.nn_core import Tensor
 from melsynth.nn_core import functional as F
@@ -19,7 +20,6 @@ from melsynth.student.expand import expansion_indices, reset_positions
 from melsynth.teacher import (
     AugmentParams,
     TeacherModel,
-    augment_spectrogram,
     build_inputs,
     pad_teacher_batch,
     shift_frames,
@@ -64,7 +64,7 @@ def ref_build_inputs(batch, model, rng, augment):
     for i in range(targets.shape[0]):
         t = int(batch["t_lengths"][i])
         n = int(batch["n_lengths"][i])
-        degraded = augment_spectrogram(
+        degraded = augment_item_reference(
             targets[i, :, :t], model, rng, augment,
             batch["ids"][i, :n], feedback_passes=k,
             position_rate=batch["rates"][i],

@@ -32,6 +32,7 @@ from melsynth.pipeline import (
     run_synthesize,
     run_teacher_training,
     save_checkpoint,
+    save_tensors,
     spread_durations,
     write_bench_csv,
     write_pgm,
@@ -535,6 +536,25 @@ class TestCli:
                      "--durations", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"utterance {utt_id!r}: durations in sidecar {bad} sum to" in err
+
+    @pytest.mark.parametrize("key,value", [("progress", [-5.0, -5.0]),
+                                           ("progress", [2.5, 3.7]),
+                                           ("plateau", [1e-3]),
+                                           ("plateau", [np.nan, 0.5, 0.0])])
+    def test_resume_with_bad_bookkeeping_is_data_error(
+            self, corpus, sidecar, student_run, tmp_path, capsys, key, value):
+        cfg, result = student_run
+        arrays, stored = load_tensors(result["checkpoint"])
+        arrays = dict(arrays)
+        arrays["__meta__/" + key] = np.array(value, np.float32)
+        bad = tmp_path / "bad.ckpt"
+        save_tensors(bad, arrays, stored)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        assert main(["train-student", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run"), "--durations", str(sidecar),
+                     "--resume", str(bad), "--max-steps", "4"]) == 2
+        assert f"bad.ckpt: '__meta__/{key}'" in capsys.readouterr().err
 
     def test_non_finite_synthesis_exits_3(self, student_run, tmp_path,
                                           capsys):

@@ -4,7 +4,8 @@ sequential/parallel equivalence, duration extraction, augmentations."""
 import numpy as np
 import pytest
 
-from conftest import gradcheck
+from conftest import augment_item_reference, gradcheck
+from melsynth.audio_frontend import Utterance
 from melsynth.nn_core import Tensor, no_grad
 from melsynth.nn_core import functional as F
 from melsynth.teacher import (
@@ -12,9 +13,10 @@ from melsynth.teacher import (
     AugmentParams,
     GatedStack,
     TeacherModel,
-    augment_spectrogram,
+    augment_batch,
     durations_from_attention,
     durations_from_path,
+    extract_batch_durations,
     extract_durations,
     guided_attention_loss,
     guided_attention_weights,
@@ -258,24 +260,58 @@ class TestDurations:
         with pytest.raises(AlignmentError, match="sum to 16 frames .* has 17"):
             extract_durations(model, ids, mel)
 
+    def test_batch_mismatch_names_the_utterance(self, rng, monkeypatch):
+        model = tiny_model(rng)
+        model.eval()
+        ids = rng.integers(1, VOCAB, size=6)
+        mel = rng.random((8, 17)).astype(np.float32)
+        monkeypatch.setattr(align, "durations_from_path",
+                            lambda path, n: np.bincount(path[1:], minlength=n))
+        utts = [Utterance("first", ids, None, mel=mel),
+                Utterance("second", ids[:4], None, mel=mel[:, :9])]
+        with pytest.raises(AlignmentError,
+                           match="utterance 'first': durations sum to 16 frames"):
+            extract_batch_durations(model, utts)
+
+    def test_batch_matches_items_alone(self, rng):
+        model = tiny_model(rng, enc_blocks=4, dec_blocks=2)
+        model.eval()
+        utts = [Utterance(f"u{i}", rng.integers(1, VOCAB, size=n), None,
+                          mel=rng.random((8, t)).astype(np.float32))
+                for i, (n, t) in enumerate([(7, 11), (3, 20), (5, 6), (1, 4)])]
+        batch = pad_teacher_batch(utts)
+        logits = align.batch_logits(model, batch)
+        table = extract_batch_durations(model, utts)
+        for u, item, durations in zip(utts, logits, table):
+            n, t = u.n_phonemes, u.mel.shape[1]
+            alone = teacher_forced_logits(model, u.phoneme_ids, u.mel)
+            assert peak_error(item[:n, :t], alone) < 1e-5
+            np.testing.assert_array_equal(
+                durations, extract_durations(model, u.phoneme_ids, u.mel))
+            assert durations.sum() == t
+
+
+def one_item_batch(ids, mel):
+    return pad_teacher_batch([Utterance("u", ids, None, mel=mel)])
+
 
 class TestAugmentations:
     def test_disabled_is_identity(self, rng):
         model = tiny_model(rng)
         mel = rng.random((8, 9)).astype(np.float32)
         params = AugmentParams(noise_std=0.0, max_feedback_passes=0, replace_prob=0.0)
-        out = augment_spectrogram(mel, model, np.random.default_rng(0), params,
-                                  phoneme_ids=rng.integers(1, VOCAB, size=4),
-                                  feedback_passes=0, position_rate=4 / 9)
+        batch = one_item_batch(rng.integers(1, VOCAB, size=4), mel)
+        out = augment_batch(batch, model, np.random.default_rng(0), params,
+                            feedback_passes=0)[0]
         np.testing.assert_array_equal(out, mel)
 
     def test_full_replacement_draws_from_same_utterance(self, rng):
         model = tiny_model(rng)
         mel = rng.random((8, 12)).astype(np.float32)
         params = AugmentParams(noise_std=0.0, max_feedback_passes=0, replace_prob=1.0)
-        out = augment_spectrogram(mel, model, np.random.default_rng(3), params,
-                                  phoneme_ids=rng.integers(1, VOCAB, size=4),
-                                  feedback_passes=0, position_rate=4 / 12)
+        batch = one_item_batch(rng.integers(1, VOCAB, size=4), mel)
+        out = augment_batch(batch, model, np.random.default_rng(3), params,
+                            feedback_passes=0)[0]
         original_cols = {tuple(mel[:, i]) for i in range(12)}
         for i in range(12):
             assert tuple(out[:, i]) in original_cols
@@ -286,9 +322,8 @@ class TestAugmentations:
         ids = rng.integers(1, VOCAB, size=5)
         mel = rng.random((8, 10)).astype(np.float32)
         params = AugmentParams(noise_std=0.0, max_feedback_passes=3, replace_prob=0.0)
-        out = augment_spectrogram(mel, model, np.random.default_rng(1), params,
-                                  phoneme_ids=ids, feedback_passes=2,
-                                  position_rate=0.5)
+        out = augment_batch(one_item_batch(ids, mel), model,
+                            np.random.default_rng(1), params, feedback_passes=2)[0]
         x = mel
         with no_grad():
             for _ in range(2):
@@ -300,10 +335,30 @@ class TestAugmentations:
         model = tiny_model(rng)
         mel = rng.random((8, 30)).astype(np.float32)
         params = AugmentParams(noise_std=0.5, max_feedback_passes=0, replace_prob=0.0)
-        out = augment_spectrogram(mel, model, np.random.default_rng(2), params,
-                                  phoneme_ids=rng.integers(1, VOCAB, size=3),
-                                  feedback_passes=0, position_rate=3 / 30)
+        batch = one_item_batch(rng.integers(1, VOCAB, size=3), mel)
+        out = augment_batch(batch, model, np.random.default_rng(2), params,
+                            feedback_passes=0)[0]
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_batch_matches_per_item_reference(self, rng, k):
+        model = tiny_model(rng, enc_blocks=4, dec_blocks=5)
+        items = [Utterance(f"u{i}", rng.integers(1, VOCAB, size=n), None,
+                           mel=rng.random((8, t)).astype(np.float32))
+                 for i, (n, t) in enumerate([(7, 11), (3, 20), (5, 6)])]
+        batch = pad_teacher_batch(items)
+        params = AugmentParams(noise_std=0.05, max_feedback_passes=3,
+                               replace_prob=0.3)
+        got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+        got = augment_batch(batch, model, got_rng, params, feedback_passes=k)
+        assert got.shape == batch["targets"].shape and got.dtype == np.float32
+        for i, u in enumerate(items):
+            t = u.mel.shape[1]
+            want = augment_item_reference(u.mel, model, want_rng, params,
+                                          u.phoneme_ids, k, batch["rates"][i])
+            np.testing.assert_allclose(got[i, :, :t], want, rtol=0, atol=1e-5)
+            assert not np.any(got[i, :, t:])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestBatching:

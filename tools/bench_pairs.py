@@ -13,8 +13,10 @@ metric, both sides' medians, the parent's interquartile range, the pairs
 the change reads better in (ties count for neither) and a verdict against
 the metric's bound in BENCHMARK.json, as a Markdown table:
 `worse` when the change's median is worse than the parent's by more than
-the bound, `unresolved` when the parent's IQR over its median exceeds the
-bound, `ok` otherwise.
+the bound; `better` when it beats the parent's median by more than the
+parent's IQR and the change reads better in at least 8 pairs;
+`unresolved` when the parent's IQR over its median exceeds the bound; `ok`
+otherwise.
 """
 
 import argparse
@@ -25,6 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BETTER_PAIRS = 8  # pairs a change must read better in to be called better
 
 
 def seed_range(text):
@@ -79,13 +82,22 @@ def quartiles(values):
     return q1, q3
 
 
+def pairs_better(parent, change, metric):
+    """Pairs in which the change reads better; ties count for neither."""
+    sign = 1 if metric["better"] == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
 def verdict(parent, change, metric):
-    """`worse`, `unresolved` or `ok` for one metric's paired values."""
+    """`worse`, `better`, `unresolved` or `ok` for one metric's paired values."""
     mp = statistics.median(parent)
     sign = 1 if metric["better"] == "lower" else -1
-    if sign * (statistics.median(change) - mp) > metric["bound"] * abs(mp):
+    gain = sign * (mp - statistics.median(change))
+    if -gain > metric["bound"] * abs(mp):
         return "worse"
     q1, q3 = quartiles(parent)
+    if gain > q3 - q1 and pairs_better(parent, change, metric) >= BETTER_PAIRS:
+        return "better"
     return "unresolved" if q3 - q1 > metric["bound"] * abs(mp) else "ok"
 
 
@@ -110,8 +122,7 @@ def summary_rows(bench, spec):
             if not values:
                 continue
             parent, change = zip(*values)
-            sign = 1 if metric["better"] == "lower" else -1
-            better = sum(sign * (c - p) < 0 for p, c in values)
+            better = pairs_better(parent, change, metric)
             q1, q3 = quartiles(parent)
             mp, mc = statistics.median(parent), statistics.median(change)
             rows.append([workload, f"{name} ({metric['unit']})", f"{mp:.4g}",
