@@ -476,7 +476,7 @@ def gated_residual(x, weight, bias, proj_weight, proj_bias, keep, dilation=1,
     z = kernels.conv1d_forward(xd[None], weight.data, bias.data, dilation, left=left)[0]
     half = z.shape[0] // 2
     th = np.tanh(z[:half], out=z[:half])
-    sg = z[half:]  # 1 / (1 + exp(-g)), F.sigmoid's formula, in place
+    sg = z[half:]  # sigmoid of the gate half in place, F.sigmoid's formula
     np.negative(sg, out=sg)
     np.exp(sg, out=sg)
     sg += 1.0
