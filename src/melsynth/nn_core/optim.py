@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import NonFiniteError
@@ -27,7 +29,14 @@ def clip_grad_norm(params, max_norm):
 
 
 class Adam:
-    """Standard Adam with bias correction; clips by global norm before updating."""
+    """Standard Adam with bias correction; clips by global norm before updating.
+
+    The parameters are packed into one contiguous buffer: each ``p.data`` is
+    rebound to a reshaped view of it, so weights must be changed in place
+    (``p.data[...] = ...``) from then on. Gradients, both moments and two
+    scratch arrays are buffers of the same layout, and a step is a handful of
+    whole-buffer operations that allocate nothing.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -38,32 +47,80 @@ class Adam:
         self.lr = float(lr)
         self.clip_norm = clip_norm
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1 or not all(np.issubdtype(d, np.floating) for d in dtypes):
+            raise ValueError(f"parameters must share one float dtype, got "
+                             f"{sorted(str(d) for d in dtypes)}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
+        ends = np.cumsum([p.data.size for p in self.params], dtype=np.int64)
+        self._data = np.empty(int(ends[-1]) if self.params else 0, dtype=dtype)
+        self._grad = np.zeros_like(self._data)
+        self._m = np.zeros_like(self._data)
+        self._v = np.zeros_like(self._data)
+        self._s1 = np.empty_like(self._data)
+        self._s2 = np.empty_like(self._data)
+        self._g64 = np.empty(self._data.shape, dtype=np.float64)
+        self._grads = []  # per-parameter views of the gradient buffer
+        for p, end in zip(self.params, ends):
+            lo, shape = int(end) - p.data.size, p.data.shape
+            view = self._data[lo:int(end)].reshape(shape)
+            view[...] = p.data
+            p.data = view
+            self._grads.append(self._grad[lo:int(end)].reshape(shape))
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self._grad.fill(0)
+        for p, view in zip(self.params, self._grads):
+            p.grad = view
 
     def step(self):
-        for p in self.params:
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise NonFiniteError("non-finite gradient; aborting optimizer step")
-        if self.clip_norm is not None:
-            clip_grad_norm(self.params, self.clip_norm)
+        """One update; returns the global gradient norm before clipping.
+
+        A gradient that is not its buffer view (set directly, or None for
+        zero) is copied in first. Raises NonFiniteError naming the first
+        parameter whose gradient holds a NaN or Inf; nothing is updated then.
+        """
+        for p, view in zip(self.params, self._grads):
+            if p.grad is not view:
+                view[...] = 0 if p.grad is None else p.grad
+        g = self._grad
+        # float64 so the norm does not depend on summation order at float32
+        # precision; a NaN or Inf anywhere makes the sum non-finite
+        np.copyto(self._g64, g)
+        norm = math.sqrt(float(np.dot(self._g64, self._g64)))
+        if not math.isfinite(norm):
+            self._raise_non_finite()
+        if self.clip_norm is not None and norm > self.clip_norm:
+            g *= self.clip_norm / norm
         self.step_count += 1
         b1t = 1.0 - self.beta1 ** self.step_count
         b2t = 1.0 - self.beta2 ** self.step_count
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.data -= (self.lr * update).astype(p.data.dtype)
+        m, v, s1, s2 = self._m, self._v, self._s1, self._s2
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=s1)
+        s1 *= g
+        v += s1
+        # update = (m / b1t) / (sqrt(v / b2t) + eps); data -= lr * update
+        np.divide(v, b2t, out=s1)
+        np.sqrt(s1, out=s1)
+        s1 += self.eps
+        np.divide(m, b1t, out=s2)
+        s2 /= s1
+        s2 *= self.lr
+        self._data -= s2
+        return norm
+
+    def _raise_non_finite(self):
+        # returns if every gradient is finite: a float64 sum that overflowed
+        for i, view in enumerate(self._grads):
+            if not np.all(np.isfinite(view)):
+                raise NonFiniteError(
+                    f"non-finite gradient in parameter {i} of "
+                    f"{len(self.params)}, shape {view.shape}; aborting "
+                    "optimizer step")
 
 
 def noam_lr(base, warmup_steps, step):

@@ -168,7 +168,7 @@ def save_checkpoint(path, model, cfg, kind, epoch=0, step=0, stats=None,
 
 
 def load_checkpoint(path, model, cfg, kind):
-    """Copy weights into `model`; returns the bookkeeping dict.
+    """Copy weights into `model` in place; returns the bookkeeping dict.
 
     All or nothing: the architecture hash, the stored kind, that every
     parameter and buffer of the model is present, every shape, and that
@@ -238,8 +238,9 @@ def load_checkpoint(path, model, cfg, kind):
     if missing:
         raise CheckpointError(
             f"{path}: {len(missing)} entries missing, e.g. {missing[:3]}")
+    # in place: an optimizer built on the model holds views of these arrays
     for name, array in new_params.items():
-        params[name].data = array.astype(np.float32)
+        params[name].data[...] = array
     for key, array in new_buffers.items():
         model.set_buffer(key, array.copy())
     return meta

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,13 @@ class MetricsLog:
             fh.write(row + "\n")
 
 
+def _step_metrics(opt, grad_norm, started):
+    """Gradient norm, clip flag and run wall time logged with every step."""
+    clipped = opt.clip_norm is not None and grad_norm > opt.clip_norm
+    return {"grad_norm": grad_norm, "clipped": int(clipped),
+            "wall_s": time.perf_counter() - started}
+
+
 def _format_cell(v):
     if isinstance(v, float):
         return f"{v:.6g}"
@@ -128,6 +136,7 @@ def evaluate_teacher(model, utts, cfg):
 def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
                          resume=None, quiet=True):
     """Train the aligner; returns checkpoint path, model and step history."""
+    started = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     acfg = audio_config(cfg)
@@ -149,7 +158,8 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
         start_epoch, step = meta["epoch"], meta["step"]
 
     metrics = MetricsLog(out / "teacher_metrics.csv",
-                         ["step", "lr", "mae", "guided"])
+                         ["step", "lr", "mae", "guided", "grad_norm",
+                          "clipped", "wall_s"])
     eval_log = MetricsLog(out / "teacher_eval.csv",
                           ["epoch", "step", "mae", "guided", "diagonality"])
     ckpt_path = out / "teacher.ckpt"
@@ -165,9 +175,10 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
             opt.lr = noam_lr(cfg.training.base_lr, warmup_steps, step)
             batch = pad_teacher_batch([train[i] for i in idx])
             inputs = build_inputs(batch, model=model, rng=rng, augment=cfg.augment)
-            mae, guided, _ = teacher_training_step(
+            mae, guided, _, grad_norm = teacher_training_step(
                 model, opt, batch, inputs, g=cfg.teacher.guided_g)
-            metrics.append(step=step, lr=opt.lr, mae=mae, guided=guided)
+            metrics.append(step=step, lr=opt.lr, mae=mae, guided=guided,
+                           **_step_metrics(opt, grad_norm, started))
             history.append({"step": step, "mae": mae, "guided": guided})
             if max_steps is not None and step >= max_steps:
                 break
@@ -258,6 +269,7 @@ def evaluate_student(model, items, cfg):
 def run_student_training(cfg, out_dir, durations_path=None, seed=None,
                          max_steps=None, resume=None, quiet=True):
     """Train the synthesizer on teacher durations; plateau lr on holdout."""
+    started = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     acfg = audio_config(cfg)
@@ -296,7 +308,8 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
             mean, std = meta["stats"]
 
     metrics = MetricsLog(out / "student_metrics.csv",
-                         ["step", "lr", "mae", "ssim_loss", "duration"])
+                         ["step", "lr", "mae", "ssim_loss", "duration",
+                          "grad_norm", "clipped", "wall_s"])
     eval_log = MetricsLog(out / "student_eval.csv",
                           ["epoch", "step", "mae", "ssim", "duration", "total"])
     ckpt_path = out / "student.ckpt"
@@ -319,9 +332,11 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
             step += 1
             opt.lr = schedule.current
             batch = pad_student_batch([train_items[i] for i in idx])
-            mae, ssim_loss, duration = student_training_step(model, batch, opt)
-            metrics.append(step=step, lr=opt.lr, mae=mae,
-                           ssim_loss=ssim_loss, duration=duration)
+            mae, ssim_loss, duration, grad_norm = student_training_step(
+                model, batch, opt)
+            metrics.append(step=step, lr=opt.lr, mae=mae, ssim_loss=ssim_loss,
+                           duration=duration,
+                           **_step_metrics(opt, grad_norm, started))
             history.append({"step": step, "mae": mae, "ssim_loss": ssim_loss,
                             "duration": duration})
             if max_steps is not None and step >= max_steps:

@@ -48,22 +48,13 @@ def pad_student_batch(items):
 def masked_huber(pred, target, mask):
     """Huber loss (HUBER_DELTA) averaged over masked cells."""
     err = F.huber(F.sub(pred, target), HUBER_DELTA)
-    total = F.sum(F.mul(err, mask))
-    count = np.sum(mask.data if isinstance(mask, Tensor) else mask)
-    return F.mul(total, 1.0 / float(count))
+    mask = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
+    return F.sum(F.mul(err, mask / float(np.sum(mask))))
 
 
 def batch_ssim(pred, targets, t_lengths):
     """Mean SSIM over items, each evaluated on its unpadded frame range."""
-    scores = []
-    for i, t in enumerate(t_lengths):
-        item = F.narrow(F.narrow(pred, 0, i, 1), 2, 0, t)
-        ref = F.narrow(F.narrow(targets, 0, i, 1), 2, 0, t)
-        scores.append(ssim_index(item, ref))
-    total = scores[0]
-    for s in scores[1:]:
-        total = F.add(total, s)
-    return F.mul(total, 1.0 / len(scores))
+    return ssim_index(pred, targets, t_lengths)
 
 
 def student_losses(model, batch):
@@ -89,14 +80,19 @@ def student_losses(model, batch):
 
 
 def student_training_step(model, batch, opt):
-    """One update on a padded batch; returns (mae, ssim_loss, duration_loss)."""
+    """One update on a padded batch.
+
+    Returns (mae, ssim_loss, duration_loss, grad_norm), the last being the
+    global gradient norm before clipping.
+    """
     mae, ssim_loss, duration_loss = student_losses(model, batch)
     total = F.add(F.add(mae, ssim_loss), duration_loss)
     total.check_finite("student loss")
     opt.zero_grad()
     total.backward()
-    opt.step()
-    return float(mae.data), float(ssim_loss.data), float(duration_loss.data)
+    grad_norm = opt.step()
+    return (float(mae.data), float(ssim_loss.data), float(duration_loss.data),
+            grad_norm)
 
 
 def _round_predicted(log_dur):

@@ -49,7 +49,11 @@ def build_inputs(batch, model=None, rng=None, augment=None):
 
 
 def teacher_training_step(model, optimizer, batch, inputs, g=0.2):
-    """One clipped Adam step on masked MAE + guided attention; returns both."""
+    """One clipped Adam step on masked MAE + guided attention.
+
+    Returns (mae, guided, attention, grad_norm), the last being the global
+    gradient norm before clipping.
+    """
     pred, attention = model(
         batch["ids"], Tensor(inputs), batch["rates"],
         phoneme_mask=batch["phoneme_mask"], frame_mask=batch["frame_mask"],
@@ -61,8 +65,8 @@ def teacher_training_step(model, optimizer, batch, inputs, g=0.2):
     loss.check_finite("teacher loss")
     optimizer.zero_grad()
     loss.backward()
-    optimizer.step()
-    return float(mae.data), float(guided.data), attention.data
+    grad_norm = optimizer.step()
+    return float(mae.data), float(guided.data), attention.data, grad_norm
 
 
 def batch_diagonality(attention, n_lengths, t_lengths):

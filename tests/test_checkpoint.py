@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melsynth.nn_core import PlainResidualBlock
+from melsynth.nn_core import Adam, PlainResidualBlock
 from melsynth.pipeline import (
     CheckpointError,
     default_config,
@@ -183,6 +183,29 @@ class TestModelCheckpoint:
         load_checkpoint(path, clone, cfg, "student")
         clone.eval()
         assert np.array_equal(clone.encode(ids).data, before)
+
+    def test_load_writes_into_the_optimizer_buffer(self, tmp_path, rng):
+        # the trainers build Adam before they load a resume checkpoint, so
+        # the load must copy into the views Adam holds, not rebind p.data
+        cfg = small_cfg()
+        model = build_student(cfg, vocab_size=30, rng=rng)
+        path = tmp_path / "student.ckpt"
+        save_checkpoint(path, model, cfg, "student")
+        clone = build_student(cfg, vocab_size=30,
+                              rng=np.random.default_rng(999))
+        opt = Adam(clone.parameters(), lr=0.01)
+        load_checkpoint(path, clone, cfg, "student")
+        for p, q in zip(model.parameters(), clone.parameters()):
+            assert np.array_equal(p.data, q.data)
+            assert np.shares_memory(q.data, opt._data)
+        opt.zero_grad()
+        for q in clone.parameters():
+            q.grad[...] = 1.0
+        opt.step()
+        # a first Adam step moves every weight by about lr against the sign
+        # of its gradient, starting from the loaded values
+        for p, q in zip(model.parameters(), clone.parameters()):
+            np.testing.assert_allclose(q.data, p.data - 0.01, atol=1e-5)
 
     def test_architecture_mismatch_rejected_without_copy(self, tmp_path, rng):
         cfg = small_cfg()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from melsynth import pipeline
 from melsynth.nn_core import (
     Adam,
     NonFiniteError,
@@ -12,6 +13,7 @@ from melsynth.nn_core import (
     global_grad_norm,
     noam_lr,
 )
+from melsynth.student import pad_student_batch, student_training_step
 
 
 def make_param(values):
@@ -76,6 +78,127 @@ class TestAdam:
         opt.step()
         assert q.data[0] == 1.0
         assert p.data[0] != 1.0
+
+
+class ReferenceAdam:
+    """The per-parameter Adam the flat-buffer one replaced."""
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr=0.002, clip_norm=1.0):
+        self.params = list(params)
+        self.lr = float(lr)
+        self.clip_norm = clip_norm
+        self.step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+    def step(self):
+        for p in self.params:
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NonFiniteError("non-finite gradient; aborting optimizer step")
+        norm = global_grad_norm(self.params)
+        if self.clip_norm is not None:
+            clip_grad_norm(self.params, self.clip_norm)
+        self.step_count += 1
+        b1t = 1.0 - self.beta1 ** self.step_count
+        b2t = 1.0 - self.beta2 ** self.step_count
+        for p, m, v in zip(self.params, self._m, self._v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p.data -= (self.lr * update).astype(p.data.dtype)
+        return norm
+
+
+def toy_student_run(cfg, optimizer, clip_norm, steps=6):
+    """Weights after each of `steps` student steps, and the step norms."""
+    rng = np.random.default_rng(3)
+    model = pipeline.build_student(cfg, vocab_size=40, rng=rng)
+    items = []
+    for n in (9, 6):
+        ids = rng.integers(1, 40, size=n)
+        dur = rng.integers(1, 5, size=n)
+        mel = rng.normal(size=(cfg.audio.mel_bins, int(dur.sum())))
+        items.append((ids, dur, mel.astype(np.float32)))
+    batch = pad_student_batch(items)
+    opt = optimizer(model.parameters(), lr=1e-3, clip_norm=clip_norm)
+    weights, norms = [], []
+    for _ in range(steps):
+        norms.append(student_training_step(model, batch, opt)[3])
+        weights.append([p.data.copy() for p in model.parameters()])
+    return weights, norms
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("clip_norm", [1.0, 1e6])
+    def test_matches_per_parameter_adam_bit_for_bit(self, tmp_path, clip_norm):
+        cfg = pipeline.load_config(pipeline.write_toy_config(tmp_path))
+        flat, flat_norms = toy_student_run(cfg, Adam, clip_norm)
+        ref, ref_norms = toy_student_run(cfg, ReferenceAdam, clip_norm)
+        # the toy student's gradient norm is far above 1 and far below 1e6
+        assert all((n > clip_norm) == (clip_norm == 1.0) for n in flat_norms)
+        np.testing.assert_allclose(flat_norms, ref_norms, rtol=1e-12)
+        for got_step, want_step in zip(flat, ref):
+            for got, want in zip(got_step, want_step):
+                assert got.dtype == want.dtype == np.float32
+                assert np.array_equal(got, want)
+
+    def test_norm_is_the_global_gradient_norm_before_clipping(self, rng):
+        params = [make_param(rng.normal(size=shape))
+                  for shape in [(3, 4), (5,), (2, 2, 2)]]
+        opt = Adam(params, clip_norm=0.1)
+        opt.zero_grad()
+        for p in params:
+            p.grad += rng.normal(size=p.data.shape).astype(np.float32)
+        want = global_grad_norm(params)
+        assert want > 0.1
+        assert opt.step() == pytest.approx(want, rel=1e-12)
+
+    def test_parameters_live_in_one_buffer(self, rng):
+        values = [rng.normal(size=shape) for shape in [(3, 4), (5,)]]
+        params = [make_param(v) for v in values]
+        opt = Adam(params)
+        opt.zero_grad()
+        for p, v in zip(params, values):
+            assert np.array_equal(p.data, v.astype(np.float32))
+            assert np.shares_memory(p.data, opt._data)
+            assert not p.grad.any()
+
+    def test_float64_parameters_stay_float64(self):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        Adam([p])
+        assert p.data.dtype == np.float64
+
+    def test_mixed_dtypes_rejected(self):
+        p = make_param([1.0])
+        q = Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(ValueError, match="one float dtype"):
+            Adam([p, q])
+
+    def test_non_finite_error_names_the_parameter(self):
+        params = [make_param(np.zeros(2)), make_param(np.zeros((2, 3))),
+                  make_param(np.zeros(1))]
+        opt = Adam(params)
+        for p in params:
+            p.grad = np.zeros_like(p.data)
+        params[1].grad[1, 2] = np.inf
+        params[2].grad[0] = np.nan
+        with pytest.raises(NonFiniteError, match=r"parameter 1 of 3, shape \(2, 3\)"):
+            opt.step()
+        assert opt.step_count == 0
+        assert all(not p.data.any() for p in params)
 
 
 class TestNoam:

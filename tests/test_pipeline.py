@@ -175,7 +175,7 @@ class TestTeacherTraining:
                    for h in result["history"])
         out = result["checkpoint"].parent
         metrics = (out / "teacher_metrics.csv").read_text().strip().split("\n")
-        assert metrics[0] == "step,lr,mae,guided"
+        assert metrics[0] == "step,lr,mae,guided,grad_norm,clipped,wall_s"
         assert len(metrics) == 3
         assert (out / "teacher_eval.csv").exists()
         assert (out / "attention" / "epoch0001.pgm").exists()

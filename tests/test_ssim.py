@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from melsynth.nn_core import Tensor
+from melsynth.nn_core import functional as F
 from melsynth.student import gaussian_window, ssim_index
+from melsynth.student.ssim import DYNAMIC_RANGE, SHIFT, WINDOW_SIZE, _odd_clip
 
 from conftest import gradcheck
 
@@ -84,3 +86,109 @@ class TestSsimIndex:
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         y = Tensor(rng.normal(size=(4, 6)))
         gradcheck(lambda: ssim_index(x, y), [x])
+
+
+# ---------------------------------------------------------------------------
+# the batched op against the per-item tape composition it replaced
+# ---------------------------------------------------------------------------
+
+def _clamp_reference(x, lo, hi):
+    return F.add(F.sub(F.relu(F.sub(x, lo)), F.relu(F.sub(x, hi))), lo)
+
+
+def _blur_reference(x, win_f, win_t):
+    return F.filter1d_valid(F.filter1d_valid(x, win_f, axis=1), win_t, axis=2)
+
+
+def ssim_reference(x, y):
+    """Mean local SSIM of one (1, bins, T) item, as a chain of tape ops."""
+    _, bins, frames = x.shape
+    win_f = gaussian_window(_odd_clip(WINDOW_SIZE, bins))
+    win_t = gaussian_window(_odd_clip(WINDOW_SIZE, frames))
+    half = DYNAMIC_RANGE / 2.0
+    xc = F.sub(_clamp_reference(F.add(x, SHIFT), 0.0, DYNAMIC_RANGE), half)
+    yc = F.sub(_clamp_reference(F.add(y, SHIFT), 0.0, DYNAMIC_RANGE), half)
+    c1 = (0.01 * DYNAMIC_RANGE) ** 2
+    c2 = (0.03 * DYNAMIC_RANGE) ** 2
+    mu_xc = _blur_reference(xc, win_f, win_t)
+    mu_yc = _blur_reference(yc, win_f, win_t)
+    mu_x = F.add(mu_xc, half)
+    mu_y = F.add(mu_yc, half)
+    var_x = F.sub(_blur_reference(F.mul(xc, xc), win_f, win_t), F.mul(mu_xc, mu_xc))
+    var_y = F.sub(_blur_reference(F.mul(yc, yc), win_f, win_t), F.mul(mu_yc, mu_yc))
+    cov = F.sub(_blur_reference(F.mul(xc, yc), win_f, win_t), F.mul(mu_xc, mu_yc))
+    num = F.mul(F.add(F.mul(F.mul(mu_x, mu_y), 2.0), c1),
+                F.add(F.mul(cov, 2.0), c2))
+    den = F.mul(F.add(F.add(F.mul(mu_x, mu_x), F.mul(mu_y, mu_y)), c1),
+                F.add(F.add(var_x, var_y), c2))
+    return F.mean(F.div(num, den))
+
+
+def batch_ssim_reference(x, y, lengths):
+    scores = []
+    for i, t in enumerate(lengths):
+        scores.append(ssim_reference(F.narrow(F.narrow(x, 0, i, 1), 2, 0, t),
+                                     F.narrow(F.narrow(y, 0, i, 1), 2, 0, t)))
+    total = scores[0]
+    for s in scores[1:]:
+        total = F.add(total, s)
+    return F.mul(total, 1.0 / len(scores))
+
+
+LENGTHS = [14, 7, 12]  # the 7-frame item runs on a shrunk 7-frame window
+
+
+def padded_pair(rng, bins, lengths, dtype):
+    shape = (len(lengths), bins, max(lengths))
+    x = rng.uniform(-3.5, 3.5, size=shape)
+    y = rng.uniform(-3.5, 3.5, size=shape)
+    return x.astype(dtype), y.astype(dtype)
+
+
+class TestBatchedSsim:
+    def test_gradients_match_finite_differences(self, rng):
+        x, y = padded_pair(rng, 6, LENGTHS, np.float64)
+        x[0, 0, :3] = 5.0  # saturated: clamped, zero gradient
+        xt = Tensor(x, requires_grad=True)
+        yt = Tensor(y, requires_grad=True)
+        gradcheck(lambda: ssim_index(xt, yt, LENGTHS), [xt, yt])
+
+    def test_padding_gets_no_gradient(self, rng):
+        x, y = padded_pair(rng, 6, LENGTHS, np.float64)
+        xt = Tensor(x, requires_grad=True)
+        yt = Tensor(y, requires_grad=True)
+        ssim_index(xt, yt, LENGTHS).backward()
+        for i, t in enumerate(LENGTHS):
+            assert not np.any(xt.grad[i, :, t:]) and not np.any(yt.grad[i, :, t:])
+        # padding values do not reach the score either
+        before = ssim_index(x, y, LENGTHS).item()
+        x[1, :, LENGTHS[1]:] = 99.0
+        assert ssim_index(x, y, LENGTHS).item() == before
+
+    @pytest.mark.parametrize("bins, lengths", [(80, [121, 96]), (6, LENGTHS),
+                                               (5, [4, 9, 2, 1])])
+    def test_matches_per_item_composition(self, rng, bins, lengths):
+        # a prediction near its target, as in training; the score of two
+        # unrelated images is a mean of terms near zero that cancel
+        x, _ = padded_pair(rng, bins, lengths, np.float32)
+        y = x + rng.normal(scale=0.5, size=x.shape).astype(np.float32)
+        results = []
+        for score in (lambda a, b: ssim_index(a, b, lengths),
+                      lambda a, b: batch_ssim_reference(a, b, lengths)):
+            xt = Tensor(x, requires_grad=True)
+            yt = Tensor(y, requires_grad=True)
+            out = score(xt, yt)
+            out.backward()
+            results.append((out.data, xt.grad, yt.grad))
+        (got, gx, gy), (want, wx, wy) = results
+        assert got.dtype == want.dtype == np.float32
+        assert abs(float(got) - float(want)) <= 1e-6 * abs(float(want))
+        for g, w in ((gx, wx), (gy, wy)):
+            assert g.dtype == np.float32
+            assert np.max(np.abs(g - w)) <= 1e-6 * np.max(np.abs(w))
+
+    def test_bad_lengths_rejected(self, rng):
+        x, y = padded_pair(rng, 6, LENGTHS, np.float32)
+        for lengths in ([14, 7], [14, 0, 12], [14, 7, 15]):
+            with pytest.raises(ValueError):
+                ssim_index(x, y, lengths)

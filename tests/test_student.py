@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from melsynth import pipeline
 from melsynth.nn_core import Adam, Tensor, kernels, no_grad
 from melsynth.nn_core import functional as F
 from melsynth.student import (
@@ -342,6 +343,28 @@ class TestStudentTraining:
         assert all(np.isfinite(v) for v in first + last)
         assert last[0] < first[0]
         assert last[2] < first[2]
+
+    def test_toy_step_tape_nodes(self, tmp_path, rng, monkeypatch):
+        cfg = pipeline.load_config(pipeline.write_toy_config(tmp_path))
+        model = pipeline.build_student(cfg, vocab_size=40, rng=rng)
+        items = []
+        for n in (9, 6):
+            ids = rng.integers(1, 40, size=n)
+            dur = rng.integers(1, 5, size=n)
+            mel = rng.normal(size=(cfg.audio.mel_bins, int(dur.sum())))
+            items.append((ids, dur, mel.astype(np.float32)))
+        batch = pad_student_batch(items)
+        opt = Adam(model.parameters(), lr=1e-3)
+        calls = []
+        from_op = Tensor.from_op
+
+        def counting(data, parents, backward_fn):
+            calls.append(1)
+            return from_op(data, parents, backward_fn)
+
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(counting))
+        student_training_step(model, batch, opt)
+        assert 0 < len(calls) <= 53
 
     def test_losses_use_teacher_durations_not_predictions(self, rng):
         # prediction head is untrained garbage; losses must still line up
