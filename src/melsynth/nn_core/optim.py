@@ -52,8 +52,7 @@ class Adam:
             raise ValueError(f"parameters must share one float dtype, got "
                              f"{sorted(str(d) for d in dtypes)}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-        ends = np.cumsum([p.data.size for p in self.params], dtype=np.int64)
-        self._data = np.empty(int(ends[-1]) if self.params else 0, dtype=dtype)
+        self._data = np.empty(sum(p.data.size for p in self.params), dtype=dtype)
         self._grad = np.zeros_like(self._data)
         self._m = np.zeros_like(self._data)
         self._v = np.zeros_like(self._data)
@@ -61,12 +60,14 @@ class Adam:
         self._s2 = np.empty_like(self._data)
         self._g64 = np.empty(self._data.shape, dtype=np.float64)
         self._grads = []  # per-parameter views of the gradient buffer
-        for p, end in zip(self.params, ends):
-            lo, shape = int(end) - p.data.size, p.data.shape
-            view = self._data[lo:int(end)].reshape(shape)
+        start = 0
+        for p in self.params:
+            end, shape = start + p.data.size, p.data.shape
+            view = self._data[start:end].reshape(shape)
             view[...] = p.data
             p.data = view
-            self._grads.append(self._grad[lo:int(end)].reshape(shape))
+            self._grads.append(self._grad[start:end].reshape(shape))
+            start = end
 
     def zero_grad(self):
         self._grad.fill(0)
