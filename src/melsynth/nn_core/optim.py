@@ -36,6 +36,11 @@ class Adam:
     (``p.data[...] = ...``) from then on. Gradients, both moments and two
     scratch arrays are buffers of the same layout, and a step is a handful of
     whole-buffer operations that allocate nothing.
+
+    Every parameter takes part in every step: a missing gradient (None, or
+    none accumulated since `zero_grad`) reads as zero, so that parameter's
+    moments decay and it keeps moving on its momentum, as with an explicit
+    zero gradient.
     """
 
     beta1 = 0.9
@@ -77,8 +82,8 @@ class Adam:
     def step(self):
         """One update; returns the global gradient norm before clipping.
 
-        A gradient that is not its buffer view (set directly, or None for
-        zero) is copied in first. Raises NonFiniteError naming the first
+        A gradient that is not its buffer view (set directly, or None, read
+        as zero) is copied in first. Raises NonFiniteError naming the first
         parameter whose gradient holds a NaN or Inf; nothing is updated then.
         """
         for p, view in zip(self.params, self._grads):

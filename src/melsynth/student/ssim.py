@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..nn_core import Tensor
 
@@ -27,6 +28,40 @@ def _blur_matrix(size, n, dtype):
     out = np.zeros((rows.size, n), dtype=dtype)
     for k, w in enumerate(gaussian_window(size)):
         out[rows, rows + k] = w
+    return out
+
+
+TIME_BLOCK = 128  # most output frames per banded product in the time blur
+
+
+def _blur_time(a, size):
+    """Valid-mode Gaussian filter of `a` along its last axis.
+
+    The output is cut into equal blocks of at most TIME_BLOCK columns (the
+    input gains up to count - 1 zero columns to fill the last one); each
+    block is one product of its input span with a banded
+    (block + size - 1, block) matrix, so the cost is linear in the length.
+    (The bins axis, whose length the model fixes, is blurred by one full
+    `_blur_matrix`.)
+    """
+    n = a.shape[-1] - size + 1
+    count = -(-n // TIME_BLOCK)
+    block = -(-n // count)
+    a = _pad_time(a, 0, count * block - n)
+    band = _blur_matrix(size, block + size - 1, a.dtype).T
+    spans = sliding_window_view(a, band.shape[0], axis=-1)[..., ::block, :]
+    # one product over all spans: a stacked matmul would loop over the
+    # leading axes with `count` rows each
+    out = spans.reshape(-1, band.shape[0]) @ band
+    return out.reshape(a.shape[:-1] + (count * block,))[..., :n]
+
+
+def _pad_time(a, left, right):
+    """`a` with `left` and `right` zero columns added to its last axis."""
+    if not left and not right:
+        return a
+    out = np.zeros(a.shape[:-1] + (left + a.shape[-1] + right,), dtype=a.dtype)
+    out[..., left:left + a.shape[-1]] = a
     return out
 
 
@@ -82,7 +117,7 @@ def ssim_index(x, y, lengths=None):
         width = int(lengths[items].max())
         score, grads = _window_group(
             xc[items, :, :width], yc[items, :, :width], blur_f,
-            _blur_matrix(int(size), width, dtype), lengths[items] - size + 1,
+            int(size), lengths[items] - size + 1,
             batch)
         total += score
         groups.append((items, width, grads))
@@ -108,10 +143,11 @@ def ssim_index(x, y, lengths=None):
     return Tensor.from_op(np.asarray(total, dtype=dtype), (x, y), backward)
 
 
-def _window_group(xc, yc, blur_f, blur_t, cols, batch):
+def _window_group(xc, yc, blur_f, size_t, cols, batch):
     """SSIM of items that share one time window, in valid mode.
 
-    xc, yc: (items, bins, width) centred images; cols: each item's count of
+    xc, yc: (items, bins, width) centred images; blur_f: the bins blur
+    matrix; size_t: the time window's size; cols: each item's count of
     valid output columns. Returns the sum of the local SSIM over valid
     pixels, each weighted 1 / (batch * its item's pixel count), and
     grads(g, need_x, need_y) -> (d/dxc, d/dyc) of g times that sum (None
@@ -119,7 +155,7 @@ def _window_group(xc, yc, blur_f, blur_t, cols, batch):
     """
     half = DYNAMIC_RANGE / 2.0
     maps = np.stack([xc, yc, xc * xc, yc * yc, xc * yc])
-    mu_xc, mu_yc, sxx, syy, sxy = np.matmul(blur_f, maps @ blur_t.T)
+    mu_xc, mu_yc, sxx, syy, sxy = np.matmul(blur_f, _blur_time(maps, size_t))
     mu_x, mu_y = mu_xc + half, mu_yc + half
     a1 = mu_x * mu_y * 2.0 + C1
     a2 = (sxy - mu_xc * mu_yc) * 2.0 + C2
@@ -146,8 +182,11 @@ def _window_group(xc, yc, blur_f, blur_t, cols, batch):
         if need_y:
             fields.append(w * 2.0 * (mu_x * a2_den - mu_y * s_b1)
                           - 2.0 * mu_yc * g_var - mu_xc * g_cov)
-        # transposed blur of every field at once
-        back = np.matmul(blur_f.T, np.stack(fields + [g_var, g_cov]) @ blur_t)
+        # transposed blur of every field at once; the window is symmetric,
+        # so the transposed time blur is the same blur of the field padded
+        # by size_t - 1 zeros at both ends
+        back = np.matmul(blur_f.T, np.stack(fields + [g_var, g_cov]))
+        back = _blur_time(_pad_time(back, size_t - 1, size_t - 1), size_t)
         b_var, b_cov = back[-2], back[-1]
         dxc = back[0] + 2.0 * xc * b_var + yc * b_cov if need_x else None
         dyc = back[-3] + 2.0 * yc * b_var + xc * b_cov if need_y else None

@@ -166,6 +166,34 @@ class TestFlatAdam:
         assert want > 0.1
         assert opt.step() == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("missing", ["none", "not_accumulated"])
+    def test_missing_gradient_reads_as_zero(self, missing):
+        # step 2 gives q no gradient: it moves on its step-1 momentum, as the
+        # reference does when handed an explicit zero gradient
+        p, q = make_param([1.0]), make_param([1.0])
+        rp, rq = make_param([1.0]), make_param([1.0])
+        opt = Adam([p, q], lr=0.5)
+        ref = ReferenceAdam([rp, rq], lr=0.5)
+        one = np.array([0.5], dtype=np.float32)
+        for step in range(2):
+            opt.zero_grad()
+            p.accumulate_grad(one)
+            rp.grad = one.copy()
+            if step == 0:
+                q.accumulate_grad(one)
+                rq.grad = one.copy()
+            else:
+                if missing == "none":
+                    q.grad = None
+                rq.grad = np.zeros(1, dtype=np.float32)
+            opt.step()
+            ref.step()
+            if step == 0:
+                after_first = q.data[0]
+        assert q.data[0] < after_first
+        assert np.array_equal(p.data, rp.data)
+        assert np.array_equal(q.data, rq.data)
+
     def test_parameters_live_in_one_buffer(self, rng):
         values = [rng.normal(size=shape) for shape in [(3, 4), (5,)]]
         params = [make_param(v) for v in values]
