@@ -1,14 +1,3 @@
 """melsynth: teacher/student spectrogram synthesis on a numpy autodiff core."""
 
-import os
-
-# Pin BLAS pools before numpy loads so timing runs are reproducible. This
-# only works if melsynth is imported before numpy; set the variables in the
-# shell otherwise.
-_threads = os.environ.get("MELSYNTH_NUM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 __version__ = "0.1.0"

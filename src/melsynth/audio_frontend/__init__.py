@@ -8,11 +8,9 @@ from .mel import (
     AudioConfig,
     corpus_stats,
     denormalize_standard,
-    denormalize_unit,
     frame_count,
     hann_window,
     mel_filterbank,
-    filter_centers_hz,
     normalize_standard,
     normalize_unit,
     stft_magnitude,
@@ -28,36 +26,3 @@ from .dataset import (
     save_wav,
     write_durations,
 )
-
-__all__ = [
-    "PAD",
-    "WORD_BOUNDARY",
-    "PhonemeVocabulary",
-    "tokenize_text",
-    "LEXICON",
-    "MAX_DB",
-    "MIN_DB",
-    "AudioConfig",
-    "corpus_stats",
-    "denormalize_standard",
-    "denormalize_unit",
-    "frame_count",
-    "hann_window",
-    "mel_filterbank",
-    "filter_centers_hz",
-    "normalize_standard",
-    "normalize_unit",
-    "stft_magnitude",
-    "wav_to_mel",
-    "griffin_lim",
-    "istft",
-    "mel_to_linear_magnitude",
-    "spectral_convergence",
-    "DatasetError",
-    "Utterance",
-    "load_dataset",
-    "load_wav",
-    "read_durations",
-    "save_wav",
-    "write_durations",
-]

@@ -60,12 +60,6 @@ def mel_filterbank(config=AudioConfig()):
     return fb
 
 
-def filter_centers_hz(config=AudioConfig()):
-    edges = mel_to_hz(np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax),
-                                  config.n_mels + 2))
-    return edges[1:-1]
-
-
 def analysis_window(config):
     """The Hann window with the 2/sum(window) magnitude scaling folded in."""
     window = hann_window(config.win_length)
@@ -104,7 +98,7 @@ def stft_frames(padded, config, window, frames, out=None):
     return np.fft.rfft(frames, axis=1, out=out)
 
 
-def stft_magnitude(waveform, config=AudioConfig(), return_complex=False):
+def stft_magnitude(waveform, config=AudioConfig()):
     """Centered STFT (bins, frames); magnitudes scaled by 2/sum(window).
 
     The scaling puts a full-scale sine near log-magnitude 0, so the fixed
@@ -120,7 +114,7 @@ def stft_magnitude(waveform, config=AudioConfig(), return_complex=False):
     padded[pad:pad + x.size] = x
     spec = stft_frames(padded, config, analysis_window(config),
                        np.empty((frame_count(x.size, config), config.n_fft))).T
-    return spec if return_complex else np.abs(spec)
+    return np.abs(spec)
 
 
 def wav_to_mel(waveform, config=AudioConfig()):
@@ -141,10 +135,6 @@ def normalize_unit(mel):
     """raw_log -> [0, 1] with the fixed corpus-independent range."""
     out = (np.asarray(mel, dtype=np.float32) - MIN_DB) / (MAX_DB - MIN_DB)
     return np.clip(out, 0.0, 1.0)
-
-
-def denormalize_unit(mel):
-    return np.asarray(mel, dtype=np.float32) * (MAX_DB - MIN_DB) + MIN_DB
 
 
 def normalize_standard(mel, mean, std):

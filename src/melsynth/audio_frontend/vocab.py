@@ -39,10 +39,6 @@ class PhonemeVocabulary:
     def __contains__(self, symbol):
         return symbol in self._id_of
 
-    @property
-    def pad_id(self):
-        return 0
-
     def id(self, symbol):
         try:
             return self._id_of[symbol]

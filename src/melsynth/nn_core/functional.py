@@ -105,16 +105,6 @@ def sigmoid(x):
     return Tensor.from_op(out, (x,), backward)
 
 
-def tanh(x):
-    out = np.tanh(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (1.0 - out * out))
-
-    return Tensor.from_op(out, (x,), backward)
-
-
 def sqrt(x):
     out = np.sqrt(x.data)
 
@@ -191,22 +181,6 @@ def transpose_last2(x):
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(np.swapaxes(g, -1, -2))
-
-    return Tensor.from_op(out, (x,), backward)
-
-
-def narrow(x, axis, start, length):
-    """Contiguous slice along one axis, differentiable (scatter on backward)."""
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = x.data[idx]
-
-    def backward(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[idx] = g
-            x.accumulate_grad(full)
 
     return Tensor.from_op(out, (x,), backward)
 
@@ -359,8 +333,6 @@ def _conv_geometry(x, weight, dilation, causal):
         raise ValueError(
             f"conv1d channel mismatch: input has {x.data.shape[-2]}, weight expects {weight.data.shape[1]}"
         )
-    if not np.all(np.isfinite(weight.data)):
-        raise ValueError("conv1d weights contain non-finite values")
     ksize = weight.data.shape[2]
     span = (ksize - 1) * dilation
     return ksize, span if causal else span // 2
@@ -510,25 +482,6 @@ def gated_residual(x, weight, bias, proj_weight, proj_bias, keep, dilation=1,
             x.accumulate_grad(g)
 
     return Tensor.from_op(out, (x, weight, bias, proj_weight, proj_bias), backward)
-
-
-def filter1d_valid(x, kernel, axis):
-    """Valid-mode correlation with a fixed 1D kernel along `axis` (no parameters)."""
-    kernel = np.asarray(kernel, dtype=x.data.dtype)
-    ksize = kernel.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(x.data, ksize, axis=axis)
-    out = win @ kernel  # window axis is last after sliding_window_view
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        pad = [(0, 0)] * g.ndim
-        pad[axis] = (ksize - 1, ksize - 1)
-        gpad = np.pad(g, pad)
-        gwin = np.lib.stride_tricks.sliding_window_view(gpad, ksize, axis=axis)
-        x.accumulate_grad(gwin @ kernel[::-1])
-
-    return Tensor.from_op(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

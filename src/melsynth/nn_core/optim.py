@@ -9,25 +9,6 @@ import numpy as np
 from .tensor import NonFiniteError
 
 
-def global_grad_norm(params):
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    return float(np.sqrt(total))
-
-
-def clip_grad_norm(params, max_norm):
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
-    norm = global_grad_norm(params)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
-    return norm
-
-
 class Adam:
     """Standard Adam with bias correction; clips by global norm before updating.
 
@@ -96,7 +77,7 @@ class Adam:
         norm = math.sqrt(float(np.dot(self._g64, self._g64)))
         if not math.isfinite(norm):
             self._raise_non_finite()
-        if self.clip_norm is not None and norm > self.clip_norm:
+        if norm > self.clip_norm:
             g *= self.clip_norm / norm
         self.step_count += 1
         b1t = 1.0 - self.beta1 ** self.step_count
@@ -141,7 +122,8 @@ class PlateauSchedule:
     """Multiply lr by `factor` after `patience` evaluations with no improvement.
 
     Improvement is a strict decrease of the metric; the bad-evaluation counter
-    resets both on improvement and after a reduction. lr never increases.
+    resets both on improvement and after a reduction. lr never increases
+    while min_lr is at most base (parse_config requires it).
     """
 
     def __init__(self, base, factor=0.5, patience=5, min_lr=0.0):

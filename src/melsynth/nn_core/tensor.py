@@ -44,10 +44,8 @@ def grad_enabled():
     return _grad_enabled
 
 
-def _as_array(data, dtype):
+def _as_array(data):
     arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
     if arr.dtype in (np.float32, np.float64):
         return arr
     if np.issubdtype(arr.dtype, np.integer):
@@ -60,8 +58,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_released")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = _as_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()

@@ -15,7 +15,6 @@ from .checkpoint import (
     fnv1a_64,
     load_checkpoint,
     load_tensors,
-    peek_config,
     save_checkpoint,
     save_tensors,
 )
@@ -44,43 +43,3 @@ from .trainers import (
     run_teacher_training,
     write_pgm,
 )
-
-__all__ = [
-    "BenchRow",
-    "CheckpointError",
-    "ConfigError",
-    "MetricsLog",
-    "PipelineConfig",
-    "TOY_PHONES",
-    "architecture_text",
-    "audio_config",
-    "bench_inputs",
-    "build_student",
-    "build_teacher",
-    "config_to_text",
-    "default_config",
-    "evaluate_student",
-    "evaluate_teacher",
-    "fnv1a_64",
-    "format_table",
-    "load_checkpoint",
-    "load_config",
-    "load_corpus",
-    "load_tensors",
-    "make_toy_corpus",
-    "parse_config",
-    "peek_config",
-    "phonemize",
-    "run_benchmark",
-    "run_extract_durations",
-    "run_student_training",
-    "run_synthesize",
-    "run_teacher_training",
-    "save_checkpoint",
-    "save_tensors",
-    "spread_durations",
-    "synthesize_batch",
-    "write_bench_csv",
-    "write_pgm",
-    "write_toy_config",
-]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import architecture_text, config_to_text, parse_config
+from .config import architecture_text, config_to_text
 
 MAGIC = b"SPDY"
 VERSION = 1
@@ -245,14 +245,3 @@ def load_checkpoint(path, model, cfg, kind):
         model.set_buffer(key, array.copy())
     return meta
 
-
-def peek_config(path):
-    """Reconstruct the embedded PipelineConfig without touching any model."""
-    arrays, stored = load_tensors(path)
-    key = META_PREFIX + "config_text"
-    if key not in arrays:
-        raise CheckpointError(f"{path}: no embedded config")
-    cfg = parse_config(_array_to_text(arrays[key], path),
-                       source=f"{path}(embedded)")
-    kind = _array_to_text(arrays[META_PREFIX + "kind"], path)
-    return cfg, kind, stored

@@ -135,10 +135,13 @@ def parse_config(text, source="<config>"):
     return cfg
 
 
-# (section, key) of every setting that counts something and must be >= 1
-COUNT_KEYS = (("audio", "hop_length"), ("data", "griffin_lim_iterations"),
+# (section, key) of every count or size that must be >= 1
+COUNT_KEYS = (("audio", "hop_length"), ("audio", "mel_bins"),
+              ("data", "griffin_lim_iterations"),
               ("training", "batch_size"), ("training", "checkpoint_every"),
-              ("teacher", "encoder_blocks"), ("teacher", "decoder_blocks"))
+              ("teacher", "encoder_blocks"), ("teacher", "decoder_blocks"),
+              ("teacher", "embedding_dim"), ("teacher", "kernel_size"),
+              ("student", "kernel_size"))
 # widths split in halves (sine and cosine positional features, the gated
 # blocks' filter and gate), so they must be even as well
 EVEN_KEYS = (("teacher", "residual_channels"), ("teacher", "gate_channels"),
@@ -167,6 +170,10 @@ RANGE_KEYS = (
     ("augment", "noise_std", "at least 0", lambda v: v >= 0),
     ("training", "min_lr", "at least 0", lambda v: v >= 0),
     ("augment", "max_feedback_passes", "at least 0", lambda v: v >= 0),
+    # zero blocks is an empty stack
+    ("student", "encoder_blocks", "at least 0", lambda v: v >= 0),
+    ("student", "decoder_blocks", "at least 0", lambda v: v >= 0),
+    ("student", "duration_blocks", "at least 0", lambda v: v >= 0),
     ("augment", "replace_prob", "in [0, 1]", lambda v: 0 <= v <= 1),
     # above 1 the plateau schedule would raise the learning rate
     ("training", "plateau_factor", "in (0, 1]", lambda v: 0 < v <= 1),
@@ -178,6 +185,11 @@ def _check_ranges(cfg, source):
         value = getattr(getattr(cfg, section), key)
         if not test(value):
             raise ConfigError(f"{source}: [{section}] {key} = {value} must be {rule}")
+    # the plateau schedule's floor; above base_lr a reduction would raise lr
+    training = cfg.training
+    if training.min_lr > training.base_lr:
+        raise ConfigError(f"{source}: [training] min_lr = {training.min_lr} "
+                          f"must be at most base_lr = {training.base_lr}")
 
 
 def _check_stft_sizes(audio, source):

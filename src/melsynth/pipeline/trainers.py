@@ -86,8 +86,7 @@ class MetricsLog:
 
 def _step_metrics(opt, grad_norm, started):
     """Gradient norm, clip flag and run wall time logged with every step."""
-    clipped = opt.clip_norm is not None and grad_norm > opt.clip_norm
-    return {"grad_norm": grad_norm, "clipped": int(clipped),
+    return {"grad_norm": grad_norm, "clipped": int(grad_norm > opt.clip_norm),
             "wall_s": time.perf_counter() - started}
 
 
@@ -118,7 +117,7 @@ def evaluate_teacher(model, utts, cfg):
     """Teacher-forced holdout metrics; returns (dict, attention of item 0)."""
     batch = pad_teacher_batch(utts)
     inputs = build_inputs(batch)
-    with model.evaluating(), no_grad():
+    with no_grad():
         pred, attention = model(
             batch["ids"], Tensor(inputs), batch["rates"],
             phoneme_mask=batch["phoneme_mask"], frame_mask=batch["frame_mask"])
@@ -164,7 +163,6 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
                           ["epoch", "step", "mae", "guided", "diagonality"])
     ckpt_path = out / "teacher.ckpt"
     history = []
-    model.train()
     epoch = start_epoch
     # max_steps, when given, replaces the epoch cap and counts across resumes
     while (step < max_steps if max_steps is not None
@@ -208,7 +206,6 @@ def run_extract_durations(cfg, checkpoint_path=None, out_path=None,
     if model is None:
         model = build_teacher(cfg, len(vocab))
         load_checkpoint(checkpoint_path, model, cfg, "teacher")
-    model.eval()
     utts = [prepare_utterance(u, acfg) for u in train + holdout]
     table = {}
     for chunk in iterate_minibatches(utts, cfg.training.batch_size):

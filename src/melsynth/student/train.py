@@ -52,11 +52,6 @@ def masked_huber(pred, target, mask):
     return F.sum(F.mul(err, mask / float(np.sum(mask))))
 
 
-def batch_ssim(pred, targets, t_lengths):
-    """Mean SSIM over items, each evaluated on its unpadded frame range."""
-    return ssim_index(pred, targets, t_lengths)
-
-
 def student_losses(model, batch):
     """Forward pass with teacher durations; returns the three loss Tensors."""
     phoneme_mask = Tensor(batch["phoneme_mask"])
@@ -75,7 +70,7 @@ def student_losses(model, batch):
     pred = model.decode(expanded, frame_mask)
 
     mae = masked_mae(pred, targets, frame_mask)
-    ssim_loss = F.sub(1.0, batch_ssim(pred, targets, batch["t_lengths"]))
+    ssim_loss = F.sub(1.0, ssim_index(pred, targets, batch["t_lengths"]))
     return mae, ssim_loss, duration_loss
 
 

@@ -28,33 +28,3 @@ from .train import (
     prepare_utterance,
     teacher_training_step,
 )
-
-__all__ = [
-    "NEG_INF",
-    "GatedStack",
-    "TeacherModel",
-    "shift_frames",
-    "teacher_dilations",
-    "batch_guided_attention_loss",
-    "diagonality_score",
-    "guided_attention_loss",
-    "guided_attention_weights",
-    "masked_mae",
-    "FORWARD_REACH",
-    "AlignmentError",
-    "durations_from_attention",
-    "durations_from_path",
-    "extract_batch_durations",
-    "extract_durations",
-    "masked_attention_path",
-    "sequential_generate",
-    "teacher_forced_logits",
-    "AugmentParams",
-    "augment_batch",
-    "batch_diagonality",
-    "build_inputs",
-    "iterate_minibatches",
-    "pad_teacher_batch",
-    "prepare_utterance",
-    "teacher_training_step",
-]

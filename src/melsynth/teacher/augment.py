@@ -45,7 +45,7 @@ def augment_batch(batch, model, rng, params, feedback_passes):
             sources = rng.integers(0, t, size=t)
             replacements.append((i, np.flatnonzero(chosen), sources[chosen]))
     if feedback_passes > 0:
-        with model.evaluating(), no_grad():
+        with no_grad():
             for _ in range(feedback_passes):
                 pred, _ = model(batch["ids"], Tensor(shift_frames(x)),
                                 batch["rates"],

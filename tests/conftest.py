@@ -35,6 +35,70 @@ def gradcheck(build_loss, params, h=1e-3, rtol=1e-3, atol=1e-6):
         p.grad = None
 
 
+# Differentiable ops the tests compose references from, as they were in
+# nn_core.functional before the program replaced them with fused ops.
+
+def tanh(x):
+    from melsynth.nn_core import Tensor
+
+    out = np.tanh(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * (1.0 - out * out))
+
+    return Tensor.from_op(out, (x,), backward)
+
+
+def narrow(x, axis, start, length):
+    """Contiguous slice along one axis, differentiable (scatter on backward)."""
+    from melsynth.nn_core import Tensor
+
+    idx = [slice(None)] * x.data.ndim
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+    out = x.data[idx]
+
+    def backward(g):
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            full[idx] = g
+            x.accumulate_grad(full)
+
+    return Tensor.from_op(out, (x,), backward)
+
+
+def filter1d_valid(x, kernel, axis):
+    """Valid-mode correlation with a fixed 1D kernel along `axis` (no parameters)."""
+    from melsynth.nn_core import Tensor
+
+    kernel = np.asarray(kernel, dtype=x.data.dtype)
+    ksize = kernel.shape[0]
+    win = np.lib.stride_tricks.sliding_window_view(x.data, ksize, axis=axis)
+    out = win @ kernel  # window axis is last after sliding_window_view
+
+    def backward(g):
+        if not x.requires_grad:
+            return
+        pad = [(0, 0)] * g.ndim
+        pad[axis] = (ksize - 1, ksize - 1)
+        gpad = np.pad(g, pad)
+        gwin = np.lib.stride_tricks.sliding_window_view(gpad, ksize, axis=axis)
+        x.accumulate_grad(gwin @ kernel[::-1])
+
+    return Tensor.from_op(out, (x,), backward)
+
+
+def peek_config(path):
+    """(embedded config, kind, architecture hash) of a checkpoint."""
+    from melsynth.pipeline import load_tensors, parse_config
+
+    arrays, stored = load_tensors(path)
+    config_text, kind = (arrays[f"__meta__/{key}"].astype(np.uint8).tobytes().decode()
+                         for key in ("config_text", "kind"))
+    return parse_config(config_text, source=str(path)), kind, stored
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

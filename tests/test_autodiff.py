@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import gradcheck
+from conftest import filter1d_valid, gradcheck, narrow, tanh
 from melsynth.nn_core import AutodiffError, NonFiniteError, Tensor, no_grad
 from melsynth.nn_core import functional as F
 
@@ -88,7 +88,7 @@ class TestFiniteDifferences:
         x = Tensor(rng.uniform(0.5, 2.0, size=(3, 5)).astype(np.float64), requires_grad=True)
 
         def loss():
-            return F.mul(F.add(F.sigmoid(F.tanh(x)), 1.0), F.sqrt(x)).sum()
+            return F.mul(F.add(F.sigmoid(tanh(x)), 1.0), F.sqrt(x)).sum()
 
         gradcheck(loss, [x])
 
@@ -121,8 +121,8 @@ class TestFiniteDifferences:
         win /= win.sum()
 
         def loss():
-            part = F.narrow(x, 1, 1, 2)
-            smooth = F.filter1d_valid(part, win, axis=2)
+            part = narrow(x, 1, 1, 2)
+            smooth = filter1d_valid(part, win, axis=2)
             return F.mul(smooth, smooth).mean()
 
         gradcheck(loss, [x])
@@ -159,7 +159,7 @@ class TestOpSemantics:
     def test_filter1d_valid_matches_correlate(self, rng):
         x = rng.normal(size=(1, 2, 16))
         k = rng.normal(size=5)
-        out = F.filter1d_valid(Tensor(x), k, axis=2)
+        out = filter1d_valid(Tensor(x), k, axis=2)
         for c in range(2):
             ref = np.correlate(x[0, c], k, mode="valid")
             np.testing.assert_allclose(out.data[0, c], ref, atol=1e-10)

@@ -105,6 +105,11 @@ class TestParsing:
          r"\[teacher\] attention_dim = 64 must equal embedding_dim = 128"),
         ("[teacher]\nencoder_blocks = 0\n", r"\[teacher\] encoder_blocks = 0 must be at least 1"),
         ("[teacher]\ndecoder_blocks = 0\n", r"\[teacher\] decoder_blocks = 0 must be at least 1"),
+        ("[teacher]\nkernel_size = 0\n", r"\[teacher\] kernel_size = 0 must be at least 1"),
+        ("[student]\nkernel_size = -1\n", r"\[student\] kernel_size = -1 must be at least 1"),
+        ("[teacher]\nembedding_dim = 0\nattention_dim = 0\n",
+         r"\[teacher\] embedding_dim = 0 must be at least 1"),
+        ("[audio]\nmel_bins = 0\n", r"\[audio\] mel_bins = 0 must be at least 1"),
     ])
     def test_unrunnable_model_or_trainer_value_rejected(self, text, message):
         with pytest.raises(ConfigError, match=r"my\.cfg: " + message):
@@ -123,6 +128,14 @@ class TestParsing:
          r"\[augment\] replace_prob = 1.5 must be in \[0, 1\]"),
         ("[training]\nplateau_factor = 1.5\n",
          r"\[training\] plateau_factor = 1.5 must be in \(0, 1\]"),
+        ("[student]\nencoder_blocks = -1\n",
+         r"\[student\] encoder_blocks = -1 must be at least 0"),
+        ("[student]\ndecoder_blocks = -2\n",
+         r"\[student\] decoder_blocks = -2 must be at least 0"),
+        ("[student]\nduration_blocks = -1\n",
+         r"\[student\] duration_blocks = -1 must be at least 0"),
+        ("[training]\nbase_lr = 0.002\nmin_lr = 0.01\n",
+         r"\[training\] min_lr = 0.01 must be at most base_lr = 0.002"),
     ])
     def test_out_of_range_value_rejected(self, text, message):
         with pytest.raises(ConfigError, match=r"my\.cfg: " + message):
@@ -133,6 +146,10 @@ class TestParsing:
                            "replace_prob = 1\n[training]\nmin_lr = 0\n"
                            "plateau_factor = 1\n")
         assert (cfg.augment.replace_prob, cfg.training.plateau_factor) == (1.0, 1.0)
+        cfg = parse_config("[student]\nencoder_blocks = 0\ndecoder_blocks = 0\n"
+                           "duration_blocks = 0\n[training]\nbase_lr = 0.001\n"
+                           "min_lr = 0.001\n")
+        assert (cfg.student.decoder_blocks, cfg.training.min_lr) == (0, 0.001)
         with pytest.raises(ConfigError, match="base_lr = nan"):
             parse_config("[training]\nbase_lr = nan\n")
 
@@ -193,7 +210,7 @@ def data_and_audio(draw):
     audio.n_fft = draw(st.integers(1, 1 << 16))
     audio.win_length = draw(st.integers(1, audio.n_fft))
     audio.hop_length = draw(st.integers(min_value=1))
-    audio.mel_bins = draw(st.integers())
+    audio.mel_bins = draw(st.integers(min_value=1))
     audio.fmin = draw(st.floats(allow_nan=False))
     audio.fmax = draw(st.floats(allow_nan=False))
     return cfg
@@ -209,6 +226,7 @@ MALFORMED = st.one_of(
     st.tuples(st.just(("data", "griffin_lim_iterations")),
               st.integers(max_value=0).map(str)),
     st.tuples(st.just(("audio", "hop_length")), st.integers(max_value=0).map(str)),
+    st.tuples(st.just(("audio", "mel_bins")), st.integers(max_value=0).map(str)),
     st.tuples(st.just(("audio", "win_length")), st.integers(max_value=0).map(str)),
 )
 

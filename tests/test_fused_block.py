@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gradcheck
+from conftest import gradcheck, peek_config
 from melsynth import pipeline, student
 from melsynth.audio_frontend import PhonemeVocabulary
 from melsynth.nn_core import PlainResidualBlock, RowLayout, Tensor, kernels, no_grad
@@ -338,7 +338,7 @@ class TestUnfusedCheckpoint:
         # norm affines and running statistics from three train-mode passes
         path = DATA / "unfused_student.ckpt"
         expected = np.load(DATA / "unfused_student_outputs.npz")
-        cfg, kind, _ = pipeline.peek_config(path)
+        cfg, kind, _ = peek_config(path)
         model = pipeline.build_student(cfg, len(PhonemeVocabulary()))
         meta = pipeline.load_checkpoint(path, model, cfg, kind)
         model.eval()

@@ -6,7 +6,7 @@ here as the reference."""
 import numpy as np
 import pytest
 
-from conftest import gradcheck
+from conftest import gradcheck, narrow, tanh
 from melsynth import pipeline
 from melsynth.audio_frontend import Utterance
 from melsynth.nn_core import Adam, RowLayout, Tensor
@@ -29,8 +29,8 @@ LENGTHS = (11, 4, 7)
 def unfused_block(block, h):
     z = block.conv(h)
     half = block.proj.weight.shape[1]
-    gated = F.mul(F.tanh(F.narrow(z, -2, 0, half)),
-                  F.sigmoid(F.narrow(z, -2, half, half)))
+    gated = F.mul(tanh(narrow(z, -2, 0, half)),
+                  F.sigmoid(narrow(z, -2, half, half)))
     skip = block.proj(gated)
     return F.add(h, skip), skip
 

@@ -9,8 +9,6 @@ from melsynth.nn_core import (
     NonFiniteError,
     PlateauSchedule,
     Tensor,
-    clip_grad_norm,
-    global_grad_norm,
     noam_lr,
 )
 from melsynth.student import pad_student_batch, student_training_step
@@ -80,6 +78,28 @@ class TestAdam:
         assert p.data[0] != 1.0
 
 
+# the norm and clipping the per-parameter Adam used, as they were in
+# nn_core.optim
+
+def global_grad_norm(params):
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    return float(np.sqrt(total))
+
+
+def clip_grad_norm(params, max_norm):
+    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    norm = global_grad_norm(params)
+    if norm > max_norm:
+        scale = max_norm / norm
+        for p in params:
+            if p.grad is not None:
+                p.grad *= scale
+    return norm
+
+
 class ReferenceAdam:
     """The per-parameter Adam the flat-buffer one replaced."""
 
@@ -103,9 +123,7 @@ class ReferenceAdam:
         for p in self.params:
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise NonFiniteError("non-finite gradient; aborting optimizer step")
-        norm = global_grad_norm(self.params)
-        if self.clip_norm is not None:
-            clip_grad_norm(self.params, self.clip_norm)
+        norm = clip_grad_norm(self.params, self.clip_norm)
         self.step_count += 1
         b1t = 1.0 - self.beta1 ** self.step_count
         b2t = 1.0 - self.beta2 ** self.step_count

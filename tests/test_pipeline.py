@@ -470,6 +470,19 @@ class TestCli:
         assert "c.cfg: [training] grad_clip = -1.0" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section,key", [("teacher", "kernel_size"),
+                                             ("audio", "mel_bins")])
+    def test_unbuildable_model_size_is_config_error(self, corpus, tmp_path,
+                                                    capsys, section, key):
+        cfg = micro_cfg(corpus)
+        setattr(getattr(cfg, section), key, 0)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        assert main(["train-teacher", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run"), "--max-steps", "2"]) == 2
+        assert f"c.cfg: [{section}] {key} = 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_undecodable_config_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_bytes(b"[training]\n\xff\n")

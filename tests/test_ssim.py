@@ -8,7 +8,7 @@ from melsynth.nn_core import functional as F
 from melsynth.student import gaussian_window, ssim_index
 from melsynth.student.ssim import DYNAMIC_RANGE, SHIFT, WINDOW_SIZE, _odd_clip
 
-from conftest import gradcheck
+from conftest import filter1d_valid, gradcheck, narrow
 
 
 class TestGaussianWindow:
@@ -97,7 +97,7 @@ def _clamp_reference(x, lo, hi):
 
 
 def _blur_reference(x, win_f, win_t):
-    return F.filter1d_valid(F.filter1d_valid(x, win_f, axis=1), win_t, axis=2)
+    return filter1d_valid(filter1d_valid(x, win_f, axis=1), win_t, axis=2)
 
 
 def ssim_reference(x, y):
@@ -127,8 +127,8 @@ def ssim_reference(x, y):
 def batch_ssim_reference(x, y, lengths):
     scores = []
     for i, t in enumerate(lengths):
-        scores.append(ssim_reference(F.narrow(F.narrow(x, 0, i, 1), 2, 0, t),
-                                     F.narrow(F.narrow(y, 0, i, 1), 2, 0, t)))
+        scores.append(ssim_reference(narrow(narrow(x, 0, i, 1), 2, 0, t),
+                                     narrow(narrow(y, 0, i, 1), 2, 0, t)))
     total = scores[0]
     for s in scores[1:]:
         total = F.add(total, s)

@@ -4,27 +4,27 @@ import numpy as np
 import pytest
 
 from melsynth import pipeline
-from melsynth.nn_core import Adam, Tensor, kernels, no_grad
+from melsynth.nn_core import Adam, NonFiniteError, Tensor, kernels, no_grad
 from melsynth.nn_core import functional as F
 from melsynth.student import (
     DECODER_CYCLE,
     DURATION_DILATIONS,
     ENCODER_CYCLE,
     StudentModel,
-    batch_ssim,
     expand_encodings,
     expansion_indices,
     masked_huber,
     pad_student_batch,
     reset_positions,
     round_durations,
+    ssim_index,
     student_dilations,
     student_losses,
     student_training_step,
     synthesize,
 )
 
-from conftest import gradcheck
+from conftest import gradcheck, narrow
 
 VOCAB = 24
 
@@ -294,7 +294,7 @@ class TestInference:
                    requires_grad=True)
         out = model.decode(x)
         center = 20
-        F.sum(F.narrow(out, 2, center, 1)).backward()
+        F.sum(narrow(out, 2, center, 1)).backward()
         support = np.flatnonzero(np.abs(x.grad).sum(axis=(0, 1)))
         assert support.min() >= center - halfwidth
         assert support.max() <= center + halfwidth
@@ -329,7 +329,7 @@ class TestStudentTraining:
 
     def test_batch_ssim_of_identical_is_one(self, rng):
         pred = Tensor(rng.normal(size=(2, 6, 12)).astype(np.float32))
-        score = batch_ssim(pred, pred, [12, 9])
+        score = ssim_index(pred, pred, [12, 9])
         assert float(score.data) == pytest.approx(1.0, abs=1e-6)
 
     def test_training_step_reduces_losses(self, rng):
@@ -343,6 +343,22 @@ class TestStudentTraining:
         assert all(np.isfinite(v) for v in first + last)
         assert last[0] < first[0]
         assert last[2] < first[2]
+
+    @pytest.mark.parametrize("name", ["encoder.blocks.0.conv.weight",
+                                      "duration_conv.weight",
+                                      "decoder.blocks.3.conv.weight"])
+    def test_non_finite_conv_weight_stops_the_step(self, rng, name):
+        # convs do not check their weights; the loss check catches them
+        model = tiny_student(rng)
+        batch = pad_student_batch(random_items(rng))
+        opt = Adam(model.parameters(), lr=5e-3)
+        params = dict(model.named_parameters())
+        params[name].data[(0,) * params[name].data.ndim] = np.nan
+        before = {n: p.data.copy() for n, p in params.items()}
+        with pytest.raises(NonFiniteError, match="student loss"):
+            student_training_step(model, batch, opt)
+        for n, p in params.items():
+            np.testing.assert_array_equal(p.data, before[n])
 
     def test_toy_step_tape_nodes(self, tmp_path, rng, monkeypatch):
         cfg = pipeline.load_config(pipeline.write_toy_config(tmp_path))

@@ -155,6 +155,25 @@ class TestForward:
         np.testing.assert_allclose(context.data, np.broadcast_to(expected, context.shape),
                                    atol=1e-6)
 
+    def test_mode_does_not_change_outputs(self, rng):
+        # no teacher layer reads the train/eval flag, so the trainers never
+        # switch it
+        model = tiny_model(rng)
+        ids = F.pad_right([rng.integers(1, VOCAB, size=n) for n in (7, 4)],
+                          np.int64)
+        mels = [rng.random((8, t)).astype(np.float32) for t in (11, 6)]
+        frames = Tensor(shift_frames(F.pad_right(mels, np.float32)))
+        pmask = F.length_mask([7, 4], ids.shape[1])
+        fmask = F.length_mask([11, 6], frames.shape[2])
+        outputs = []
+        for mode in (True, False):
+            model.train(mode)
+            outputs.append(model(ids, frames, [7 / 11, 4 / 6],
+                                 phoneme_mask=pmask, frame_mask=fmask))
+        (pred_train, att_train), (pred_eval, att_eval) = outputs
+        assert np.array_equal(pred_train.data, pred_eval.data)
+        assert np.array_equal(att_train.data, att_eval.data)
+
     def test_causal_chain_perturbation(self, rng):
         # changing input frame t leaves predictions before t untouched
         model = tiny_model(rng)
