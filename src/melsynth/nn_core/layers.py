@@ -77,8 +77,8 @@ class BatchNormTemporal(Module):
         super().__init__()
         self.scale = parameter(np.ones(channels))
         self.shift = parameter(np.zeros(channels))
-        self.register_buffer("running_mean", np.zeros(channels))
-        self.register_buffer("running_var", np.ones(channels))
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
 
     def forward(self, x):
         if self.training:
@@ -92,21 +92,21 @@ class BatchNormTemporal(Module):
             norm = F.mul(centered, inv)
             self.update_running(m.data, var.data, n)
         else:
-            mu = self._buffers["running_mean"][None, :, None]
-            sd = np.sqrt(self._buffers["running_var"][None, :, None] + self.eps)
+            mu = self.running_mean[None, :, None]
+            sd = np.sqrt(self.running_var[None, :, None] + self.eps)
             norm = F.mul(F.sub(x, mu), 1.0 / sd)
         return F.add(F.mul(norm, _per_channel(self.scale)),
                      _per_channel(self.shift))
 
     def update_running(self, mean, var, count):
         """Exponential moving average of batch statistics taken over `count`
-        frames; the running variance is the unbiased one. Off the tape."""
+        frames; the running variance is the unbiased one. Off the tape and in
+        place, like every change to model state."""
         mu = np.asarray(mean).reshape(-1).astype(np.float32)
         v = np.asarray(var).reshape(-1).astype(np.float32) * (count / (count - 1))
-        self._buffers["running_mean"] = ((1 - self.momentum) * self._buffers["running_mean"]
-                                         + self.momentum * mu)
-        self._buffers["running_var"] = ((1 - self.momentum) * self._buffers["running_var"]
-                                        + self.momentum * v)
+        for running, batch in ((self.running_mean, mu), (self.running_var, v)):
+            running *= 1 - self.momentum
+            running += self.momentum * batch
 
 
 def _per_channel(t):
@@ -217,8 +217,7 @@ class PlainResidualBlock(Module):
     def run(self, row, layout):
         """The fused block on a row laid out by `layout`."""
         norm = self.norm
-        running = None if self.training else (norm._buffers["running_mean"],
-                                              norm._buffers["running_var"])
+        running = None if self.training else (norm.running_mean, norm.running_var)
         out, mean, var = F.plain_residual(
             row, self.conv.weight, self.conv.bias, norm.scale, norm.shift,
             layout.keep, dilation=self.conv.dilation, causal=self.conv.causal,

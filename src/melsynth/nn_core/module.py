@@ -15,21 +15,20 @@ def parameter(data):
 
 
 class Module:
-    """Base class; submodules and parameters are plain attributes.
+    """Base class; submodules, parameters and buffers are plain attributes.
 
-    Attribute order (insertion order) defines the stable parameter ordering
-    used by optimizers and checkpoints.
+    A parameter is a Tensor that requires grad; a buffer (e.g. batch norm's
+    running statistics) is a float32 ndarray saved with checkpoints but not
+    trained. Both change only in place once built, so an optimizer's views
+    and the arrays `named_buffers` yields stay the model's state. Attribute
+    order (insertion order) defines the stable ordering used by optimizers
+    and checkpoints.
     """
 
     def __init__(self):
         self.training = True
-        self._buffers = {}
 
     # -- registry --------------------------------------------------------
-
-    def register_buffer(self, name, array):
-        """Non-trainable state saved with checkpoints (e.g. running stats)."""
-        self._buffers[name] = np.asarray(array, dtype=np.float32)
 
     def _children(self):
         for name, value in self.__dict__.items():
@@ -42,33 +41,22 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
 
-    def named_parameters(self, prefix=""):
+    def _named(self, wanted, prefix):
         for name, value in self.__dict__.items():
-            if isinstance(value, Tensor) and value.requires_grad:
+            if wanted(value):
                 yield prefix + name, value
         for name, child in self._children():
-            yield from child.named_parameters(prefix + name + ".")
+            yield from child._named(wanted, prefix + name + ".")
+
+    def named_parameters(self, prefix=""):
+        return self._named(
+            lambda v: isinstance(v, Tensor) and v.requires_grad, prefix)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
     def named_buffers(self, prefix=""):
-        for name, array in self._buffers.items():
-            yield prefix + name, array
-        for name, child in self._children():
-            yield from child.named_buffers(prefix + name + ".")
-
-    def set_buffer(self, name, array):
-        """Restore a buffer found by named_buffers (dotted path)."""
-        if name in self._buffers:
-            self._buffers[name] = np.asarray(array, dtype=np.float32)
-            return
-        # child names may themselves be dotted ("blocks.0"), so prefix-match
-        for child_name, child in self._children():
-            if name.startswith(child_name + "."):
-                child.set_buffer(name[len(child_name) + 1:], array)
-                return
-        raise KeyError(f"no buffer {name!r}")
+        return self._named(lambda v: isinstance(v, np.ndarray), prefix)
 
     # -- mode ------------------------------------------------------------
 

@@ -6,8 +6,12 @@ UTF-8 name, rank + dims (u32 each) and raw little-endian float32 data. The
 hash is checked before any entry is parsed, so a mismatched architecture can
 never partially load.
 
-Bookkeeping (embedded config text, normalization stats, epoch/step, schedule
-state) rides along as float32 tensors under reserved "__meta__/" names.
+Model state is every parameter under its dotted name and every buffer under
+"buffer/<name>"; bookkeeping (kind, embedded config text, epoch/step,
+normalization stats, the student's plateau schedule) rides along as float32
+tensors under reserved "__meta__/" names. A load accepts exactly these names:
+an entry the model or this list does not know is rejected, and weights and
+buffers are copied in place, so nothing that holds a model array goes stale.
 """
 
 from __future__ import annotations
@@ -129,119 +133,110 @@ def _decode(raw, path):
 
 
 def _array_to_text(array, path):
-    codes = np.asarray(array)
-    if not np.all((codes >= 0) & (codes <= 255) & (codes == np.round(codes))):
+    if not _whole(array, 255):
         raise CheckpointError(f"{path}: corrupt text entry: not byte values")
-    return _decode(codes.astype(np.uint8).tobytes(), path)
+    return _decode(array.astype(np.uint8).tobytes(), path)
 
 
 def _whole(values, top):
-    """Whether every value is a whole number in [0, top]."""
-    return bool(np.all((values >= 0) & (values <= top) & (values == np.round(values))))
+    """Whether every value is a whole number in [0, top].
+
+    Finite first: rounding a signalling NaN makes numpy warn.
+    """
+    return bool(np.all(np.isfinite(values)) and np.all(
+        (values >= 0) & (values <= top) & (values == np.round(values))))
+
+
+def _state(model):
+    """Checkpoint name -> the model array it is saved from and loaded into."""
+    state = {name: p.data for name, p in model.named_parameters()}
+    state.update((f"buffer/{name}", buf) for name, buf in model.named_buffers())
+    return state
 
 
 def save_checkpoint(path, model, cfg, kind, epoch=0, step=0, stats=None,
-                    extra=None):
+                    plateau=None):
     """Write model weights + buffers + run bookkeeping under one hash.
 
     Epoch and step are stored as float32, so each must be a whole number in
-    [0, MAX_COUNT]; anything else raises ValueError.
+    [0, MAX_COUNT]; anything else raises ValueError. `plateau` is the
+    student's (lr, best or NaN, bad-count) schedule state.
     """
     for what, value in (("epoch", epoch), ("step", step)):
         if not (value == int(value) and 0 <= value <= MAX_COUNT):
             raise ValueError(f"{what} {value} is not a whole number in "
                              f"[0, {MAX_COUNT}]")
     arch_hash = fnv1a_64(architecture_text(cfg, kind))
-    entries = {}
-    for name, p in model.named_parameters():
-        entries[name] = p.data
-    for name, buf in model.named_buffers():
-        entries[f"buffer/{name}"] = np.asarray(buf, dtype=np.float32)
+    entries = _state(model)
     entries[META_PREFIX + "kind"] = _text_to_array(kind)
     entries[META_PREFIX + "config_text"] = _text_to_array(config_to_text(cfg))
     entries[META_PREFIX + "progress"] = np.array([epoch, step], dtype=np.float32)
     if stats is not None:
         entries[META_PREFIX + "stats"] = np.asarray(stats, dtype=np.float32)
-    for key, value in (extra or {}).items():
-        entries[META_PREFIX + key] = np.asarray(value, dtype=np.float32)
+    if plateau is not None:
+        entries[META_PREFIX + "plateau"] = np.asarray(plateau, dtype=np.float32)
     save_tensors(path, entries, arch_hash)
 
 
 def load_checkpoint(path, model, cfg, kind):
-    """Copy weights into `model` in place; returns the bookkeeping dict.
+    """Copy weights and buffers into `model` in place; returns the bookkeeping.
 
-    All or nothing: the architecture hash, the stored kind, that every
-    parameter and buffer of the model is present, every shape, and that
-    parameters, buffers, progress and stats are finite are checked before
-    anything is copied, so a failed load leaves the model as it was.
-    Progress must be two whole numbers in [0, MAX_COUNT]; a stored plateau
-    schedule must be a finite lr above 0, a best value (finite, or NaN for
-    none) and a whole bad-count of at least 0.
+    All or nothing: the architecture hash, then every entry (a known name,
+    its shape, finite values), that every parameter, buffer, kind and
+    progress entry is present, and the stored kind are checked before
+    anything is copied, so a failed load leaves the model as it was. An
+    entry the model or the format does not know is an error. Progress must
+    be two whole numbers in [0, MAX_COUNT]; a stored plateau schedule must
+    be a finite lr above 0, a best value (finite, or NaN for none) and a
+    whole bad-count of at least 0.
     """
     expected = fnv1a_64(architecture_text(cfg, kind))
     arrays, _ = load_tensors(path, expected_hash=expected)
 
-    meta = {"extra": {}}
-    params = dict(model.named_parameters())
-    buffers = dict(model.named_buffers())
-    new_params, new_buffers = {}, {}
+    state = _state(model)
+    meta = {}
     for name, array in arrays.items():
-        if name.startswith(META_PREFIX):
-            key = name[len(META_PREFIX):]
-            if key in ("kind", "config_text"):
-                meta[key] = _array_to_text(array, path)
-            elif key == "progress":
-                if not (array.shape == (2,) and _whole(array, MAX_COUNT)):
-                    raise CheckpointError(
-                        f"{path}: {name!r} is not two whole numbers in "
-                        f"[0, {MAX_COUNT}]: {array}")
-                meta["epoch"], meta["step"] = int(array[0]), int(array[1])
-            elif key == "stats":
-                if array.shape != (2,) or not np.all(np.isfinite(array)):
-                    raise CheckpointError(
-                        f"{path}: {name!r} is not two finite numbers: {array}")
-                meta["stats"] = (float(array[0]), float(array[1]))
-            elif key == "plateau":
-                if not (array.shape == (3,) and np.isfinite(array[0])
-                        and array[0] > 0 and not np.isinf(array[1])
-                        and _whole(array[2:], np.inf)):
-                    raise CheckpointError(
-                        f"{path}: {name!r} is not a finite lr above 0, a best "
-                        f"value (finite, or NaN for none) and a whole "
-                        f"bad-count of at least 0: {array}")
-                lr, best, bad = (float(v) for v in array)
-                meta["plateau"] = (lr, None if math.isnan(best) else best, int(bad))
-            else:
-                meta["extra"][key] = np.asarray(array)
-            continue
-        if name.startswith("buffer/"):
-            key = name[len("buffer/"):]
-            if key not in buffers:
-                raise CheckpointError(f"{path}: unknown buffer {key!r}")
-            target, sink = np.shape(buffers[key]), new_buffers
-        else:
-            if name not in params:
-                raise CheckpointError(f"{path}: unknown parameter {name!r}")
-            key, target, sink = name, params[name].data.shape, new_params
-        if array.shape != target:
+        key = name[len(META_PREFIX):] if name.startswith(META_PREFIX) else None
+        if key in ("kind", "config_text"):
+            meta[key] = _array_to_text(array, path)
+        elif key == "progress":
+            if not (array.shape == (2,) and _whole(array, MAX_COUNT)):
+                raise CheckpointError(
+                    f"{path}: {name!r} is not two whole numbers in "
+                    f"[0, {MAX_COUNT}]: {array}")
+            meta["epoch"], meta["step"] = int(array[0]), int(array[1])
+        elif key == "stats":
+            if array.shape != (2,) or not np.all(np.isfinite(array)):
+                raise CheckpointError(
+                    f"{path}: {name!r} is not two finite numbers: {array}")
+            meta["stats"] = (float(array[0]), float(array[1]))
+        elif key == "plateau":
+            if not (array.shape == (3,) and np.isfinite(array[0])
+                    and array[0] > 0 and not np.isinf(array[1])
+                    and _whole(array[2:], np.inf)):
+                raise CheckpointError(
+                    f"{path}: {name!r} is not a finite lr above 0, a best "
+                    f"value (finite, or NaN for none) and a whole "
+                    f"bad-count of at least 0: {array}")
+            lr, best, bad = (float(v) for v in array)
+            meta["plateau"] = (lr, None if math.isnan(best) else best, int(bad))
+        elif name not in state:
+            raise CheckpointError(f"{path}: unknown entry {name!r}")
+        elif array.shape != state[name].shape:
             raise CheckpointError(
                 f"{path}: shape mismatch for {name!r}: "
-                f"{array.shape} vs {target}")
-        if not np.all(np.isfinite(array)):
+                f"{array.shape} vs {state[name].shape}")
+        elif not np.all(np.isfinite(array)):
             raise CheckpointError(f"{path}: non-finite values in {name!r}")
-        sink[key] = array
-    if meta.get("kind", kind) != kind:
-        raise CheckpointError(
-            f"{path}: holds a {meta['kind']} model, wanted {kind}")
-    missing = ([n for n in params if n not in new_params]
-               + [f"buffer/{n}" for n in buffers if n not in new_buffers])
+    required = [*state, META_PREFIX + "kind", META_PREFIX + "progress"]
+    missing = [name for name in required if name not in arrays]
     if missing:
         raise CheckpointError(
             f"{path}: {len(missing)} entries missing, e.g. {missing[:3]}")
+    if meta["kind"] != kind:
+        raise CheckpointError(
+            f"{path}: holds a {meta['kind']} model, wanted {kind}")
     # in place: an optimizer built on the model holds views of these arrays
-    for name, array in new_params.items():
-        params[name].data[...] = array
-    for key, array in new_buffers.items():
-        model.set_buffer(key, array.copy())
+    for name, target in state.items():
+        target[...] = arrays[name]
     return meta
-

@@ -315,9 +315,9 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
         save_checkpoint(
             ckpt_path, model, cfg, "student", epoch=epoch_done, step=step,
             stats=(mean, std),
-            extra={"plateau": [schedule.current,
-                               np.nan if schedule.best is None else schedule.best,
-                               schedule.bad_count]})
+            plateau=[schedule.current,
+                     np.nan if schedule.best is None else schedule.best,
+                     schedule.bad_count])
 
     history = []
     model.train()

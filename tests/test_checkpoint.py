@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peek_config
+from melsynth.audio_frontend import PhonemeVocabulary
 from melsynth.nn_core import Adam, PlainResidualBlock
 from melsynth.pipeline import (
     CheckpointError,
@@ -157,8 +158,8 @@ class TestModelCheckpoint:
         cfg = small_cfg()
         model = build_student(cfg, vocab_size=30, rng=rng)
         # make running stats non-trivial so the copy is observable
-        for name, buf in model.named_buffers():
-            model.set_buffer(name, buf + 0.25)
+        for _, buf in model.named_buffers():
+            buf += 0.25
         path = tmp_path / "student.ckpt"
         save_checkpoint(path, model, cfg, "student", stats=(1.5, 0.75))
         clone = build_student(cfg, vocab_size=30,
@@ -345,7 +346,8 @@ class TestModelCheckpoint:
     @pytest.mark.parametrize("value", [[1e-3], [np.nan, 0.5, 0.0],
                                        [0.0, 0.5, 0.0], [-1e-3, 0.5, 0.0],
                                        [1e-3, np.inf, 0.0], [1e-3, 0.5, 1.5],
-                                       [1e-3, 0.5, -1.0], [1e-3, 0.5, np.nan]])
+                                       [1e-3, 0.5, -1.0], [1e-3, 0.5, np.nan],
+                                       [1e-3, 0.5, np.inf]])
     def test_bad_plateau_rejected(self, tmp_path, rng, value):
         cfg = small_cfg()
 
@@ -362,7 +364,7 @@ class TestModelCheckpoint:
         path = tmp_path / "student.ckpt"
         save_checkpoint(path, build_student(cfg, vocab_size=30, rng=rng), cfg,
                         "student", epoch=3, step=2 ** 24,
-                        extra={"plateau": [0.5, best, 4]})
+                        plateau=[0.5, best, 4])
         meta = load_checkpoint(path, build_student(cfg, vocab_size=30), cfg,
                                "student")
         assert (meta["epoch"], meta["step"]) == (3, 2 ** 24)
@@ -379,6 +381,85 @@ class TestModelCheckpoint:
                             cfg, "student", **progress)
         assert not path.exists()
 
+    def test_load_writes_into_the_buffers_named_buffers_yields(self, tmp_path,
+                                                                rng):
+        # running statistics are restored in place, like weights: the arrays
+        # a caller took from named_buffers() before the load hold the values
+        cfg = small_cfg()
+        model = build_student(cfg, vocab_size=30, rng=rng)
+        for i, (_, buf) in enumerate(model.named_buffers()):
+            buf += 0.125 * (i + 1)
+        path = tmp_path / "student.ckpt"
+        save_checkpoint(path, model, cfg, "student")
+        clone = build_student(cfg, vocab_size=30,
+                              rng=np.random.default_rng(999))
+        held = [buf for _, buf in clone.named_buffers()]
+        load_checkpoint(path, clone, cfg, "student")
+        for (_, want), got, (_, now) in zip(model.named_buffers(), held,
+                                            clone.named_buffers()):
+            assert now is got
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("entry", ["__meta__/progresz", "__meta__/extra",
+                                       "buffer/encoder.blocks.0.norm.running_meen",
+                                       "out_proj.weigh"])
+    def test_unknown_entry_rejected_without_copy(self, tmp_path, rng, entry):
+        # a damaged entry name is an error, not bookkeeping to skip: a
+        # progress entry under a changed name must not load as no progress
+        cfg = small_cfg()
+
+        def add(arrays):
+            arrays[entry] = np.array([1.0, 2.0], np.float32)
+
+        path = self._rewritten_student(tmp_path, cfg, rng, add)
+        clone, snapshot = self._snapshot(build_student(
+            cfg, vocab_size=30, rng=np.random.default_rng(999)))
+        with pytest.raises(CheckpointError,
+                           match=f"student.ckpt: unknown entry '{entry}'"):
+            load_checkpoint(path, clone, cfg, "student")
+        self._assert_unchanged(clone, snapshot)
+
+    @pytest.mark.parametrize("key", ["progress", "kind"])
+    def test_missing_bookkeeping_rejected_without_copy(self, tmp_path, rng, key):
+        cfg = small_cfg()
+        path = self._rewritten_student(
+            tmp_path, cfg, rng, lambda arrays: arrays.pop("__meta__/" + key))
+        clone, snapshot = self._snapshot(build_student(
+            cfg, vocab_size=30, rng=np.random.default_rng(999)))
+        with pytest.raises(CheckpointError,
+                           match=f"student.ckpt: 1 entries missing.*__meta__/{key}"):
+            load_checkpoint(path, clone, cfg, "student")
+        self._assert_unchanged(clone, snapshot)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key,at", [("progress", 0), ("progress", 1),
+                                        ("plateau", 2)])
+    def test_signalling_nan_count_rejected_without_warning(self, tmp_path, rng,
+                                                           key, at):
+        cfg = small_cfg()
+        value = np.array([0.5, 0.25, 3.0] if key == "plateau" else [1.0, 2.0],
+                         np.float32)
+        value.view(np.uint32)[at] = 0x7F800001  # a signalling NaN
+
+        def poison(arrays):
+            arrays["__meta__/" + key] = value
+
+        path = self._rewritten_student(tmp_path, cfg, rng, poison)
+        with pytest.raises(CheckpointError, match=f"student.ckpt.*{key}"):
+            load_checkpoint(path, build_student(cfg, vocab_size=30), cfg,
+                            "student")
+
+    def test_committed_file_saves_back_byte_identical(self, tmp_path):
+        # pins the format: names, order, dtypes and bookkeeping layout
+        path = Path(__file__).parent / "data" / "unfused_student.ckpt"
+        cfg, kind, _ = peek_config(path)
+        model = build_student(cfg, len(PhonemeVocabulary()))
+        meta = load_checkpoint(path, model, cfg, kind)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, model, cfg, kind, epoch=meta["epoch"],
+                        step=meta["step"], stats=meta["stats"])
+        assert again.read_bytes() == path.read_bytes()
+
     @staticmethod
     def _rewritten_student(tmp_path, cfg, rng, edit):
         """A valid student checkpoint, re-saved under its own hash after edit."""
@@ -393,8 +474,8 @@ class TestModelCheckpoint:
 
     @staticmethod
     def _snapshot(model):
-        for name, buf in model.named_buffers():
-            model.set_buffer(name, buf + 0.5)
+        for _, buf in model.named_buffers():
+            buf += 0.5
         return model, ([p.data.copy() for p in model.parameters()],
                        [b.copy() for _, b in model.named_buffers()])
 
@@ -449,6 +530,7 @@ def loads_or_rejects(raw):
             TestModelCheckpoint._assert_unchanged(model, snapshot)
 
 
+@pytest.mark.filterwarnings("error")
 class TestDamagedCheckpoint:
     def test_every_truncation(self):
         raw = tiny_checkpoint()

@@ -95,8 +95,8 @@ def randomize_norms(blocks, rng):
         c = block.norm.scale.data.shape[0]
         block.norm.scale.data[...] = rng.uniform(0.5, 1.5, c)
         block.norm.shift.data[...] = rng.normal(0.0, 0.3, c)
-        block.norm.set_buffer("running_mean", rng.uniform(0.0, 0.5, c))
-        block.norm.set_buffer("running_var", rng.uniform(0.2, 1.0, c))
+        block.norm.running_mean[...] = rng.uniform(0.0, 0.5, c)
+        block.norm.running_var[...] = rng.uniform(0.2, 1.0, c)
 
 
 def to64(module):
@@ -178,9 +178,9 @@ class TestFusedParity:
         assert peak_error(got, want) < 1e-5
         assert not np.any(got * (1 - mask))
         for block, ref in zip(stack.blocks, reference.blocks):
-            for name in ("running_mean", "running_var"):
-                np.testing.assert_allclose(block.norm._buffers[name],
-                                           ref.norm._buffers[name], atol=1e-5)
+            for (_, got), (_, want) in zip(block.norm.named_buffers(),
+                                           ref.norm.named_buffers()):
+                np.testing.assert_allclose(got, want, atol=1e-5)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_single_block_matches_unfused(self, rng, training):
@@ -245,9 +245,10 @@ class TestFusedGradcheck:
         def loss():
             # running statistics are updated by every train-mode call; hold
             # them fixed so each finite-difference evaluation is the same map
-            saved = dict(block.norm._buffers)
+            saved = [buf.copy() for _, buf in block.norm.named_buffers()]
             out = F.mean(F.mul(stack(xt, mask), weights))
-            block.norm._buffers.update(saved)
+            for (_, buf), before in zip(block.norm.named_buffers(), saved):
+                buf[...] = before
             return out
 
         gradcheck(loss, [xt] + block.parameters())

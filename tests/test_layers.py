@@ -102,7 +102,27 @@ class TestBatchNormTemporal:
         x = rng.normal(loc=5.0, size=(8, 1, 16))
         for _ in range(60):
             bn(Tensor(x))
-        assert abs(bn._buffers["running_mean"][0] - x.mean()) < 0.05
+        assert abs(bn.running_mean[0] - x.mean()) < 0.05
+
+    def test_running_update_in_place_matches_rebinding(self, rng):
+        # the update used to rebind each statistic to (1 - m) * r + m * x;
+        # in place it must give the same float32 values, bit for bit
+        bn = BatchNormTemporal(4)
+        arrays = [bn.running_mean, bn.running_var]
+        mean, var = arrays[0].copy(), arrays[1].copy()
+        m = bn.momentum
+        for count in (2, 7, 48, 3):
+            batch_mean = rng.normal(size=4).astype(np.float32)
+            batch_var = rng.uniform(0.1, 3.0, size=4).astype(np.float32)
+            bn.update_running(batch_mean, batch_var, count)
+            mean = (1 - m) * mean + m * batch_mean
+            var = (1 - m) * var + m * (batch_var * (count / (count - 1)))
+            assert bn.running_mean is arrays[0] and bn.running_var is arrays[1]
+            assert bn.running_mean.dtype == np.float32
+            np.testing.assert_array_equal(bn.running_mean.view(np.uint32),
+                                          mean.view(np.uint32))
+            np.testing.assert_array_equal(bn.running_var.view(np.uint32),
+                                          var.view(np.uint32))
 
     def test_eval_mode_is_deterministic_affine(self, rng):
         bn = BatchNormTemporal(2)

@@ -569,6 +569,40 @@ class TestCli:
                      "--resume", str(bad), "--max-steps", "4"]) == 2
         assert f"bad.ckpt: '__meta__/{key}'" in capsys.readouterr().err
 
+    def test_resume_with_damaged_progress_name_is_data_error(
+            self, corpus, teacher_run, tmp_path, capsys):
+        # one changed byte in the entry name; the file still parses, and the
+        # unknown entry must be rejected rather than resumed without progress
+        cfg, result = teacher_run
+        raw = result["checkpoint"].read_bytes()
+        assert raw.count(b"__meta__/progress") == 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw.replace(b"__meta__/progress", b"__meta__/progresr"))
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        assert main(["train-teacher", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run"), "--resume", str(bad),
+                     "--max-steps", "4"]) == 2
+        assert (f"{bad}: unknown entry '__meta__/progresr'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key", ["progress", "kind"])
+    def test_resume_without_progress_or_kind_is_data_error(
+            self, corpus, teacher_run, tmp_path, capsys, key):
+        cfg, result = teacher_run
+        arrays, stored = load_tensors(result["checkpoint"])
+        arrays = dict(arrays)
+        del arrays["__meta__/" + key]
+        bad = tmp_path / "bad.ckpt"
+        save_tensors(bad, arrays, stored)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        assert main(["train-teacher", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run"), "--resume", str(bad),
+                     "--max-steps", "4"]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: 1 entries missing" in err and f"__meta__/{key}" in err
+
     def test_non_finite_synthesis_exits_3(self, student_run, tmp_path,
                                           capsys):
         cfg, result = student_run
