@@ -36,7 +36,7 @@ class TestDefaults:
 
     def test_vocoder_defaults(self):
         cfg = default_config()
-        assert cfg.data.griffin_lim_iterations == 30
+        assert cfg.data.griffin_lim_iterations == 20
 
     def test_empty_text_gives_defaults(self):
         assert parse_config("") == default_config()

@@ -1,5 +1,9 @@
 """Griffin-Lim inversion: framing arithmetic, FFT-peak recovery, monotonicity."""
 
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +20,13 @@ from melsynth.audio_frontend import (
     stft_magnitude,
     wav_to_mel,
 )
+from melsynth.audio_frontend.griffin_lim import (FGLA_MOMENTUM,
+                                                 GRIFFIN_LIM_ITERATIONS,
+                                                 _initial_spectrum)
 from melsynth.audio_frontend.mel import reflect_edges
 from melsynth.nn_core import NonFiniteError
 
+ROOT = Path(__file__).resolve().parents[1]
 CFG = AudioConfig()
 HOP300 = AudioConfig(hop_length=300)  # hop 300 does not divide the window
 # a 400-sample window in a 1024-point FFT: the 512-sample reflect pad can be
@@ -29,6 +37,15 @@ PARITY_IDS = ["hop256", "hop300", "win400"]
 
 
 # Frame-by-frame reference implementations: the vectorised code must match.
+# Their iterations start where griffin_lim's do, from the production initial
+# estimate.
+
+def initial_spectrum(magnitude, config):
+    """(bins, frames) magnitude -> it times the phase-gradient initial phase."""
+    target = np.ascontiguousarray(magnitude.T)
+    return _initial_spectrum(target, config, np.empty(target.shape, np.complex128),
+                             np.empty(target.shape)).T
+
 
 def reference_stft(waveform, config, return_complex=False):
     x = np.pad(np.asarray(waveform, dtype=np.float64), config.n_fft // 2,
@@ -62,7 +79,7 @@ def reference_istft(spec, config):
 
 def reference_griffin_lim(log_mel, iterations, config, momentum=0.0):
     magnitude = mel_to_linear_magnitude(log_mel, config)
-    y = reference_istft(magnitude.astype(np.complex128), config)
+    y = reference_istft(initial_spectrum(magnitude, config), config)
     if y.size < config.win_length:
         iterations = 1
     prev = None
@@ -116,7 +133,7 @@ def allocating_istft(spec, config):
 
 def allocating_griffin_lim(log_mel, iterations, config):
     magnitude = mel_to_linear_magnitude(log_mel, config)
-    y = allocating_istft(magnitude.astype(np.complex128), config)
+    y = allocating_istft(initial_spectrum(magnitude, config), config)
     if y.size < config.win_length:
         iterations = 1
     for _ in range(iterations - 1):
@@ -152,6 +169,50 @@ def chord(seconds, rate=22050):
 def sine(freq, seconds, rate=22050, amp=0.5):
     t = np.arange(int(seconds * rate)) / rate
     return (amp * np.sin(2 * np.pi * freq * t)).astype(np.float32)
+
+
+def harmonic(seconds, rate=22050):
+    """Eleven harmonics of 150 Hz with a slow vibrato."""
+    t = np.arange(int(seconds * rate)) / rate
+    return sum(0.3 / k * np.sin(2 * np.pi * 150 * k * t
+                                 + 0.1 * k * np.sin(2 * np.pi * 3 * t))
+               for k in range(1, 12))
+
+
+class TestInitialPhase:
+    """The phase-gradient start, on exact STFT magnitudes."""
+
+    @pytest.mark.parametrize("config", [CFG, HOP300], ids=["hop256", "hop300"])
+    @pytest.mark.parametrize("bin_position", [20.4, 46.3, 109.6])
+    def test_sinusoid_phase_advance(self, config, bin_position):
+        # between bins, the peak bin's own advance 2 pi hop m / n_fft is off
+        # by about 0.7 rad; the log-magnitude gradient term must make it up
+        freq = bin_position * config.sample_rate / config.n_fft
+        x = sine(freq, 1.0, rate=config.sample_rate)
+        spec = initial_spectrum(stft_magnitude(x, config), config)
+        peak = int(round(bin_position))
+        advance = np.angle(spec[peak, 6:-5] / spec[peak, 5:-6])
+        expected = 2 * np.pi * config.hop_length * freq / config.sample_rate
+        error = np.angle(np.exp(1j * (advance - expected)))
+        assert np.abs(error).max() < 0.05
+
+    def test_one_iteration_beats_zero_phase(self):
+        magnitude = stft_magnitude(harmonic(2.0), CFG)
+        start = spectral_convergence(
+            magnitude, istft(initial_spectrum(magnitude, CFG), CFG), CFG)
+        zero = spectral_convergence(
+            magnitude, istft(magnitude.astype(np.complex128), CFG), CFG)
+        assert start < 0.5 * zero
+
+    def test_zero_bins_and_frames_give_finite_phase(self):
+        magnitude = stft_magnitude(chord(0.5), CFG)
+        magnitude[:, 3:7] = 0.0
+        magnitude[200:, :] = 0.0
+        for target in (magnitude, np.zeros_like(magnitude)):
+            with np.errstate(all="raise"):
+                spec = initial_spectrum(target, CFG)
+            assert np.isfinite(spec).all()
+            np.testing.assert_allclose(np.abs(spec), target, rtol=1e-6, atol=0)
 
 
 class TestIstft:
@@ -312,6 +373,28 @@ class TestGriffinLim:
         with pytest.raises(ValueError, match="momentum"):
             griffin_lim(np.zeros((80, 10), dtype=np.float32), 3,
                         momentum=momentum)
+
+    def test_peak_memory_within_its_buffers(self):
+        mel = speech_like_mel(686, CFG, seed=1)
+        griffin_lim(mel, 2, CFG)  # builds the cached filterbank inverse
+        n_frames, bins = mel.shape[1], CFG.n_fft // 2 + 1
+        blocks = n_frames - 1 + -(-CFG.win_length // CFG.hop_length)
+        # the target, the real frames buffer, the projection and the
+        # previous projection, and the synthesis norm and block buffers
+        buffers = 8 * (n_frames * bins + n_frames * CFG.n_fft
+                       + 2 * 2 * n_frames * bins + 2 * blocks * CFG.hop_length)
+        tracemalloc.start()
+        try:
+            griffin_lim(mel, 20, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one more real (frames, bins) temporary would add 12.5%
+        assert peak <= 1.1 * buffers
+
+    def test_default_iterations_follow_the_committed_curve(self):
+        curve = json.loads((ROOT / "griffin_lim_curve.json").read_text())
+        assert curve["smallest_meeting"][str(FGLA_MOMENTUM)] == GRIFFIN_LIM_ITERATIONS
 
     def test_deterministic(self):
         mel = wav_to_mel(sine(600, 0.3), CFG)

@@ -44,7 +44,7 @@ from melsynth.audio_frontend import (  # noqa: E402
 from workloads import TTS_LADDER, prepare_inference_student, sentence  # noqa: E402
 
 MOMENTA = (0.0, 0.99)
-ITERATIONS = tuple(range(20, 61, 5))
+ITERATIONS = tuple(range(10, 61, 5))
 BASELINE = (0.0, 60)
 ROUNDS = 2
 TOLERANCE = 0.01  # largest SC increase over the baseline allowed at any seed
