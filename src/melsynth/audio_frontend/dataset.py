@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,14 +50,26 @@ def load_wav(path, expected_rate=22050):
 
 
 def save_wav(path, waveform, sample_rate=22050):
-    """Write float waveform in [-1, 1] as 16-bit PCM mono."""
+    """Write float waveform in [-1, 1] as 16-bit PCM mono.
+
+    The bytes go to a temp file in the same directory, which is renamed over
+    `path`; on any error the temp file is removed and `path` keeps its old
+    contents. There is no fsync: a WAV is cheap to write again.
+    """
+    path = Path(path)
     clipped = np.clip(np.asarray(waveform, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(sample_rate)
-        wf.writeframes(pcm.tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with wave.open(str(tmp), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(sample_rate)
+            wf.writeframes(pcm.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_lines(path):

@@ -7,8 +7,8 @@ import functools
 import numpy as np
 
 from ..nn_core import NonFiniteError
-from .mel import (AudioConfig, analysis_window, hann_window, mel_filterbank,
-                  stft_frames, stft_magnitude)
+from .mel import (AudioConfig, analysis_frames, analysis_window, hann_window,
+                  mel_filterbank, reflect_edges, stft_frames, stft_magnitude)
 
 # Fast Griffin-Lim from the phase-gradient initial phase at 20 iterations
 # matches the spectral convergence of 60 classic iterations on tts-b1 mels
@@ -22,6 +22,11 @@ HANN_GAMMA = 0.25645
 # the target's peak: the pseudo-inverse clips bins to 0, and the gradients
 # of log 0 or of tiny values would throw the phase estimate off.
 PHASE_LOG_RANGE = 4.0
+# Frames per block of a synthesis pass. A Griffin-Lim iteration carries a
+# block from analysis to overlap-add while its rows stay in cache: the
+# frames work buffer, the projection, the previous projection and the
+# target take BLOCK_FRAMES * (8 n_fft + 40 bins) bytes, 1.8 MB at n_fft 1024.
+BLOCK_FRAMES = 64
 
 
 @functools.lru_cache(maxsize=8)
@@ -38,17 +43,18 @@ def mel_to_linear_magnitude(log_mel, config=AudioConfig()):
 
 
 def _overlap_add(frames, config, out):
-    """Sum `frames` (n_frames, >= win), placed every hop samples, into `out`.
+    """Add `frames` (n_frames, >= win), placed every hop samples, into `out`.
 
-    `out` is (n_frames + r - 1, hop): the signal in blocks of hop samples. A
-    frame spans r = ceil(win/hop) blocks, so the sum is r strided adds of
-    every frame at once; the last block of a frame is partial when hop does
-    not divide win. Chunks are added last-first, which sums each output
-    sample over frames in increasing order, as a frame-by-frame loop would.
+    `out` is (n_frames + r - 1, hop): the signal in blocks of hop samples,
+    from the first frame's start. A frame spans r = ceil(win/hop) blocks,
+    so the sum is r strided adds of every frame at once; the last block of a
+    frame is partial when hop does not divide win. Chunks are added
+    last-first, which sums each output sample over frames in increasing
+    order, as a frame-by-frame loop would, also when a signal's frames are
+    added a block of frames at a time, in order.
     """
     hop, width = config.hop_length, config.win_length
     n_frames = frames.shape[0]
-    out.fill(0.0)
     for start in reversed(range(0, width, hop)):
         j, stop = start // hop, min(start + hop, width)
         out[j:j + n_frames, :stop - start] += frames[:, start:stop]
@@ -58,39 +64,58 @@ def _overlap_add(frames, config, out):
 class _Synthesis:
     """Least-squares inverse of the centered STFT for one frame count.
 
-    The window-squared norm, its 1e-10 clip, the synthesis window and the
-    overlap-add buffer are built once; each call writes the signal into the
-    same buffer and returns a view of it without the n_fft // 2 padding.
-    `padded` views the signal with that padding, the layout `stft_frames`
-    analyses, so re-analysis needs no copy.
+    The window-squared norm, its 1e-10 clip, the synthesis window and a
+    (BLOCK_FRAMES, n_fft) work buffer are built once. A signal buffer
+    (`signal_buffer`) holds the signal in blocks of hop samples with
+    n_fft // 2 samples of padding on each side: `padded` views it in the
+    layout `analysis_frames` reads, so re-analysis needs no copy.
     """
 
     def __init__(self, config, n_frames):
         hop, width = config.hop_length, config.win_length
         win = hann_window(width)
-        self.config = config
+        self.config, self.n_frames = config, n_frames
+        self.span = -(-width // hop)  # blocks of hop samples a frame spans
+        self.shape = (n_frames - 1 + self.span, hop)
         # undoes the 2/sum(window) scaling stft_magnitude applies
         self.window = win * (win.sum() / 2.0)
-        shape = (n_frames - 1 + -(-width // hop), hop)
         self.norm = _overlap_add(np.broadcast_to(win * win, (n_frames, width)),
-                                config, np.empty(shape))
+                                 config, np.zeros(self.shape))
         np.maximum(self.norm, 1e-10, out=self.norm)
-        self.blocks = np.empty(shape)
-        pad, length = config.n_fft // 2, hop * (n_frames - 1) + width
-        self.padded = self.blocks.reshape(-1)[:length]
-        self.signal = self.blocks.reshape(-1)[pad:length - pad]
+        self.frames = np.empty((min(n_frames, BLOCK_FRAMES), config.n_fft))
 
-    def __call__(self, spec, frames):
-        """Frame-major `spec` (n_frames, bins) -> self.signal.
+    def signal_buffer(self):
+        return np.empty(self.shape)
 
-        `frames` ((n_frames, n_fft)) is scratch for the irfft output.
+    def padded(self, blocks):
+        config = self.config
+        length = config.hop_length * (self.n_frames - 1) + config.win_length
+        return blocks.reshape(-1)[:length]
+
+    def synthesize(self, spectra, blocks):
+        """Synthesise every frame into `blocks`, a block of frames at a time;
+        returns the signal without its padding, a view of `blocks`.
+
+        `spectra(rows, frames)` gives the frame-major spectrum of the frames
+        in slice `rows`; `frames` is that block's rows of the work buffer,
+        free for it to use until it returns.
         """
-        width = self.config.win_length
-        np.fft.irfft(spec, n=self.config.n_fft, axis=1, out=frames)
-        frames[:, :width] *= self.window
-        _overlap_add(frames, self.config, self.blocks)
-        self.blocks /= self.norm
-        return self.signal
+        config, span, n_frames = self.config, self.span, self.n_frames
+        blocks[:span - 1] = 0.0
+        for first in range(0, n_frames, BLOCK_FRAMES):
+            stop = min(first + BLOCK_FRAMES, n_frames)
+            frames = self.frames[:stop - first]
+            np.fft.irfft(spectra(slice(first, stop), frames), n=config.n_fft,
+                         axis=1, out=frames)
+            frames[:, :config.win_length] *= self.window
+            # zero what no earlier frame reached, add, and normalise what no
+            # later frame reaches: frame `stop` starts at block `stop`
+            blocks[first + span - 1:stop + span - 1] = 0.0
+            _overlap_add(frames, config, blocks[first:stop + span - 1])
+            done = slice(first, stop if stop < n_frames else None)
+            np.divide(blocks[done], self.norm[done], out=blocks[done])
+        padded, pad = self.padded(blocks), config.n_fft // 2
+        return padded[pad:padded.size - pad]
 
 
 def istft(spec, config=AudioConfig()):
@@ -101,8 +126,9 @@ def istft(spec, config=AudioConfig()):
     hop * (frames - 1).
     """
     spec = np.asarray(spec).T
-    return _Synthesis(config, spec.shape[0])(
-        spec, np.empty((spec.shape[0], config.n_fft)))
+    synthesis = _Synthesis(config, spec.shape[0])
+    return synthesis.synthesize(lambda rows, frames: spec[rows],
+                                synthesis.signal_buffer())
 
 
 def spectral_convergence(magnitude, waveform, config=AudioConfig()):
@@ -131,12 +157,19 @@ def griffin_lim(log_mel, iterations=GRIFFIN_LIM_ITERATIONS, config=AudioConfig()
         raise ValueError("griffin_lim needs at least one iteration")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"griffin_lim momentum {momentum} is outside [0, 1)")
+    shape = np.shape(log_mel)
+    if len(shape) != 2 or shape[0] != config.n_mels:
+        raise ValueError(f"griffin_lim needs a mel of n_mels = {config.n_mels} "
+                         f"rows, got shape {shape}")
+    if shape[1] == 0:
+        raise ValueError(f"griffin_lim got a mel of shape {shape}, with no "
+                         f"frames (n_mels = {config.n_mels})")
     # the pseudo-inverse output carries the same scaling stft_magnitude applies
     with np.errstate(over="ignore", invalid="ignore"):
         target = np.ascontiguousarray(mel_to_linear_magnitude(log_mel, config).T)
     if not np.isfinite(target).all():
         raise NonFiniteError(
-            f"non-finite linear magnitude from mel of shape {np.shape(log_mel)}")
+            f"non-finite linear magnitude from mel of shape {shape}")
     y = _iterate(target, iterations, config, momentum)
     peak = np.max(np.abs(y)) if y.size else 0.0
     if peak > 0.95:
@@ -187,36 +220,45 @@ def _initial_spectrum(target, config, spec, scratch):
 def _iterate(target, iterations, config, momentum):
     """The phase iterations on a frame-major target magnitude -> signal.
 
-    Every buffer is allocated once and freed on return: one real (frames,
-    n_fft) buffer holds in turn the initial log-magnitude and phase, the
-    analysis frames, the |spec| ratio, the irfft output and the synthesis
-    frames; the projection and, for momentum > 0, the previous projection
-    are two complex buffers swapped each iteration; the signal is analysed
-    where the overlap-add wrote it.
+    Each iteration is one synthesis pass: a block of frames is analysed from
+    the previous iteration's signal, projected onto the target magnitude,
+    extrapolated and added into the next signal while its rows sit in
+    cache. Every buffer is allocated once and freed on return: the
+    projection and the previous projection are two complex (frames, bins)
+    buffers swapped each iteration, never copied (the second also holds the
+    initial log-magnitude and phase), and two signal buffers likewise.
     """
-    n_frames = target.shape[0]
-    synthesis = _Synthesis(config, n_frames)
-    frames = np.empty((n_frames, config.n_fft))
-    ratio = frames[:, :target.shape[1]]
-    spec = _initial_spectrum(target, config,
-                             np.empty(target.shape, np.complex128), ratio)
-    prev = np.empty_like(spec) if momentum else spec
-    y = synthesis(spec, frames)
+    bins = target.shape[1]
+    synthesis = _Synthesis(config, target.shape[0])
+    spec = np.empty(target.shape, np.complex128)
+    prev = np.empty_like(spec)
+    _initial_spectrum(target, config, spec, prev.view(np.float64)[:, :bins])
+    signals = [synthesis.signal_buffer() for _ in range(2)]
+    segments = [analysis_frames(synthesis.padded(b), config) for b in signals]
+    y = synthesis.synthesize(lambda rows, frames: spec[rows], signals[0])
     if y.size < config.win_length:  # too short to re-analyze: the initial estimate
         return y
     window = analysis_window(config)
     for n in range(iterations - 1):
         spec, prev = prev, spec  # prev keeps the last projection
-        stft_frames(synthesis.padded, config, window, frames, out=spec)
-        np.abs(spec, out=ratio)
-        np.maximum(ratio, 1e-12, out=ratio)
-        np.divide(target, ratio, out=ratio)
-        spec *= ratio
-        if momentum and n:
-            np.subtract(spec, prev, out=prev)
-            prev *= momentum
-            prev += spec
-            y = synthesis(prev, frames)
-        else:
-            y = synthesis(spec, frames)
+        current = n % 2
+        reflect_edges(synthesis.padded(signals[current]), config.n_fft // 2)
+
+        def project(rows, frames):
+            block = spec[rows]
+            stft_frames(segments[current][rows], window, frames, out=block)
+            ratio = frames[:, :bins]
+            np.abs(block, out=ratio)
+            np.maximum(ratio, 1e-12, out=ratio)
+            np.divide(target[rows], ratio, out=ratio)
+            block *= ratio
+            if not (momentum and n):
+                return block
+            extrapolated = prev[rows]
+            np.subtract(block, extrapolated, out=extrapolated)
+            extrapolated *= momentum
+            extrapolated += block
+            return extrapolated
+
+        y = synthesis.synthesize(project, signals[1 - current])
     return y

@@ -81,19 +81,23 @@ def reflect_edges(padded, pad):
         np.take(x, np.where(idx < n, idx, period - idx), out=edge)
 
 
-def stft_frames(padded, config, window, frames, out=None):
-    """Centered STFT, frame-major: (frames, bins) into `out`.
+def analysis_frames(padded, config):
+    """The frames of a centered STFT, a (frames, win) view of `padded`: the
+    signal with its n_fft // 2 reflected samples on each side
+    (`reflect_edges`)."""
+    return sliding_window_view(padded, config.win_length)[::config.hop_length]
 
-    `padded` holds the signal with n_fft // 2 samples of room on each side,
-    which are overwritten with its reflection. `window` is
-    `analysis_window(config)`; `frames` ((frames, n_fft)) is a work buffer,
-    so a caller that analyses many signals of one length allocates nothing
-    per call.
+
+def stft_frames(segments, window, frames, out=None):
+    """Windowed rfft of `segments` (rows of `analysis_frames`), frame-major:
+    (frames, bins) into `out`.
+
+    `window` is `analysis_window(config)`; `frames` ((len(segments), n_fft))
+    is a work buffer, so a caller that analyses a signal a block of frames
+    at a time, or many signals of one length, allocates nothing per call.
     """
-    width = config.win_length
-    reflect_edges(padded, config.n_fft // 2)
-    np.multiply(sliding_window_view(padded, width)[::config.hop_length],
-                window, out=frames[:, :width])
+    width = segments.shape[1]
+    np.multiply(segments, window, out=frames[:, :width])
     frames[:, width:] = 0.0
     return np.fft.rfft(frames, axis=1, out=out)
 
@@ -112,8 +116,10 @@ def stft_magnitude(waveform, config=AudioConfig()):
     pad = config.n_fft // 2
     padded = np.empty(x.size + 2 * pad)
     padded[pad:pad + x.size] = x
-    spec = stft_frames(padded, config, analysis_window(config),
-                       np.empty((frame_count(x.size, config), config.n_fft))).T
+    reflect_edges(padded, pad)
+    segments = analysis_frames(padded, config)
+    spec = stft_frames(segments, analysis_window(config),
+                       np.empty((len(segments), config.n_fft))).T
     return np.abs(spec)
 
 

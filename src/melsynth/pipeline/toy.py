@@ -117,7 +117,6 @@ TOY_CONFIG_TEMPLATE = """\
 [data]
 root = {root}
 holdout = 2
-griffin_lim_iterations = 30
 
 [teacher]
 residual_channels = 24

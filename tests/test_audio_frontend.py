@@ -1,6 +1,7 @@
 """Mel extraction, normalization regimes, vocabulary, corpus loading."""
 
 import tempfile
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,24 @@ class TestDataset:
         y = load_wav(tmp_path / "x.wav")
         assert y.shape == x.shape
         assert np.max(np.abs(x - y)) < 1.0 / 32000
+
+    def test_failed_wav_write_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        kept = tmp_path / "kept.wav"
+        save_wav(kept, sine(440, 0.1))
+        before = kept.read_bytes()
+
+        write = wave.Wave_write.writeframes
+
+        def disk_full(self, data):
+            write(self, data[:100])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(wave.Wave_write, "writeframes", disk_full)
+        for path in (tmp_path / "new.wav", kept):
+            with pytest.raises(OSError, match="no space"):
+                save_wav(path, sine(440, 0.1))
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.wav"]
+        assert kept.read_bytes() == before
 
     def test_wrong_rate_rejected(self, tmp_path):
         save_wav(tmp_path / "x.wav", np.zeros(100), sample_rate=16000)

@@ -1,6 +1,7 @@
 """Griffin-Lim inversion: framing arithmetic, FFT-peak recovery, monotonicity."""
 
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -20,10 +21,10 @@ from melsynth.audio_frontend import (
     stft_magnitude,
     wav_to_mel,
 )
-from melsynth.audio_frontend.griffin_lim import (FGLA_MOMENTUM,
+from melsynth.audio_frontend.griffin_lim import (BLOCK_FRAMES, FGLA_MOMENTUM,
                                                  GRIFFIN_LIM_ITERATIONS,
                                                  _initial_spectrum)
-from melsynth.audio_frontend.mel import reflect_edges
+from melsynth.audio_frontend.mel import analysis_window, reflect_edges
 from melsynth.nn_core import NonFiniteError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,6 +141,72 @@ def allocating_griffin_lim(log_mel, iterations, config):
         rebuilt = allocating_stft(y, config)
         rebuilt *= magnitude / np.maximum(np.abs(rebuilt), 1e-12)
         y = allocating_istft(rebuilt, config)
+    peak = np.max(np.abs(y)) if y.size else 0.0
+    if peak > 0.95:
+        y = y * (0.95 / peak)
+    return y.astype(np.float32)
+
+
+# Griffin-Lim with every step a whole-array pass over all frames, as before
+# the iterations were streamed through blocks of frames: the streamed loop
+# must reproduce it bit for bit, with and without momentum.
+
+def whole_array_overlap_add(frames, config, out):
+    hop, width = config.hop_length, config.win_length
+    out.fill(0.0)
+    for start in reversed(range(0, width, hop)):
+        j, stop = start // hop, min(start + hop, width)
+        out[j:j + frames.shape[0], :stop - start] += frames[:, start:stop]
+    return out
+
+
+def whole_array_griffin_lim(log_mel, iterations, config, momentum):
+    hop, width, n_fft = config.hop_length, config.win_length, config.n_fft
+    target = np.ascontiguousarray(mel_to_linear_magnitude(log_mel, config).T)
+    n_frames, bins = target.shape
+    win = hann_window(width)
+    synthesis_window = win * (win.sum() / 2.0)
+    shape = (n_frames - 1 + -(-width // hop), hop)
+    norm = whole_array_overlap_add(np.broadcast_to(win * win, (n_frames, width)),
+                                   config, np.empty(shape))
+    np.maximum(norm, 1e-10, out=norm)
+    blocks = np.empty(shape)
+    pad, length = n_fft // 2, hop * (n_frames - 1) + width
+    padded = blocks.reshape(-1)[:length]
+    frames = np.empty((n_frames, n_fft))
+    ratio = frames[:, :bins]
+
+    def synthesize(spec):
+        np.fft.irfft(spec, n=n_fft, axis=1, out=frames)
+        frames[:, :width] *= synthesis_window
+        whole_array_overlap_add(frames, config, blocks)
+        np.divide(blocks, norm, out=blocks)
+        return padded[pad:length - pad]
+
+    spec = _initial_spectrum(target, config,
+                             np.empty(target.shape, np.complex128), ratio)
+    prev = np.empty_like(spec) if momentum else spec
+    y = synthesize(spec)
+    if y.size < width:
+        iterations = 1
+    for n in range(iterations - 1):
+        spec, prev = prev, spec
+        reflect_edges(padded, pad)
+        np.multiply(sliding_window_view(padded, width)[::hop],
+                    analysis_window(config), out=frames[:, :width])
+        frames[:, width:] = 0.0
+        np.fft.rfft(frames, axis=1, out=spec)
+        np.abs(spec, out=ratio)
+        np.maximum(ratio, 1e-12, out=ratio)
+        np.divide(target, ratio, out=ratio)
+        spec *= ratio
+        if momentum and n:
+            np.subtract(spec, prev, out=prev)
+            prev *= momentum
+            prev += spec
+            y = synthesize(prev)
+        else:
+            y = synthesize(spec)
     peak = np.max(np.abs(y)) if y.size else 0.0
     if peak > 0.95:
         y = y * (0.95 / peak)
@@ -293,6 +360,22 @@ class TestBitIdenticalAtZeroMomentum:
                 allocating_griffin_lim(mel, iterations, config))
 
 
+class TestBitIdenticalToWholeArrayPasses:
+    # one block, a partial block, block edges, and 5 frames: under WIN400,
+    # a 400-sample signal shorter than its 512-sample reflect pad
+    FRAME_COUNTS = [1, 5, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1,
+                    2 * BLOCK_FRAMES + 3]
+
+    @pytest.mark.parametrize("momentum", [FGLA_MOMENTUM, 0.0])
+    @pytest.mark.parametrize("config", PARITY_CONFIGS, ids=PARITY_IDS)
+    def test_matches_whole_array_loop(self, config, momentum):
+        for n_frames in self.FRAME_COUNTS:
+            mel = speech_like_mel(n_frames, config, seed=n_frames)
+            assert np.array_equal(
+                griffin_lim(mel, 6, config, momentum=momentum),
+                whole_array_griffin_lim(mel, 6, config, momentum)), n_frames
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 40), pad=st.integers(0, 100))
 def test_reflect_edges_matches_np_pad(n, pad):
@@ -364,6 +447,13 @@ class TestGriffinLim:
         with pytest.raises(NonFiniteError, match=r"\(80, %d\)" % mel.shape[1]):
             griffin_lim(mel, iterations=3, config=CFG)
 
+    @pytest.mark.parametrize("shape", [(80, 0), (79, 12), (80,)])
+    def test_mel_of_wrong_shape_named(self, shape):
+        with pytest.raises(ValueError) as excinfo:
+            griffin_lim(np.zeros(shape, dtype=np.float32), 3, CFG)
+        excinfo.match(re.escape(str(shape)))
+        excinfo.match("n_mels = 80")
+
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError):
             griffin_lim(np.zeros((80, 10), dtype=np.float32), iterations=0)
@@ -379,17 +469,17 @@ class TestGriffinLim:
         griffin_lim(mel, 2, CFG)  # builds the cached filterbank inverse
         n_frames, bins = mel.shape[1], CFG.n_fft // 2 + 1
         blocks = n_frames - 1 + -(-CFG.win_length // CFG.hop_length)
-        # the target, the real frames buffer, the projection and the
-        # previous projection, and the synthesis norm and block buffers
-        buffers = 8 * (n_frames * bins + n_frames * CFG.n_fft
-                       + 2 * 2 * n_frames * bins + 2 * blocks * CFG.hop_length)
+        # the target, the projection and the previous projection, the two
+        # signal buffers and the norm, and one block's frames
+        buffers = 8 * (n_frames * bins + 2 * 2 * n_frames * bins
+                       + 3 * blocks * CFG.hop_length + BLOCK_FRAMES * CFG.n_fft)
         tracemalloc.start()
         try:
             griffin_lim(mel, 20, CFG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one more real (frames, bins) temporary would add 12.5%
+        # one more real (frames, bins) temporary would add 15%
         assert peak <= 1.1 * buffers
 
     def test_default_iterations_follow_the_committed_curve(self):

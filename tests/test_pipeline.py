@@ -12,6 +12,7 @@ from melsynth.audio_frontend import (
     load_wav,
     read_durations,
 )
+from melsynth.audio_frontend.griffin_lim import GRIFFIN_LIM_ITERATIONS
 from melsynth.cli import main
 from melsynth.nn_core import noam_lr
 from melsynth.pipeline import (
@@ -141,6 +142,8 @@ class TestToyCorpus:
         cfg = load_config(path)
         assert cfg.data.root == str(corpus)
         assert cfg.teacher.residual_channels < default_config().teacher.residual_channels
+        # the vocoder runs the committed curve's iteration count
+        assert cfg.data.griffin_lim_iterations == GRIFFIN_LIM_ITERATIONS
 
 
 class TestArtifacts:
