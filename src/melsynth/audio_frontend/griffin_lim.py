@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import os
+from collections import deque
 
 import numpy as np
 
@@ -27,6 +29,21 @@ PHASE_LOG_RANGE = 4.0
 # frames work buffer, the projection, the previous projection and the
 # target take BLOCK_FRAMES * (8 n_fft + 40 bins) bytes, 1.8 MB at n_fft 1024.
 BLOCK_FRAMES = 64
+
+
+@functools.cache
+def _block_pool():
+    """The threads that make blocks of frames beside the calling thread, and
+    the number of threads that make them in all: one per CPU this process
+    may run on (os.sched_getaffinity), the calling thread being one. There
+    are no threads (None) on one CPU. Made on the first synthesis, so that
+    importing melsynth starts no thread and imports no concurrent.futures.
+    """
+    workers = len(os.sched_getaffinity(0))
+    if workers == 1:
+        return None, 1
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers - 1, "griffin-lim"), workers
 
 
 @functools.lru_cache(maxsize=8)
@@ -65,7 +82,7 @@ class _Synthesis:
     """Least-squares inverse of the centered STFT for one frame count.
 
     The window-squared norm, its 1e-10 clip, the synthesis window and a
-    (BLOCK_FRAMES, n_fft) work buffer are built once. A signal buffer
+    ring of (BLOCK_FRAMES, n_fft) block buffers are built once. A signal buffer
     (`signal_buffer`) holds the signal in blocks of hop samples with
     n_fft // 2 samples of padding on each side: `padded` views it in the
     layout `analysis_frames` reads, so re-analysis needs no copy.
@@ -82,7 +99,14 @@ class _Synthesis:
         self.norm = _overlap_add(np.broadcast_to(win * win, (n_frames, width)),
                                  config, np.zeros(self.shape))
         np.maximum(self.norm, 1e-10, out=self.norm)
-        self.frames = np.empty((min(n_frames, BLOCK_FRAMES), config.n_fft))
+        self.starts = range(0, n_frames, BLOCK_FRAMES)
+        self.pool, workers = _block_pool()
+        # a block's frames stay in their slot until they are added, so one
+        # slot more than there are workers keeps every worker busy; alone,
+        # the calling thread reuses one slot while it is in cache
+        slots = min(workers + 1, len(self.starts)) if self.pool else 1
+        self.ring = np.empty((slots, min(n_frames, BLOCK_FRAMES),
+                              config.n_fft))
 
     def signal_buffer(self):
         return np.empty(self.shape)
@@ -97,23 +121,64 @@ class _Synthesis:
         returns the signal without its padding, a view of `blocks`.
 
         `spectra(rows, frames)` gives the frame-major spectrum of the frames
-        in slice `rows`; `frames` is that block's rows of the work buffer,
-        free for it to use until it returns.
+        in slice `rows`; `frames` is that block's rows of its ring slot,
+        free for it to use until it returns. Blocks are made (`spectra`,
+        `irfft`, synthesis window) up to one ring ahead, by the pool's
+        threads and by the calling thread, which makes the first block no
+        thread has started whenever the block it adds next is not ready.
+        Only the calling thread zeroes, adds and normalises, in frame order,
+        so the output does not depend on the number of threads. `spectra`
+        may read shared arrays and write its own rows only. If a block
+        raises, the blocks still being made finish before the error leaves.
         """
         config, span, n_frames = self.config, self.span, self.n_frames
-        blocks[:span - 1] = 0.0
-        for first in range(0, n_frames, BLOCK_FRAMES):
+
+        def frames_of(i):
+            first = self.starts[i]
             stop = min(first + BLOCK_FRAMES, n_frames)
-            frames = self.frames[:stop - first]
+            frames = self.ring[i % len(self.ring)][:stop - first]
             np.fft.irfft(spectra(slice(first, stop), frames), n=config.n_fft,
                          axis=1, out=frames)
             frames[:, :config.win_length] *= self.window
-            # zero what no earlier frame reached, add, and normalise what no
-            # later frame reaches: frame `stop` starts at block `stop`
-            blocks[first + span - 1:stop + span - 1] = 0.0
-            _overlap_add(frames, config, blocks[first:stop + span - 1])
-            done = slice(first, stop if stop < n_frames else None)
-            np.divide(blocks[done], self.norm[done], out=blocks[done])
+            return frames
+
+        blocks[:span - 1] = 0.0
+        n_blocks, slots = len(self.starts), len(self.ring)
+        # blocks i to submitted - 1: a Future of the pool, or the frames the
+        # calling thread made
+        jobs, submitted = deque(), 0
+        try:
+            for i, first in enumerate(self.starts):
+                # block i + slots takes block i's slot, so it is submitted
+                # only once block i has been added
+                ahead = min(i + slots, n_blocks)
+                jobs.extend(self.pool.submit(frames_of, j)
+                            for j in range(max(submitted, i + 1), ahead))
+                if submitted == i:  # block i was given to no thread
+                    jobs.appendleft(frames_of(i))
+                submitted = ahead
+                # until block i is made, make the first block no thread has
+                # started (cancelling its Future)
+                while not (isinstance(jobs[0], np.ndarray) or jobs[0].done()):
+                    k = next((k for k, job in enumerate(jobs)
+                              if not isinstance(job, np.ndarray)
+                              and job.cancel()), None)
+                    if k is None:
+                        break
+                    jobs[k] = frames_of(i + k)
+                job = jobs.popleft()
+                frames = job if isinstance(job, np.ndarray) else job.result()
+                stop = first + frames.shape[0]
+                # zero what no earlier frame reached, add, and normalise what
+                # no later frame reaches: frame `stop` starts at block `stop`
+                blocks[first + span - 1:stop + span - 1] = 0.0
+                _overlap_add(frames, config, blocks[first:stop + span - 1])
+                done = slice(first, stop if stop < n_frames else None)
+                np.divide(blocks[done], self.norm[done], out=blocks[done])
+        finally:
+            for job in jobs:
+                if not (isinstance(job, np.ndarray) or job.cancel()):
+                    job.exception()  # waits for a block a thread is making
         padded, pad = self.padded(blocks), config.n_fft // 2
         return padded[pad:padded.size - pad]
 
@@ -125,7 +190,12 @@ def istft(spec, config=AudioConfig()):
     `stft_magnitude` applies; returns the de-padded waveform of length
     hop * (frames - 1).
     """
-    spec = np.asarray(spec).T
+    spec, bins = np.asarray(spec), config.n_fft // 2 + 1
+    if spec.ndim != 2 or spec.shape[0] != bins or spec.shape[1] == 0:
+        raise ValueError(f"istft needs a spectrum of n_fft // 2 + 1 = {bins} "
+                         f"rows and at least one frame, got shape "
+                         f"{spec.shape}")
+    spec = spec.T
     synthesis = _Synthesis(config, spec.shape[0])
     return synthesis.synthesize(lambda rows, frames: spec[rows],
                                 synthesis.signal_buffer())

@@ -2,7 +2,8 @@
 
 Methodology: one fixed sentence is replicated across the batch with durations
 pinned so every row is the same ~9.72 s long; a warmup run is excluded, the
-reported numbers average `repeats` timed runs. The real-time factor is
+reported numbers average `repeats` timed runs, and each repeat times every
+batch size once, in turn. The real-time factor is
 total_seconds / (batch_size * audio_seconds).
 """
 
@@ -74,14 +75,14 @@ def run_benchmark(model, cfg, stats, batch_sizes=(1, 2, 4, 8, 16), repeats=10,
     acfg = audio_config(cfg)
     ids, durations, audio_seconds = bench_inputs(cfg)
     mean, std = stats
-    rows = []
-    for batch in batch_sizes:
-        ids_b = [ids] * batch
-        dur_b = [durations] * batch
-        sgram_t, audio_t = [], []
-        for run in range(repeats + 1):  # first run warms up, dropped
+    times = [([], []) for _ in batch_sizes]  # (sgram, audio) per batch size
+    # each repeat times every batch size once, so a drift in host speed
+    # lands on all sizes alike
+    for run in range(repeats + 1):  # first run warms up, dropped
+        for batch, (sgram_t, audio_t) in zip(batch_sizes, times):
             t0 = time.perf_counter()
-            mels, _ = synthesize_batch(model, ids_b, dur_b)
+            mels, _ = synthesize_batch(model, [ids] * batch,
+                                       [durations] * batch)
             t1 = time.perf_counter()
             if vocode:
                 for mel in mels:
@@ -89,10 +90,11 @@ def run_benchmark(model, cfg, stats, batch_sizes=(1, 2, 4, 8, 16), repeats=10,
                                 iterations=cfg.data.griffin_lim_iterations,
                                 config=acfg)
             t2 = time.perf_counter()
-            if run == 0:
-                continue
-            sgram_t.append(t1 - t0)
-            audio_t.append(t2 - t1 if vocode else 0.0)  # no empty interval
+            if run:
+                sgram_t.append(t1 - t0)
+                audio_t.append(t2 - t1 if vocode else 0.0)  # no empty interval
+    rows = []
+    for batch, (sgram_t, audio_t) in zip(batch_sizes, times):
         sgram = float(fold(sgram_t))
         audio = float(fold(audio_t))
         total = sgram + audio

@@ -101,3 +101,23 @@ class TestBetter:
         change = [{"time_s": 0.8, "noisy_s": 1.0, "rate": 1.2}] * 10
         assert verdicts(parent, change) == {"time_s": "better", "noisy_s": "ok",
                                             "rate": "better"}
+
+
+class TestChain:
+    def test_product_of_within_file_median_ratios(self):
+        first = bench([{"time_s": 1.0, "rate": 10.0}] * 3,
+                      [{"time_s": 0.5, "rate": 12.0}] * 3)
+        # the second file's medians drifted: only its ratios count
+        second = bench([{"time_s": 4.0, "noisy_s": 2.0, "rate": 20.0}] * 3,
+                       [{"time_s": 3.2, "noisy_s": 3.0, "rate": 20.0}] * 3)
+        rows = {row[1].split()[0]: row[2:]
+                for row in bench_pairs.chain_rows([first, second], SPEC)}
+        assert rows == {"time_s": ["2/2", "0.4", "-60.0%"],
+                        "noisy_s": ["1/2", "1.5", "+50.0%"],
+                        "rate": ["2/2", "1.2", "+20.0%"]}
+
+    def test_failed_run_is_left_out(self):
+        runs = bench([{"time_s": 1.0}] * 2, [{"time_s": 0.5}] * 2)
+        runs["runs"][-1]["lines"] = ["crashed"]
+        row, = bench_pairs.chain_rows([runs], SPEC)
+        assert row[2:] == ["1/1", "0.5", "-50.0%"]

@@ -1,8 +1,12 @@
 """Griffin-Lim inversion: framing arithmetic, FFT-peak recovery, monotonicity."""
 
+import importlib
 import json
 import re
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,8 @@ from melsynth.audio_frontend.griffin_lim import (BLOCK_FRAMES, FGLA_MOMENTUM,
 from melsynth.audio_frontend.mel import analysis_window, reflect_edges
 from melsynth.nn_core import NonFiniteError
 
+# the module, which the package's `griffin_lim` function shadows
+GL = importlib.import_module("melsynth.audio_frontend.griffin_lim")
 ROOT = Path(__file__).resolve().parents[1]
 CFG = AudioConfig()
 HOP300 = AudioConfig(hop_length=300)  # hop 300 does not divide the window
@@ -296,6 +302,13 @@ class TestIstft:
         spec = reference_stft(x, CFG, return_complex=True)
         assert istft(spec, CFG).shape[0] == CFG.hop_length * (spec.shape[1] - 1)
 
+    @pytest.mark.parametrize("shape", [(100, 3), (513, 0), (513,), (513, 3, 1)])
+    def test_spectrum_of_wrong_shape_named(self, shape):
+        with pytest.raises(ValueError) as excinfo:
+            istft(np.zeros(shape, np.complex128), CFG)
+        excinfo.match(re.escape(str(shape)))
+        excinfo.match("n_fft // 2 \\+ 1 = 513")
+
 
 class TestParityWithFrameLoop:
     @pytest.mark.parametrize("config", PARITY_CONFIGS, ids=PARITY_IDS)
@@ -374,6 +387,69 @@ class TestBitIdenticalToWholeArrayPasses:
             assert np.array_equal(
                 griffin_lim(mel, 6, config, momentum=momentum),
                 whole_array_griffin_lim(mel, 6, config, momentum)), n_frames
+
+
+@pytest.fixture(scope="module")
+def block_pools():
+    """`_block_pool` results for 1 worker (the calling thread alone) and for
+    3 (the calling thread and two pool threads), whatever this host has."""
+    threads = ThreadPoolExecutor(2)
+    yield {1: (None, 1), 3: (threads, 3)}
+    threads.shutdown()
+
+
+class TestSameForAnyWorkerCount:
+    FRAME_COUNTS = [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1,
+                    2 * BLOCK_FRAMES + 3, 686]
+
+    def outputs(self):
+        outputs = []
+        for n_frames in self.FRAME_COUNTS:
+            mel = speech_like_mel(n_frames, CFG, seed=n_frames)
+            for momentum in (0.0, FGLA_MOMENTUM):
+                outputs.append(griffin_lim(mel, 4, CFG, momentum=momentum))
+            rng = np.random.default_rng(n_frames)
+            spec = rng.normal(size=(2, CFG.n_fft // 2 + 1, n_frames))
+            outputs.append(istft(spec[0] + 1j * spec[1], CFG))
+        return outputs
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_matches_the_default_pool(self, block_pools, monkeypatch, workers):
+        default = self.outputs()
+        monkeypatch.setattr(GL, "_block_pool", lambda: block_pools[workers])
+        for expected, got in zip(default, self.outputs(), strict=True):
+            assert np.array_equal(expected, got)
+
+    @pytest.mark.parametrize("workers", [1, 3, None], ids=["1", "3", "default"])
+    def test_error_in_a_block_leaves_after_every_block_ends(
+            self, block_pools, monkeypatch, workers):
+        if workers:
+            monkeypatch.setattr(GL, "_block_pool", lambda: block_pools[workers])
+        n_frames = 8 * BLOCK_FRAMES
+        synthesis = GL._Synthesis(CFG, n_frames)
+        spec = np.zeros((n_frames, CFG.n_fft // 2 + 1), np.complex128)
+        lock, running, started = threading.Lock(), [], threading.Event()
+
+        def spectra(rows, frames):
+            with lock:
+                running.append(rows.start)
+            try:
+                if rows.start == BLOCK_FRAMES:
+                    # fail while a later block is being made, where there
+                    # are threads to make one
+                    started.wait(timeout=0.5)
+                    raise RuntimeError("block 1 failed")
+                if rows.start > BLOCK_FRAMES:
+                    started.set()
+                    time.sleep(0.1)
+                return spec[rows]
+            finally:
+                with lock:
+                    running.remove(rows.start)
+
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            synthesis.synthesize(spectra, synthesis.signal_buffer())
+        assert running == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,10 +545,14 @@ class TestGriffinLim:
         griffin_lim(mel, 2, CFG)  # builds the cached filterbank inverse
         n_frames, bins = mel.shape[1], CFG.n_fft // 2 + 1
         blocks = n_frames - 1 + -(-CFG.win_length // CFG.hop_length)
+        _, workers = GL._block_pool()
+        slots = workers + 1 if workers > 1 else 1
         # the target, the projection and the previous projection, the two
-        # signal buffers and the norm, and one block's frames
+        # signal buffers and the norm, and the ring of blocks' frames: one
+        # slot more than there are workers, one slot on one CPU
         buffers = 8 * (n_frames * bins + 2 * 2 * n_frames * bins
-                       + 3 * blocks * CFG.hop_length + BLOCK_FRAMES * CFG.n_fft)
+                       + 3 * blocks * CFG.hop_length
+                       + slots * BLOCK_FRAMES * CFG.n_fft)
         tracemalloc.start()
         try:
             griffin_lim(mel, 20, CFG)

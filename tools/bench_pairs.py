@@ -4,6 +4,7 @@
     python3 tools/bench_pairs.py run --parent ../parent --change . \
         --seeds 1-10 --seconds 25 --out BENCH.json
     python3 tools/bench_pairs.py summary BENCH.json
+    python3 tools/bench_pairs.py chain BENCH_pr6.json BENCH_pr7.json ...
 
 `run` runs every workload of BENCHMARK.json once per seed on each tree,
 untraced, one process at a time; the side that runs first alternates from
@@ -16,7 +17,10 @@ the metric's bound in BENCHMARK.json, as a Markdown table:
 the bound; `better` when it beats the parent's median by more than the
 parent's IQR and the change reads better in at least 8 pairs;
 `unresolved` when the parent's IQR over its median exceeds the bound; `ok`
-otherwise.
+otherwise. `chain` prints, per workload and end-to-end metric, the product
+over the given files of the change/parent median ratio within each file:
+the change over a stack of PRs, each measured against its own parent, as
+medians drift between sessions and files.
 """
 
 import argparse
@@ -101,34 +105,67 @@ def verdict(parent, change, metric):
     return "unresolved" if q3 - q1 > metric["bound"] * abs(mp) else "ok"
 
 
+def workload_pairs(bench, workload):
+    """seed -> {side: final result line, or None} of one workload's runs."""
+    pairs = {}
+    for run in bench["runs"]:
+        if run["workload"] == workload:
+            pairs.setdefault(run["seed"], {})[run["side"]] = result(run)
+    return pairs
+
+
+def paired_values(pairs, name):
+    """(parent values, change values) of one metric, from the pairs whose
+    both sides report it."""
+    values = [(p["parent"]["metrics"][name]["value"],
+               p["change"]["metrics"][name]["value"])
+              for p in pairs.values()
+              if p.get("parent") and p.get("change")
+              and name in p["parent"]["metrics"]
+              and name in p["change"]["metrics"]]
+    return tuple(zip(*values)) or ((), ())
+
+
 def summary_rows(bench, spec):
     """One row per workload and end-to-end metric, as Markdown cells."""
     rows = []
     for workload in [w["name"] for w in spec["workloads"]]:
-        pairs = {}
-        for run in bench["runs"]:
-            if run["workload"] == workload:
-                pairs.setdefault(run["seed"], {})[run["side"]] = result(run)
+        pairs = workload_pairs(bench, workload)
         failed = [sum(r[side]["failed"] if r.get(side) else 1
                       for r in pairs.values()) for side in ("parent", "change")]
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            values = [(p["parent"]["metrics"][name]["value"],
-                       p["change"]["metrics"][name]["value"])
-                      for p in pairs.values()
-                      if p.get("parent") and p.get("change")
-                      and name in p["parent"]["metrics"]
-                      and name in p["change"]["metrics"]]
-            if not values:
+            parent, change = paired_values(pairs, name)
+            if not parent:
                 continue
-            parent, change = zip(*values)
             better = pairs_better(parent, change, metric)
             q1, q3 = quartiles(parent)
             mp, mc = statistics.median(parent), statistics.median(change)
             rows.append([workload, f"{name} ({metric['unit']})", f"{mp:.4g}",
                          f"{q3 - q1:.2g}", f"{mc:.4g}", f"{mc / mp - 1:+.1%}",
-                         f"{better}/{len(values)}", f"{failed[0]}/{failed[1]}",
+                         f"{better}/{len(parent)}", f"{failed[0]}/{failed[1]}",
                          verdict(parent, change, metric)])
+    return rows
+
+
+def chain_rows(benches, spec):
+    """One row per workload and end-to-end metric: the files that report
+    it, and the product of their change/parent median ratios."""
+    rows = []
+    for workload in [w["name"] for w in spec["workloads"]]:
+        per_file = [workload_pairs(bench, workload) for bench in benches]
+        for metric in spec["end_to_end"]:
+            product, files = 1.0, 0
+            for pairs in per_file:
+                parent, change = paired_values(pairs, metric["name"])
+                if parent:
+                    product *= (statistics.median(change)
+                                / statistics.median(parent))
+                    files += 1
+            if files:
+                rows.append([workload, f"{metric['name']} ({metric['unit']})",
+                             f"{files}/{len(benches)}", f"{product:.3g}",
+                             f"{product - 1:+.1%}"])
     return rows
 
 
@@ -145,6 +182,18 @@ def cmd_summary(args):
     return 0
 
 
+def cmd_chain(args):
+    benches = [json.loads(path.read_text()) for path in args.benches]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    print("Product of the change/parent median ratios within each of "
+          + ", ".join(path.name for path in args.benches) + "\n")
+    print("| workload | metric | files | product of ratios | change |")
+    print("|---|---|---|---|---|")
+    for row in chain_rows(benches, spec):
+        print("| " + " | ".join(row) + " |")
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -156,8 +205,11 @@ def main(argv=None):
     run.add_argument("--out", type=Path, required=True)
     summary = sub.add_parser("summary")
     summary.add_argument("bench", type=Path)
+    chain = sub.add_parser("chain")
+    chain.add_argument("benches", type=Path, nargs="+")
     args = parser.parse_args(argv)
-    return cmd_run(args) if args.command == "run" else cmd_summary(args)
+    return {"run": cmd_run, "summary": cmd_summary,
+            "chain": cmd_chain}[args.command](args)
 
 
 if __name__ == "__main__":
