@@ -26,15 +26,14 @@ LETTERS = [chr(c) for c in range(ord("a"), ord("z") + 1)]
 
 
 class PhonemeVocabulary:
-    """Bidirectional symbol/id map; padding token is always id 0."""
+    """Symbol to id map; padding token is always id 0."""
 
     def __init__(self):
         symbols = [PAD] + PUNCTUATION + [WORD_BOUNDARY] + ARPABET + STRESSED + LETTERS
         self._id_of = {s: i for i, s in enumerate(symbols)}
-        self._symbol_of = symbols
 
     def __len__(self):
-        return len(self._symbol_of)
+        return len(self._id_of)
 
     def __contains__(self, symbol):
         return symbol in self._id_of
@@ -45,14 +44,8 @@ class PhonemeVocabulary:
         except KeyError:
             raise KeyError(f"symbol {symbol!r} not in phoneme vocabulary") from None
 
-    def symbol(self, idx):
-        return self._symbol_of[idx]
-
     def encode(self, symbols):
         return [self.id(s) for s in symbols]
-
-    def decode(self, ids):
-        return [self.symbol(i) for i in ids]
 
 
 def tokenize_text(text, lexicon, vocab):

@@ -144,10 +144,8 @@ def _cmd_synthesize(args):
 
 
 def _cmd_benchmark(args):
-    from .pipeline import (build_student, format_table, load_checkpoint,
-                           run_benchmark, write_bench_csv)
-    from .audio_frontend import PhonemeVocabulary
-    from .pipeline.checkpoint import CheckpointError
+    from .pipeline import (format_table, load_student, run_benchmark,
+                           write_bench_csv)
     try:
         batch_sizes = [int(v) for v in args.batch_sizes.split(",") if v.strip()]
     except ValueError:
@@ -155,12 +153,8 @@ def _cmd_benchmark(args):
     if not batch_sizes or min(batch_sizes) < 1:
         raise UsageError(f"bad --batch-sizes value: {args.batch_sizes!r}")
     cfg = _load_config(args)
-    model = build_student(cfg, len(PhonemeVocabulary()))
-    meta = load_checkpoint(args.checkpoint, model, cfg, "student")
-    if "stats" not in meta:
-        raise CheckpointError(f"{args.checkpoint}: no normalization stats")
-    model.eval()
-    rows, audio_seconds = run_benchmark(model, cfg, meta["stats"],
+    model, stats = load_student(cfg, args.checkpoint)
+    rows, audio_seconds = run_benchmark(model, cfg, stats,
                                         batch_sizes=batch_sizes,
                                         repeats=args.repeats,
                                         vocode=not args.no_vocode)

@@ -68,19 +68,6 @@ def mul(a, b):
     return Tensor.from_op(out, (a, b), backward)
 
 
-def div(a, b):
-    a, b = as_tensor(a, like=b if isinstance(b, Tensor) else None), as_tensor(b, like=a if isinstance(a, Tensor) else None)
-    out = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor.from_op(out, (a, b), backward)
-
-
 # ---------------------------------------------------------------------------
 # activations and pointwise maps
 # ---------------------------------------------------------------------------
@@ -101,16 +88,6 @@ def sigmoid(x):
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(g * out * (1.0 - out))
-
-    return Tensor.from_op(out, (x,), backward)
-
-
-def sqrt(x):
-    out = np.sqrt(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * 0.5 / out)
 
     return Tensor.from_op(out, (x,), backward)
 
@@ -158,17 +135,6 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
         x.accumulate_grad(np.broadcast_to(g, x.data.shape))
 
     return Tensor.from_op(out, (x,), backward)
-
-
-def mean(x, axis=None, keepdims=False):
-    if axis is None:
-        n = x.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for a in axes:
-            n *= x.data.shape[a]
-    return mul(sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -341,27 +307,24 @@ def _conv_geometry(x, weight, dilation, causal):
 def conv1d(x, weight, bias, dilation=1, causal=False):
     """Dilated 1D convolution over (batch, channels, time), length-preserving.
 
-    A 2-D (channels, time) input, such as a guard-banded row, is one item.
     Frames past either end read as zeros. causal: output t sees inputs <= t.
     non-causal: centred (an odd extra frame is read on the right).
     """
     ksize, left = _conv_geometry(x, weight, dilation, causal)
-    xb = x.data if x.data.ndim == 3 else x.data[None]
-    out = kernels.conv1d_forward(xb, weight.data, bias.data, dilation, left=left)
+    xd = x.data
+    out = kernels.conv1d_forward(xd, weight.data, bias.data, dilation, left=left)
 
     def backward(g):
-        gb = g.reshape(out.shape)
         if weight.requires_grad:
             weight.accumulate_grad(
-                kernels.conv1d_grad_weight(gb, xb, dilation, ksize, left=left))
+                kernels.conv1d_grad_weight(g, xd, dilation, ksize, left=left))
         if bias.requires_grad:
-            bias.accumulate_grad(gb.sum(axis=(0, 2)))
+            bias.accumulate_grad(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            gx = kernels.conv1d_grad_input(gb, weight.data, dilation, left=left)
-            x.accumulate_grad(gx.reshape(x.data.shape))
+            x.accumulate_grad(
+                kernels.conv1d_grad_input(g, weight.data, dilation, left=left))
 
-    return Tensor.from_op(out if x.data.ndim == 3 else out[0], (x, weight, bias),
-                          backward)
+    return Tensor.from_op(out, (x, weight, bias), backward)
 
 
 def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False,

@@ -64,10 +64,10 @@ class Embedding(Module):
 
 
 class BatchNormTemporal(Module):
-    """Per-channel normalization over every batch item and time step.
-
-    Train mode normalizes with batch statistics and updates running stats by
-    exponential moving average; eval mode is a fixed per-channel affine map.
+    """Parameters and running statistics of a per-channel normalization over
+    every batch item and time step; :func:`functional.plain_residual` computes
+    it. Train mode normalizes with batch statistics and updates running stats
+    by exponential moving average; eval mode is a fixed per-channel affine map.
     """
 
     eps = 1e-5
@@ -80,24 +80,6 @@ class BatchNormTemporal(Module):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
-    def forward(self, x):
-        if self.training:
-            n = x.shape[0] * x.shape[2]
-            if n < 2:
-                raise ValueError("batch norm needs batch*time >= 2 in train mode")
-            m = F.mean(x, axis=(0, 2), keepdims=True)
-            centered = F.sub(x, m)
-            var = F.mean(F.mul(centered, centered), axis=(0, 2), keepdims=True)
-            inv = F.div(1.0, F.sqrt(F.add(var, self.eps)))
-            norm = F.mul(centered, inv)
-            self.update_running(m.data, var.data, n)
-        else:
-            mu = self.running_mean[None, :, None]
-            sd = np.sqrt(self.running_var[None, :, None] + self.eps)
-            norm = F.mul(F.sub(x, mu), 1.0 / sd)
-        return F.add(F.mul(norm, _per_channel(self.scale)),
-                     _per_channel(self.shift))
-
     def update_running(self, mean, var, count):
         """Exponential moving average of batch statistics taken over `count`
         frames; the running variance is the unbiased one. Off the tape and in
@@ -107,17 +89,6 @@ class BatchNormTemporal(Module):
         for running, batch in ((self.running_mean, mu), (self.running_var, v)):
             running *= 1 - self.momentum
             running += self.momentum * batch
-
-
-def _per_channel(t):
-    """View a (channels,) parameter as (1, channels, 1) for broadcasting."""
-    out = t.data[None, :, None]
-
-    def backward(g):
-        if t.requires_grad:
-            t.accumulate_grad(g.sum(axis=(0, 2)))
-
-    return Tensor.from_op(out, (t,), backward)
 
 
 class GatedResidualBlock(Module):
@@ -137,10 +108,6 @@ class GatedResidualBlock(Module):
         self.conv = Conv1d(residual_channels, gate_channels, kernel_size,
                            dilation=dilation, causal=causal, rng=rng)
         self.proj = Conv1d(gate_channels // 2, residual_channels, 1, rng=rng)
-
-    def forward(self, x):
-        layout = RowLayout(x, None, self.conv.reach(), packed=True)
-        return layout.unpack(self.run(layout.pack(x), layout))
 
     def run(self, row, layout):
         """The fused block on a row laid out by `layout`."""
@@ -209,10 +176,6 @@ class PlainResidualBlock(Module):
         self.conv = Conv1d(channels, channels, kernel_size,
                            dilation=dilation, causal=causal, rng=rng)
         self.norm = BatchNormTemporal(channels)
-
-    def forward(self, x):
-        layout = RowLayout(x, None, self.conv.reach(), packed=not self.training)
-        return layout.unpack(self.run(layout.pack(x), layout))
 
     def run(self, row, layout):
         """The fused block on a row laid out by `layout`."""

@@ -83,6 +83,3 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-    def forward(self, *args, **kwargs):  # pragma: no cover - abstract
-        raise NotImplementedError

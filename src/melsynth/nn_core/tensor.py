@@ -96,9 +96,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -149,52 +146,6 @@ class Tensor:
                 node._parents = ()
                 node._backward = None
                 node._released = True
-
-    # -- operator sugar (implemented in .functional) ---------------------------
-
-    def __add__(self, other):
-        from . import functional as F
-
-        return F.add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        from . import functional as F
-
-        return F.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        from . import functional as F
-
-        return F.sub(self, other)
-
-    def __rsub__(self, other):
-        from . import functional as F
-
-        return F.sub(other, self)
-
-    def __truediv__(self, other):
-        from . import functional as F
-
-        return F.div(self, other)
-
-    def __neg__(self):
-        from . import functional as F
-
-        return F.mul(self, -1.0)
-
-    def sum(self, axis=None, keepdims=False):
-        from . import functional as F
-
-        return F.sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        from . import functional as F
-
-        return F.mean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(value, like=None):

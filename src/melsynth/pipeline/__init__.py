@@ -36,6 +36,7 @@ from .trainers import (
     evaluate_student,
     evaluate_teacher,
     load_corpus,
+    load_student,
     phonemize,
     run_extract_durations,
     run_student_training,

@@ -62,7 +62,7 @@ def bench_inputs(cfg):
 
 def run_benchmark(model, cfg, stats, batch_sizes=(1, 2, 4, 8, 16), repeats=10,
                   vocode=True, reduce="mean"):
-    """Timing rows per batch size. Model must be in eval mode.
+    """Timing rows per batch size.
 
     reduce="mean" reports average throughput; "min" reports the best run,
     a noise-robust estimate of what the machine can do.

@@ -375,22 +375,26 @@ def phonemize(text=None, phonemes=None, vocab=None):
     return symbols, ids
 
 
+def load_student(cfg, checkpoint_path):
+    """A trained student and its (mean, std) normalization stats."""
+    model = build_student(cfg, len(PhonemeVocabulary()))
+    meta = load_checkpoint(checkpoint_path, model, cfg, "student")
+    if "stats" not in meta:
+        raise CheckpointError(
+            f"{checkpoint_path}: no normalization stats stored; "
+            "was the student trained?")
+    return model, meta["stats"]
+
+
 def run_synthesize(cfg, checkpoint_path, out_path, text=None, phonemes=None,
                    model=None, stats=None):
     """phonemes -> spectrogram -> phase reconstruction -> WAV on disk."""
     acfg = audio_config(cfg)
     _, ids = phonemize(text=text, phonemes=phonemes)
     if model is None:
-        model = build_student(cfg, len(PhonemeVocabulary()))
-        meta = load_checkpoint(checkpoint_path, model, cfg, "student")
-        if "stats" not in meta:
-            raise CheckpointError(
-                f"{checkpoint_path}: no normalization stats stored; "
-                "was the student trained?")
-        stats = meta["stats"]
+        model, stats = load_student(cfg, checkpoint_path)
     elif stats is None:
         raise ValueError("stats required when passing a model directly")
-    model.eval()
     mel_std, durations = student_synthesize(model, ids)
     mel = denormalize_standard(mel_std, stats[0], stats[1])
     wave = griffin_lim(mel, iterations=cfg.data.griffin_lim_iterations,

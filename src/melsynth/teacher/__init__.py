@@ -4,20 +4,17 @@ from .model import NEG_INF, GatedStack, TeacherModel, shift_frames, teacher_dila
 from .losses import (
     batch_guided_attention_loss,
     diagonality_score,
-    guided_attention_loss,
     guided_attention_weights,
     masked_mae,
 )
 from .align import (
     FORWARD_REACH,
     AlignmentError,
-    durations_from_attention,
     durations_from_path,
     extract_batch_durations,
     extract_durations,
     masked_attention_path,
     sequential_generate,
-    teacher_forced_logits,
 )
 from .augment import AugmentParams, augment_batch
 from .train import (

@@ -56,21 +56,6 @@ def durations_from_path(path, n_phonemes):
     return np.bincount(np.asarray(path, dtype=np.int64), minlength=n_phonemes)
 
 
-def durations_from_attention(attention, location_mask=True):
-    """(N, T) attention scores -> durations summing exactly to T.
-
-    Works on weights or logits alike: per-column argmax is scale-free and the
-    location mask only compares entries within a column.
-    """
-    a = np.asarray(attention)
-    n, _ = a.shape
-    if location_mask:
-        path = masked_attention_path(a)
-    else:
-        path = np.argmax(a, axis=0)
-    return durations_from_path(path, n)
-
-
 def batch_logits(model, batch):
     """Teacher-forced attention logits (B, N, T) of a padded teacher batch;
     item i's are the [:n_i, :t_i] corner."""
@@ -84,14 +69,6 @@ def batch_logits(model, batch):
 def _single(phoneme_ids, target_mel):
     return Utterance("unnamed", np.asarray(phoneme_ids, dtype=np.int64), None,
                      mel=np.asarray(target_mel))
-
-
-def teacher_forced_logits(model, phoneme_ids, target_mel):
-    """Run the aligner on ground-truth input and return raw logits (N, T)."""
-    n, t = len(phoneme_ids), target_mel.shape[1]
-    if n == 0 or t == 0:
-        raise ValueError("empty phoneme or frame sequence")
-    return batch_logits(model, pad_teacher_batch([_single(phoneme_ids, target_mel)]))[0]
 
 
 def extract_batch_durations(model, utts):

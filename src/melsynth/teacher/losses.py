@@ -21,17 +21,6 @@ def guided_attention_weights(n_phonemes, n_frames, g, dtype=np.float64):
     return (1.0 - np.exp(-((n - t) ** 2) / (2.0 * g * g))).astype(dtype)
 
 
-def guided_attention_loss(attention, g):
-    """Mean over all N*T cells of A times the penalty matrix.
-
-    `attention` may be a Tensor or array of shape (N, T).
-    """
-    a = attention if isinstance(attention, Tensor) else Tensor(np.asarray(attention))
-    n, t = a.data.shape
-    w = guided_attention_weights(n, t, g, dtype=a.data.dtype)
-    return F.mean(F.mul(a, w))
-
-
 def batch_guided_attention_loss(attention, phoneme_lengths, frame_lengths, g):
     """Per-item guided loss on the unpadded region, averaged over the batch.
 

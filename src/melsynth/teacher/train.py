@@ -61,7 +61,7 @@ def teacher_training_step(model, optimizer, batch, inputs, g=0.2):
     mae = masked_mae(pred, batch["targets"], batch["frame_mask"])
     guided = batch_guided_attention_loss(
         attention, batch["n_lengths"], batch["t_lengths"], g)
-    loss = mae + guided
+    loss = F.add(mae, guided)
     loss.check_finite("teacher loss")
     optimizer.zero_grad()
     loss.backward()

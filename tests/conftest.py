@@ -21,9 +21,9 @@ def gradcheck(build_loss, params, h=1e-3, rtol=1e-3, atol=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            hi = build_loss().item()
+            hi = build_loss().data.item()
             flat[i] = orig - h
-            lo = build_loss().item()
+            lo = build_loss().data.item()
             flat[i] = orig
             fd = (hi - lo) / (2.0 * h)
             err = abs(fd - rflat[i])
@@ -35,8 +35,8 @@ def gradcheck(build_loss, params, h=1e-3, rtol=1e-3, atol=1e-6):
         p.grad = None
 
 
-# Differentiable ops the tests compose references from, as they were in
-# nn_core.functional before the program replaced them with fused ops.
+# Differentiable ops and layers the tests compose references from, as they
+# were in nn_core before the program replaced them with fused ops.
 
 def tanh(x):
     from melsynth.nn_core import Tensor
@@ -66,6 +66,86 @@ def narrow(x, axis, start, length):
             x.accumulate_grad(full)
 
     return Tensor.from_op(out, (x,), backward)
+
+
+def sqrt(x):
+    from melsynth.nn_core import Tensor
+
+    out = np.sqrt(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * 0.5 / out)
+
+    return Tensor.from_op(out, (x,), backward)
+
+
+def div(a, b):
+    from melsynth.nn_core import Tensor, as_tensor
+    from melsynth.nn_core.functional import _unbroadcast
+
+    a, b = (as_tensor(a, like=b if isinstance(b, Tensor) else None),
+            as_tensor(b, like=a if isinstance(a, Tensor) else None))
+    out = a.data / b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return Tensor.from_op(out, (a, b), backward)
+
+
+def mean(x, axis=None, keepdims=False):
+    from melsynth.nn_core import functional as F
+
+    axes = range(x.data.ndim) if axis is None else np.atleast_1d(axis)
+    n = int(np.prod([x.data.shape[a] for a in axes]))
+    return F.mul(F.sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+def _per_channel(t):
+    """View a (channels,) parameter as (1, channels, 1) for broadcasting."""
+    from melsynth.nn_core import Tensor
+
+    def backward(g):
+        if t.requires_grad:
+            t.accumulate_grad(g.sum(axis=(0, 2)))
+
+    return Tensor.from_op(t.data[None, :, None], (t,), backward)
+
+
+def batch_norm(norm, x):
+    """Temporal batch norm of (batch, channels, time) `x` with the parameters
+    and running statistics of BatchNormTemporal `norm`, op by op on the tape.
+    Train mode also updates the running statistics."""
+    from melsynth.nn_core import functional as F
+
+    if norm.training:
+        n = x.shape[0] * x.shape[2]
+        if n < 2:
+            raise ValueError("batch norm needs batch*time >= 2 in train mode")
+        m = mean(x, axis=(0, 2), keepdims=True)
+        centered = F.sub(x, m)
+        var = mean(F.mul(centered, centered), axis=(0, 2), keepdims=True)
+        inv = div(1.0, sqrt(F.add(var, norm.eps)))
+        normed = F.mul(centered, inv)
+        norm.update_running(m.data, var.data, n)
+    else:
+        mu = norm.running_mean[None, :, None]
+        sd = np.sqrt(norm.running_var[None, :, None] + norm.eps)
+        normed = F.mul(F.sub(x, mu), 1.0 / sd)
+    return F.add(F.mul(normed, _per_channel(norm.scale)), _per_channel(norm.shift))
+
+
+def run_block(block, x):
+    """A residual block on a (batch, channels, time) batch: pack it into one
+    guard-banded row, run the block's fused op, unpack."""
+    from melsynth.nn_core import RowLayout
+
+    layout = RowLayout(x, None, block.conv.reach(), packed=True)
+    return layout.unpack(block.run(layout.pack(x), layout))
 
 
 def filter1d_valid(x, kernel, axis):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import gradcheck
+from conftest import gradcheck, run_block
 from melsynth.audio_frontend import (
     AudioConfig,
     PhonemeVocabulary,
@@ -27,7 +27,6 @@ from melsynth.audio_frontend.griffin_lim import (
 )
 from melsynth.cli import main
 from melsynth.nn_core import (
-    BatchNormTemporal,
     Conv1d,
     Embedding,
     GatedResidualBlock,
@@ -64,15 +63,15 @@ from melsynth.pipeline.trainers import load_corpus
 from melsynth.teacher import (
     TeacherModel,
     batch_guided_attention_loss,
-    durations_from_attention,
-    guided_attention_loss,
+    durations_from_path,
     masked_attention_path,
     masked_mae,
+    pad_teacher_batch,
     prepare_utterance,
     sequential_generate,
     shift_frames,
-    teacher_forced_logits,
 )
+from melsynth.teacher.align import batch_logits
 
 
 def check(num, label, ok, detail=""):
@@ -150,7 +149,7 @@ class TestCriterion01:
         gated = to64(GatedResidualBlock(2, 6, 3, 2, causal=True, rng=rng))
 
         def gated_loss():
-            res = gated(x_small)
+            res = run_block(gated, x_small)
             return F.add(sq(res), sq(F.sub(res, x_small)))
 
         run(gated, gated_loss)
@@ -161,11 +160,7 @@ class TestCriterion01:
             if np.min(np.abs(plain.conv(Tensor(cand)).data)) > 0.05:
                 break
         x_plain = Tensor(cand)
-        run(plain, lambda: sq(plain(x_plain)))
-
-        bn = to64(BatchNormTemporal(2))
-        bn.train()
-        run(bn, lambda: sq(bn(x_small)))
+        run(plain, lambda: sq(run_block(plain, x_plain)))
 
         lin = to64(Linear(4, 3, rng=rng))
         x_lin = Tensor(rng.normal(size=(2, 4, 5)))
@@ -212,9 +207,9 @@ class TestCriterion01:
         gradcheck(lambda: masked_mae(m_pred, m_target, np.ones((2, 1, 6))),
                   [m_pred], rtol=1e-3)
 
-        logits = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
-        gradcheck(lambda: guided_attention_loss(F.softmax(logits, axis=0), 0.2),
-                  [logits], rtol=1e-3)
+        logits = Tensor(rng.normal(size=(1, 4, 7)), requires_grad=True)
+        gradcheck(lambda: batch_guided_attention_loss(
+            F.softmax(logits, axis=1), [4], [7], 0.2), [logits], rtol=1e-3)
 
         elapsed = time.perf_counter() - t0
         check(1, "gradient suite", elapsed < 120.0, f"{elapsed:.1f} s")
@@ -270,6 +265,12 @@ def _guided_oracle(a, g):
     return total / (n * t)
 
 
+def guided_loss(a, g):
+    """The training loss on one (N, T) attention matrix: a batch of one."""
+    n, t = a.shape
+    return float(batch_guided_attention_loss(Tensor(a[None]), [n], [t], g).data)
+
+
 class TestCriterion03:
     def test_oracle_match(self):
         rng = np.random.default_rng(3)
@@ -279,14 +280,14 @@ class TestCriterion03:
             t = int(rng.integers(1, 51))
             g = float(rng.choice([0.1, 0.2, 0.5]))
             a = rng.uniform(size=(n, t))
-            got = guided_attention_loss(Tensor(a), g).item()
+            got = guided_loss(a, g)
             worst = max(worst, abs(got - _guided_oracle(a, g)))
         # mass only where (n+1)/N == (t+1)/T costs exactly nothing
         diag = np.eye(12)
-        zero_sq = guided_attention_loss(Tensor(diag), 0.2).item()
+        zero_sq = guided_loss(diag, 0.2)
         ratio = np.zeros((5, 10))
         ratio[np.arange(5), 2 * np.arange(5) + 1] = 1.0
-        zero_rect = guided_attention_loss(Tensor(ratio), 0.1).item()
+        zero_rect = guided_loss(ratio, 0.1)
         check(3, "guided-attention oracle",
               worst < 1e-7 and zero_sq == 0.0 and zero_rect == 0.0,
               f"max err {worst:.2e}")
@@ -304,7 +305,7 @@ class TestCriterion04:
             n = int(rng.integers(1, 31))
             t = int(rng.integers(1, 121))
             a = rng.normal(size=(n, t))
-            d = durations_from_attention(a)
+            d = durations_from_path(masked_attention_path(a), n)
             ok_sum &= d.sum() == t and d.shape == (n,) and (d >= 0).all()
         _, cfg = toy
         _, result = teacher300
@@ -315,7 +316,7 @@ class TestCriterion04:
         ok_mono = True
         for u in train + holdout:
             prepare_utterance(u, acfg)
-            logits = teacher_forced_logits(model, u.phoneme_ids, u.mel)
+            logits = batch_logits(model, pad_teacher_batch([u]))[0]
             path = masked_attention_path(logits)
             ok_mono &= bool(np.all(np.diff(path) >= 0))
             ok_mono &= np.bincount(path, minlength=u.n_phonemes).sum() \
@@ -403,12 +404,12 @@ class TestCriterion08:
         rng = np.random.default_rng(8)
         x = rng.uniform(-3.5, 3.5, size=(2, 16, 24))
         y = rng.uniform(-3.5, 3.5, size=(2, 16, 24))
-        self_err = abs(ssim_index(Tensor(x), Tensor(x)).item() - 1.0)
-        sym = ssim_index(Tensor(x), Tensor(y)).item() \
-            == ssim_index(Tensor(y), Tensor(x)).item()
+        self_err = abs(ssim_index(Tensor(x), Tensor(x)).data.item() - 1.0)
+        sym = ssim_index(Tensor(x), Tensor(y)).data.item() \
+            == ssim_index(Tensor(y), Tensor(x)).data.item()
         a, b = 1.5, -2.5
         got = ssim_index(Tensor(np.full((1, 16, 24), a)),
-                         Tensor(np.full((1, 16, 24), b))).item()
+                         Tensor(np.full((1, 16, 24), b))).data.item()
         ma, mb = a + 4.0, b + 4.0  # shifted into the clamp range [0, 8]
         c1 = (0.01 * 8.0) ** 2
         closed = (2.0 * ma * mb + c1) / (ma * ma + mb * mb + c1)

@@ -30,6 +30,7 @@ from melsynth.audio_frontend import (
     wav_to_mel,
     write_durations,
 )
+from melsynth.audio_frontend import vocab as vocab_module
 from melsynth.audio_frontend.mel import hz_to_mel, mel_to_hz
 
 CFG = AudioConfig()
@@ -128,22 +129,18 @@ class TestNormalization:
             normalize_standard(np.zeros((2, 2)), 0.0, 0.0)
 
 
+SYMBOLS = ([vocab_module.PAD] + vocab_module.PUNCTUATION + [vocab_module.WORD_BOUNDARY]
+           + vocab_module.ARPABET + vocab_module.STRESSED + vocab_module.LETTERS)
+
+
 class TestVocabulary:
     def test_pad_is_zero_and_ids_dense(self):
         vocab = PhonemeVocabulary()
         assert vocab.id("<pad>") == 0
-        ids = [vocab.id(vocab.symbol(i)) for i in range(len(vocab))]
-        assert ids == list(range(len(vocab)))
+        assert sorted(vocab.encode(SYMBOLS)) == list(range(len(vocab)))
 
     def test_symbols_are_unique(self):
-        vocab = PhonemeVocabulary()
-        symbols = [vocab.symbol(i) for i in range(len(vocab))]
-        assert len(set(symbols)) == len(symbols)
-
-    def test_encode_decode_roundtrip(self):
-        vocab = PhonemeVocabulary()
-        symbols = ["DH", "AH", " ", "K", "AE", "T", "."]
-        assert vocab.decode(vocab.encode(symbols)) == symbols
+        assert len(set(SYMBOLS)) == len(SYMBOLS) == len(PhonemeVocabulary())
 
     def test_unknown_symbol_raises(self):
         with pytest.raises(KeyError):
@@ -205,7 +202,7 @@ class TestDataset:
         (tmp_path / "phonemes.csv").write_text("u1|HH AH L OW\n")
         train, _ = load_dataset(tmp_path, holdout=0)
         vocab = PhonemeVocabulary()
-        assert vocab.decode(train[0].phoneme_ids.tolist()) == ["HH", "AH", "L", "OW"]
+        assert train[0].phoneme_ids.tolist() == vocab.encode(["HH", "AH", "L", "OW"])
 
     @pytest.mark.parametrize("name", ["metadata.csv", "phonemes.csv"])
     def test_undecodable_text_file_named(self, tmp_path, name):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import filter1d_valid, gradcheck, narrow, tanh
+from conftest import div, filter1d_valid, gradcheck, mean, narrow, sqrt, tanh
 from melsynth.nn_core import AutodiffError, NonFiniteError, Tensor, no_grad
 from melsynth.nn_core import functional as F
 
@@ -12,14 +12,14 @@ class TestBackward:
     def test_linear_function_grad_is_input(self):
         x = np.array([[1.0, -2.0, 3.0]])
         w = Tensor(np.array([[0.5, 0.25, -1.0]]), requires_grad=True)
-        loss = F.mul(w, x).sum()
+        loss = F.sum(F.mul(w, x))
         loss.backward()
         np.testing.assert_array_equal(w.grad, x)
 
     def test_unused_parameter_has_zero_gradient(self):
         used = Tensor(np.ones(3), requires_grad=True)
         unused = Tensor(np.ones(3), requires_grad=True)
-        loss = used.sum()
+        loss = F.sum(used)
         loss.backward()
         assert unused.grad is None or not np.any(unused.grad)
 
@@ -30,21 +30,21 @@ class TestBackward:
 
     def test_double_backward_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = F.mul(x, x).sum()
+        loss = F.sum(F.mul(x, x))
         loss.backward()
         with pytest.raises(AutodiffError):
             loss.backward()
 
     def test_grad_accumulates_across_uses(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        loss = F.add(F.mul(x, 3.0), F.mul(x, x)).sum()
+        loss = F.sum(F.add(F.mul(x, 3.0), F.mul(x, x)))
         loss.backward()
         np.testing.assert_allclose(x.grad, [3.0 + 2.0 * 2.0])
 
     def test_no_grad_blocks_recording(self):
         x = Tensor(np.ones(4), requires_grad=True)
         with no_grad():
-            y = F.mul(x, 2.0).sum()
+            y = F.sum(F.mul(x, 2.0))
         assert not y.requires_grad
         y.backward()
         assert x.grad is None
@@ -52,7 +52,7 @@ class TestBackward:
     def test_detach_cuts_flow(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         y = F.mul(x, 2.0)
-        loss = F.mul(y.detach(), x).sum()
+        loss = F.sum(F.mul(y.detach(), x))
         loss.backward()
         # only the direct use of x contributes: d/dx (6*x) where 6 is constant
         np.testing.assert_allclose(x.grad, [6.0])
@@ -71,7 +71,7 @@ class TestFiniteDifferences:
 
         def loss():
             pred = F.sigmoid(F.conv1d(x, w, b, dilation=1, causal=False))
-            return F.abs_(pred).mean()  # target 0; sigmoid keeps residuals off the kink
+            return mean(F.abs_(pred))  # target 0; sigmoid keeps residuals off the kink
 
         gradcheck(loss, [x, w, b])
 
@@ -80,7 +80,7 @@ class TestFiniteDifferences:
         b = Tensor(rng.normal(size=(1, 3, 1)).astype(np.float64) + 3.0, requires_grad=True)
 
         def loss():
-            return F.div(F.mul(F.add(a, b), F.sub(a, 0.5)), b).mean()
+            return mean(div(F.mul(F.add(a, b), F.sub(a, 0.5)), b))
 
         gradcheck(loss, [a, b])
 
@@ -88,7 +88,7 @@ class TestFiniteDifferences:
         x = Tensor(rng.uniform(0.5, 2.0, size=(3, 5)).astype(np.float64), requires_grad=True)
 
         def loss():
-            return F.mul(F.add(F.sigmoid(tanh(x)), 1.0), F.sqrt(x)).sum()
+            return F.sum(F.mul(F.add(F.sigmoid(tanh(x)), 1.0), sqrt(x)))
 
         gradcheck(loss, [x])
 
@@ -101,7 +101,7 @@ class TestFiniteDifferences:
             scores = F.mul(F.matmul(F.transpose_last2(k), q), 1.0 / np.sqrt(4.0))
             att = F.softmax(scores, axis=1)
             ctx = F.matmul(v, att)
-            return F.mul(ctx, ctx).mean()
+            return mean(F.mul(ctx, ctx))
 
         gradcheck(loss, [q, k, v])
 
@@ -111,7 +111,7 @@ class TestFiniteDifferences:
 
         def loss():
             y = F.gather_time(x, idx)
-            return F.huber(F.sub(y, 0.25), delta=0.5).mean()
+            return mean(F.huber(F.sub(y, 0.25), delta=0.5))
 
         gradcheck(loss, [x])
 
@@ -123,7 +123,7 @@ class TestFiniteDifferences:
         def loss():
             part = narrow(x, 1, 1, 2)
             smooth = filter1d_valid(part, win, axis=2)
-            return F.mul(smooth, smooth).mean()
+            return mean(F.mul(smooth, smooth))
 
         gradcheck(loss, [x])
 

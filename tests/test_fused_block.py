@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gradcheck, peek_config
+from conftest import batch_norm, gradcheck, mean, peek_config, run_block
 from melsynth import pipeline, student
 from melsynth.audio_frontend import PhonemeVocabulary
 from melsynth.nn_core import PlainResidualBlock, RowLayout, Tensor, kernels, no_grad
@@ -67,14 +67,15 @@ def im2col_conv(x, conv):
 
 
 def unfused_stack(blocks, x, mask, conv=None):
-    """The replaced PlainStack: F.add(x, norm(F.relu(conv(x)))), then the mask.
+    """The replaced PlainStack: F.add(x, batch_norm(norm, F.relu(conv(x)))),
+    then the mask.
 
     conv=None runs the im2col reference conv (no gradient); otherwise
     conv(block, x) must return a Tensor.
     """
     for block in blocks:
         z = Tensor(im2col_conv(x.data, block.conv)) if conv is None else conv(block, x)
-        x = F.add(x, block.norm(F.relu(z)))
+        x = F.add(x, batch_norm(block.norm, F.relu(z)))
         if mask is not None:
             x = F.mul(x, mask)
     return x
@@ -190,7 +191,7 @@ class TestFusedParity:
         reference = copy.deepcopy(block)
         x = rng.normal(size=(2, 5, 7)).astype(np.float32)
         with no_grad():
-            got = block(Tensor(x)).data
+            got = run_block(block, Tensor(x)).data
             want = unfused_stack([reference], Tensor(x), None).data
         assert peak_error(got, want) < 1e-5
 
@@ -223,7 +224,7 @@ class TestFusedParity:
     def test_train_needs_two_frames(self, rng):
         block = PlainResidualBlock(2, kernel_size=3, dilation=1, rng=rng)
         with pytest.raises(ValueError, match="batch\\*time >= 2"):
-            block(Tensor(np.ones((1, 2, 1), np.float32)))
+            run_block(block, Tensor(np.ones((1, 2, 1), np.float32)))
 
 
 class TestFusedGradcheck:
@@ -246,7 +247,7 @@ class TestFusedGradcheck:
             # running statistics are updated by every train-mode call; hold
             # them fixed so each finite-difference evaluation is the same map
             saved = [buf.copy() for _, buf in block.norm.named_buffers()]
-            out = F.mean(F.mul(stack(xt, mask), weights))
+            out = mean(F.mul(stack(xt, mask), weights))
             for (_, buf), before in zip(block.norm.named_buffers(), saved):
                 buf[...] = before
             return out
@@ -268,7 +269,7 @@ class TestFusedGradcheck:
                 out, _, _ = F.plain_residual(x, w, b, scale, shift, keep, dilation=2,
                                              causal=causal, frames=frames,
                                              running=running)
-                return F.mean(F.mul(out, out))
+                return mean(F.mul(out, out))
 
             gradcheck(loss, [x, w, b, scale, shift])
 

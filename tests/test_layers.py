@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import gradcheck, narrow, tanh
+from conftest import batch_norm, gradcheck, mean, narrow, run_block, tanh
 from melsynth.nn_core import (
     BatchNormTemporal,
     Conv1d,
@@ -28,7 +28,7 @@ class TestGatedResidualBlock:
         for _, p in block.named_parameters():
             p.data[...] = 0.0
         x = Tensor(rng.normal(size=(2, 3, 6)))
-        res = block(x)
+        res = run_block(block, x)
         skip = res.data - x.data
         np.testing.assert_array_equal(res.data, x.data)
         assert not np.any(skip)
@@ -40,7 +40,7 @@ class TestGatedResidualBlock:
         block.conv.bias.data[...] = 0.0
         block.proj.weight.data[...] = 7.5
         block.proj.bias.data[...] = 0.0
-        res = block(Tensor(np.array([[[2.0]]])))
+        res = run_block(block, Tensor(np.array([[[2.0]]])))
         skip = res.data - 2.0
         np.testing.assert_allclose(skip, 0.0)
         np.testing.assert_allclose(res.data, 2.0)
@@ -48,7 +48,7 @@ class TestGatedResidualBlock:
     def test_matches_straight_line_composition(self, rng):
         block = GatedResidualBlock(2, 6, kernel_size=3, dilation=1, causal=False, rng=rng)
         x = Tensor(rng.normal(size=(1, 2, 8)))
-        res = block(x)
+        res = run_block(block, x)
         skip = res.data - x.data
 
         z = F.conv1d(x, block.conv.weight, block.conv.bias, dilation=1, causal=False)
@@ -67,42 +67,59 @@ class TestGatedResidualBlock:
         params = [x] + block.parameters()
 
         def loss():
-            res = block(x)
+            res = run_block(block, x)
             skip = F.sub(res, x)
-            return F.add(F.mul(res, res).mean(), F.abs_(F.add(skip, 0.3)).mean())
+            return F.add(mean(F.mul(res, res)), mean(F.abs_(F.add(skip, 0.3))))
 
         gradcheck(loss, params)
 
 
+def norm_block(channels):
+    """A 1x1 plain block whose conv is the identity: on positive input the
+    ReLU passes everything, so its output minus its input is the norm."""
+    block = PlainResidualBlock(channels, kernel_size=1, dilation=1)
+    block.conv.weight.data[...] = np.eye(channels)[:, :, None]
+    block.conv.bias.data[...] = 0.0
+    return block
+
+
+def normed(block, x):
+    return F.sub(run_block(block, x), x)
+
+
 class TestBatchNormTemporal:
+    """The norm as F.plain_residual computes it, with BatchNormTemporal's
+    parameters and running statistics."""
+
     def test_normalized_input_is_fixed_point(self, rng):
-        bn = BatchNormTemporal(3)
+        block = norm_block(3)
         x = rng.normal(size=(4, 3, 10))
         x -= x.mean(axis=(0, 2), keepdims=True)
         x /= x.std(axis=(0, 2), keepdims=True)
-        out = bn(Tensor(x))
+        block.conv.bias.data[...] = 10.0  # the norm removes it again
+        out = normed(block, Tensor(x))
         np.testing.assert_allclose(out.data, x, atol=1e-4)
 
     def test_constant_channel_becomes_shift(self):
-        bn = BatchNormTemporal(2)
-        bn.shift.data[:] = [0.5, -1.0]
-        x = np.full((3, 2, 4), 7.0)
-        out = bn(Tensor(x))
+        block = norm_block(2)
+        block.norm.shift.data[:] = [0.5, -1.0]
+        out = normed(block, Tensor(np.full((3, 2, 4), 7.0)))
         np.testing.assert_allclose(out.data[:, 0], 0.5, atol=1e-3)
         np.testing.assert_allclose(out.data[:, 1], -1.0, atol=1e-3)
 
     def test_train_mode_moments(self, rng):
-        bn = BatchNormTemporal(3)
-        out = bn(Tensor(rng.normal(loc=2.0, scale=3.0, size=(2, 3, 8)))).data
+        block = norm_block(3)
+        x = np.abs(rng.normal(loc=2.0, scale=3.0, size=(2, 3, 8)))
+        out = normed(block, Tensor(x)).data
         np.testing.assert_allclose(out.mean(axis=(0, 2)), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.var(axis=(0, 2)), 1.0, atol=1e-4)
 
     def test_running_stats_track_batches(self, rng):
-        bn = BatchNormTemporal(1)
+        block = norm_block(1)
         x = rng.normal(loc=5.0, size=(8, 1, 16))
         for _ in range(60):
-            bn(Tensor(x))
-        assert abs(bn.running_mean[0] - x.mean()) < 0.05
+            run_block(block, Tensor(x))
+        assert abs(block.norm.running_mean[0] - x.mean()) < 0.05
 
     def test_running_update_in_place_matches_rebinding(self, rng):
         # the update used to rebind each statistic to (1 - m) * r + m * x;
@@ -125,40 +142,40 @@ class TestBatchNormTemporal:
                                           var.view(np.uint32))
 
     def test_eval_mode_is_deterministic_affine(self, rng):
-        bn = BatchNormTemporal(2)
-        bn(Tensor(rng.normal(size=(4, 2, 6))))  # populate running stats
-        bn.eval()
-        x = rng.normal(size=(1, 2, 5))
-        a = bn(Tensor(x)).data
-        b = bn(Tensor(x)).data
+        block = norm_block(2)
+        run_block(block, Tensor(rng.uniform(0.0, 2.0, size=(4, 2, 6))))  # populate running stats
+        block.eval()
+        x = rng.uniform(0.5, 1.0, size=(1, 2, 5))
+        a = normed(block, Tensor(x)).data
+        b = normed(block, Tensor(x)).data
         np.testing.assert_array_equal(a, b)
         # affine in x: f(2x) - f(x) == f(x) - f(0) per channel/time cell
-        f0 = bn(Tensor(np.zeros_like(x))).data
-        f2 = bn(Tensor(2 * x)).data
+        f0 = normed(block, Tensor(np.zeros_like(x))).data
+        f2 = normed(block, Tensor(2 * x)).data
         np.testing.assert_allclose(f2 - a, a - f0, atol=1e-5)
 
     def test_train_needs_two_cells(self):
-        bn = BatchNormTemporal(1)
+        block = norm_block(1)
         with pytest.raises(ValueError):
-            bn(Tensor(np.ones((1, 1, 1))))
+            run_block(block, Tensor(np.ones((1, 1, 1))))
 
     def test_gradients(self, rng):
-        bn = to64(BatchNormTemporal(2))
-        x = Tensor(rng.normal(size=(2, 2, 5)).astype(np.float64), requires_grad=True)
+        block = to64(norm_block(2))
+        x = Tensor(rng.uniform(0.5, 2.0, size=(2, 2, 5)), requires_grad=True)
 
         def loss():
-            y = bn(x)
-            return F.mul(y, F.sigmoid(y)).mean()
+            y = normed(block, x)
+            return mean(F.mul(y, F.sigmoid(y)))
 
-        gradcheck(loss, [x, bn.scale, bn.shift])
+        gradcheck(loss, [x, block.norm.scale, block.norm.shift])
 
 
 class TestPlainResidualBlock:
     def test_composition(self, rng):
         block = PlainResidualBlock(3, kernel_size=3, dilation=2, rng=rng)
         x = Tensor(rng.normal(size=(2, 3, 7)))
-        out = block(x)
-        ref = F.add(x, block.norm(F.relu(block.conv(x))))
+        out = run_block(block, x)
+        ref = F.add(x, batch_norm(block.norm, F.relu(block.conv(x))))
         np.testing.assert_allclose(out.data, ref.data, atol=1e-6)
 
     def test_gradients(self, rng):
@@ -166,7 +183,7 @@ class TestPlainResidualBlock:
         x = Tensor(rng.normal(size=(2, 2, 5)).astype(np.float64), requires_grad=True)
 
         def loss():
-            return F.mul(block(x), 0.5).mean()
+            return mean(F.mul(run_block(block, x), 0.5))
 
         gradcheck(loss, [x] + block.parameters())
 
@@ -199,7 +216,7 @@ class TestLinearAndEmbedding:
         ids = np.array([[1, 1, 3]])
 
         def loss():
-            return F.mul(emb(ids), 2.0).mean()
+            return mean(F.mul(emb(ids), 2.0))
 
         gradcheck(loss, [emb.weight])
         assert emb(ids).shape == (1, 4, 3)
@@ -209,7 +226,7 @@ class TestLinearAndEmbedding:
         x = Tensor(rng.normal(size=(2, 3, 4)).astype(np.float64), requires_grad=True)
 
         def loss():
-            return tanh(lin(x)).mean()
+            return mean(tanh(lin(x)))
 
         gradcheck(loss, [x, lin.weight, lin.bias])
 

@@ -363,6 +363,21 @@ class TestSynthesis:
         # the chain must still produce a valid (possibly empty) file
         assert out["path"].exists() and out["frames"] >= 1
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_passed_model_keeps_its_mode(self, voiced_student, tmp_path,
+                                         training):
+        cfg, result = voiced_student
+        model = result["model"]
+        was = model.training
+        model.train(training)
+        try:
+            run_synthesize(cfg, None, tmp_path / "m.wav", phonemes="AA M",
+                           model=model, stats=result["stats"])
+            assert model.training is training
+            assert model.decoder.blocks[0].norm.training is training
+        finally:
+            model.train(was)
+
 
 class TestBenchmark:
     def test_spread_durations(self):
@@ -605,6 +620,23 @@ class TestCli:
                      "--max-steps", "4"]) == 2
         err = capsys.readouterr().err
         assert f"{bad}: 1 entries missing" in err and f"__meta__/{key}" in err
+
+    @pytest.mark.parametrize("args", [
+        ["synthesize", "--out", "x.wav", "--phonemes", "AA IY"],
+        ["benchmark", "--batch-sizes", "1", "--repeats", "1", "--no-vocode"],
+    ])
+    def test_student_without_stats_is_data_error(self, student_run, tmp_path,
+                                                 monkeypatch, capsys, args):
+        cfg, result = student_run
+        ckpt = tmp_path / "bare.ckpt"
+        save_checkpoint(ckpt, result["model"], cfg, "student")
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main([args[0], "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt), *args[1:]]) == 2
+        assert f"{ckpt}: no normalization stats" in capsys.readouterr().err
+        assert not (tmp_path / "x.wav").exists()
 
     def test_non_finite_synthesis_exits_3(self, student_run, tmp_path,
                                           capsys):

@@ -16,9 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "melsynth"
 ACCEPTANCE_ONLY = {
     "sequential_generate": "criterion 02, sequential/parallel equivalence",
-    "guided_attention_loss": "criteria 01 and 03, gradients and oracle",
-    "durations_from_attention": "criterion 04, duration partition",
-    "teacher_forced_logits": "criterion 04, monotone walk",
 }
 
 

@@ -4,7 +4,7 @@ sequential/parallel equivalence, duration extraction, augmentations."""
 import numpy as np
 import pytest
 
-from conftest import augment_item_reference, gradcheck
+from conftest import augment_item_reference, gradcheck, mean
 from melsynth.audio_frontend import Utterance
 from melsynth.nn_core import Tensor, no_grad
 from melsynth.nn_core import functional as F
@@ -14,11 +14,10 @@ from melsynth.teacher import (
     GatedStack,
     TeacherModel,
     augment_batch,
-    durations_from_attention,
+    batch_guided_attention_loss,
     durations_from_path,
     extract_batch_durations,
     extract_durations,
-    guided_attention_loss,
     guided_attention_weights,
     masked_attention_path,
     masked_mae,
@@ -26,7 +25,6 @@ from melsynth.teacher import (
     sequential_generate,
     shift_frames,
     teacher_dilations,
-    teacher_forced_logits,
 )
 from melsynth.teacher import align
 
@@ -57,6 +55,13 @@ class TestDilationPattern:
         assert teacher_dilations(14) == [1, 3, 9, 27, 1, 3, 9, 27, 1, 1, 1, 1, 1, 1]
 
 
+def guided_loss(a, g):
+    """The training loss on one (N, T) attention matrix: a batch of one."""
+    a = np.asarray(a)
+    n, t = a.shape
+    return float(batch_guided_attention_loss(Tensor(a[None]), [n], [t], g).data)
+
+
 class TestGuidedAttention:
     def test_weights_zero_on_diagonal_ratio(self):
         w = guided_attention_weights(4, 4, 0.2)
@@ -65,19 +70,18 @@ class TestGuidedAttention:
 
     def test_hand_computed_two_by_two(self):
         a = np.array([[1.0, 1.0], [0.0, 0.0]])
-        loss = guided_attention_loss(a, 0.2)
         expected = 0.25 * (1.0 - np.exp(-3.125))
-        assert abs(float(loss.data) - expected) < 1e-7
+        assert abs(guided_loss(a, 0.2) - expected) < 1e-7
 
     def test_diagonal_support_gives_zero(self):
         n = 6
         a = np.eye(n)
-        assert float(guided_attention_loss(a, 0.2).data) == 0.0
+        assert guided_loss(a, 0.2) == 0.0
 
     def test_anti_diagonal_worse_than_diagonal(self):
         n = 5
-        diag = float(guided_attention_loss(np.eye(n), 0.2).data)
-        anti = float(guided_attention_loss(np.eye(n)[::-1], 0.2).data)
+        diag = guided_loss(np.eye(n), 0.2)
+        anti = guided_loss(np.eye(n)[::-1], 0.2)
         assert anti > diag
 
     def test_matches_double_loop_on_random_cases(self, rng):
@@ -86,14 +90,14 @@ class TestGuidedAttention:
             t = int(rng.integers(1, 51))
             g = float(rng.choice([0.1, 0.2, 0.5]))
             a = rng.random((n, t)).astype(np.float32)
-            got = float(guided_attention_loss(a, g).data)
+            got = guided_loss(a, g)
             ref = guided_loss_double_loop(a.astype(np.float64), g)
             assert abs(got - ref) < 1e-7
 
     def test_uniform_matrix_closed_form(self):
         n, t, g = 7, 13, 0.2
         a = np.full((n, t), 1.0 / n)
-        got = float(guided_attention_loss(a, g).data)
+        got = guided_loss(a, g)
         w = guided_attention_weights(n, t, g)
         assert abs(got - w.mean() / n) < 1e-9
 
@@ -218,7 +222,8 @@ class TestSequentialEquivalence:
             _, attention, _ = sequential_generate(
                 model, ids, max_frames=t, position_rate=n / t,
                 teacher_frames=target)
-            path = masked_attention_path(teacher_forced_logits(model, ids, target))
+            logits = align.batch_logits(model, one_item_batch(ids, target))[0]
+            path = masked_attention_path(logits)
             np.testing.assert_array_equal(np.argmax(attention, axis=0), path)
 
     def test_empty_phonemes_rejected(self, rng):
@@ -236,7 +241,7 @@ class TestDurations:
             n = int(rng.integers(1, 12))
             t = int(rng.integers(1, 30))
             a = rng.random((n, t))
-            d = durations_from_attention(a, location_mask=True)
+            d = durations_from_path(masked_attention_path(a), n)
             assert d.sum() == t
             assert np.all(d >= 0)
 
@@ -245,7 +250,7 @@ class TestDurations:
         path = np.array([0, 0, 1, 1, 1, 2, 2, 4, 4, 4, 4, 4])
         a = np.zeros((5, 12))
         a[path, np.arange(12)] = 1.0
-        d = durations_from_attention(a, location_mask=False)
+        d = durations_from_path(np.argmax(a, axis=0), 5)
         counts = [int(np.sum(path == i)) for i in range(5)]
         np.testing.assert_array_equal(d, counts)
         assert d[3] == 0
@@ -303,7 +308,7 @@ class TestDurations:
         table = extract_batch_durations(model, utts)
         for u, item, durations in zip(utts, logits, table):
             n, t = u.n_phonemes, u.mel.shape[1]
-            alone = teacher_forced_logits(model, u.phoneme_ids, u.mel)
+            alone = align.batch_logits(model, one_item_batch(u.phoneme_ids, u.mel))[0]
             assert peak_error(item[:n, :t], alone) < 1e-5
             np.testing.assert_array_equal(
                 durations, extract_durations(model, u.phoneme_ids, u.mel))
@@ -445,6 +450,6 @@ class TestPackedStacks:
 
         def loss():
             out = stack(x, mask)
-            return F.add(F.mul(out, out).mean(), F.abs_(F.add(out, 0.3)).mean())
+            return F.add(mean(F.mul(out, out)), mean(F.abs_(F.add(out, 0.3))))
 
         gradcheck(loss, [x] + stack.parameters())
