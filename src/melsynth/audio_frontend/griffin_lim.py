@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import functools
-import os
 from collections import deque
 
 import numpy as np
 
-from ..nn_core import NonFiniteError
+from ..nn_core import NonFiniteError, pool
 from .mel import (AudioConfig, analysis_frames, analysis_window, hann_window,
                   mel_filterbank, reflect_edges, stft_frames, stft_magnitude)
 
@@ -29,21 +28,6 @@ PHASE_LOG_RANGE = 4.0
 # frames work buffer, the projection, the previous projection and the
 # target take BLOCK_FRAMES * (8 n_fft + 40 bins) bytes, 1.8 MB at n_fft 1024.
 BLOCK_FRAMES = 64
-
-
-@functools.cache
-def _block_pool():
-    """The threads that make blocks of frames beside the calling thread, and
-    the number of threads that make them in all: one per CPU this process
-    may run on (os.sched_getaffinity), the calling thread being one. There
-    are no threads (None) on one CPU. Made on the first synthesis, so that
-    importing melsynth starts no thread and imports no concurrent.futures.
-    """
-    workers = len(os.sched_getaffinity(0))
-    if workers == 1:
-        return None, 1
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(workers - 1, "griffin-lim"), workers
 
 
 @functools.lru_cache(maxsize=8)
@@ -100,7 +84,7 @@ class _Synthesis:
                                  config, np.zeros(self.shape))
         np.maximum(self.norm, 1e-10, out=self.norm)
         self.starts = range(0, n_frames, BLOCK_FRAMES)
-        self.pool, workers = _block_pool()
+        self.pool, workers = pool.worker_pool()
         # a block's frames stay in their slot until they are added, so one
         # slot more than there are workers keeps every worker busy; alone,
         # the calling thread reuses one slot while it is in cache

@@ -12,4 +12,4 @@ from .layers import (
     RowLayout,
 )
 from .optim import Adam, PlateauSchedule, noam_lr
-from . import functional, kernels
+from . import functional, kernels, pool

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,47 @@ def peek_config(path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="module")
+def block_pools():
+    """`nn_core.pool.worker_pool` results for 1 worker (the calling thread
+    alone) and for 3 (the calling thread and two pool threads), whatever
+    this host has."""
+    threads = ThreadPoolExecutor(2)
+    yield {1: (None, 1), 3: (threads, 3)}
+    threads.shutdown()
+
+
+def conv_reference(x, weight, dilation, left):
+    """The tap products of a conv summed over their windows, without bias,
+    as one GEMM per tap over the whole row on the calling thread: the conv
+    kernel before it split wide rows by output columns."""
+    from melsynth.nn_core.kernels import _window
+
+    cout, _, ksize = weight.shape
+    time = x.shape[2]
+    out = np.empty((x.shape[0], cout, time), dtype=np.result_type(x, weight))
+    taps = weight.transpose(2, 0, 1).copy()
+    first = min(ksize - 1, (left + dilation // 2) // dilation)
+    tmp = None
+    for j in [first] + [j for j in range(ksize) if j != first]:
+        shift = j * dilation - left
+        lo, hi = _window(shift, time)
+        if j != first:
+            if hi == lo:
+                continue
+            if tmp is None:
+                tmp = np.empty_like(out)
+        dst = out if j == first else tmp
+        if lo:
+            dst[:, :, :lo] = 0
+        if hi < time:
+            dst[:, :, hi:] = 0
+        np.matmul(taps[j], x[:, :, lo + shift:hi + shift], out=dst[:, :, lo:hi])
+        if dst is not out:
+            out += tmp
+    return out
 
 
 def augment_item_reference(mel, model, rng, params, phoneme_ids,

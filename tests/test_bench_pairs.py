@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py summary: the verdict of each metric against its bound."""
+"""tools/bench_pairs.py: the workloads `run` runs, and the verdict of each
+metric against its bound."""
 
 import importlib.util
 import json
@@ -121,3 +122,43 @@ class TestChain:
         runs["runs"][-1]["lines"] = ["crashed"]
         row, = bench_pairs.chain_rows([runs], SPEC)
         assert row[2:] == ["1/1", "0.5", "-50.0%"]
+
+
+class TestRunWorkloads:
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        calls = []
+
+        def run_one(tree, workload, seed, seconds):
+            calls.append((workload, seed, str(tree)))
+            return {"returncode": 0, "lines": [], "stderr_tail": []}
+
+        monkeypatch.setattr(bench_pairs, "run_one", run_one)
+        return calls
+
+    def run(self, tmp_path, *extra):
+        out = tmp_path / "bench.json"
+        bench_pairs.main(["run", "--parent", "p", "--change", "c",
+                          "--seeds", "1-2", "--seconds", "1", "--out",
+                          str(out), *extra])
+        return json.loads(out.read_text())
+
+    def test_default_is_every_workload(self, ran, tmp_path):
+        names = [w["name"] for w in json.loads(
+            (TOOL.parent.parent / "BENCHMARK.json").read_text())["workloads"]]
+        self.run(tmp_path)
+        assert [w for w, seed, tree in ran if seed == 1 and tree == "p"] == names
+
+    def test_named_workloads_only(self, ran, tmp_path):
+        bench = self.run(tmp_path, "--workloads", "train-toy,tts-b1")
+        # in BENCHMARK.json's order, both sides, every seed
+        assert ran == [("tts-b1", 1, "p"), ("tts-b1", 1, "c"),
+                       ("train-toy", 1, "p"), ("train-toy", 1, "c"),
+                       ("tts-b1", 2, "c"), ("tts-b1", 2, "p"),
+                       ("train-toy", 2, "c"), ("train-toy", 2, "p")]
+        assert "--workloads train-toy,tts-b1" in bench["command"]
+
+    def test_unknown_workload_is_refused(self, ran, tmp_path):
+        with pytest.raises(SystemExit, match="tts-b2"):
+            self.run(tmp_path, "--workloads", "tts-b1,tts-b2")
+        assert ran == []

@@ -1,11 +1,25 @@
-"""Dilated convolution contract: padding, causality, oracles, gradients."""
+"""Dilated convolution contract: padding, causality, oracles, gradients,
+and wide rows split by output columns over the worker pool."""
+
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import gradcheck, mean, narrow
-from melsynth.nn_core import Tensor
+from conftest import conv_reference, gradcheck, mean, narrow
+from melsynth import pipeline
+from melsynth.audio_frontend import PhonemeVocabulary
+from melsynth.nn_core import Tensor, kernels, pool
 from melsynth.nn_core import functional as F
+from melsynth.student import synthesize, synthesize_batch
+
+THRESHOLD = 2 * kernels.RANGE_COLUMNS  # the narrowest row that is split
 
 
 def conv(x, w, b, dilation=1, causal=False):
@@ -123,3 +137,226 @@ class TestGradients:
         touched = np.nonzero(x.grad[0, 0])[0]
         assert touched.min() == t_probe - 5
         assert touched.max() == t_probe + 5
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """Rows are split as under one BLAS thread, whatever BLAS runs here."""
+    monkeypatch.setattr(kernels, "_blas_threads", lambda: 1)
+
+
+def use_pool(monkeypatch, block_pools, workers):
+    """The pool of `workers` threads in all; None keeps the default pool."""
+    if workers:
+        monkeypatch.setattr(pool, "worker_pool", lambda: block_pools[workers])
+
+
+class TestColumnRanges:
+    def test_ranges_are_cut_at_multiples_of_16(self, one_blas_thread,
+                                               block_pools, monkeypatch):
+        use_pool(monkeypatch, block_pools, 3)
+        for width in (THRESHOLD, THRESHOLD + 17, 3 * kernels.RANGE_COLUMNS,
+                      6406):
+            threads, ranges = kernels._column_ranges(width, 128, np.float32)
+            assert threads is block_pools[3][0]
+            assert ranges[0][0] == 0 and ranges[-1][1] == width
+            assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+            assert all(a % 16 == 0 for a, _ in ranges)
+            assert all(b - a >= kernels.RANGE_COLUMNS - 16 for a, b in ranges)
+            assert len(ranges) == min(3, width // kernels.RANGE_COLUMNS)
+
+    @pytest.mark.parametrize("width,rows,dtype", [
+        (THRESHOLD - 1, 128, np.float32),  # too narrow
+        (6406, 128, np.float64),  # column slices change float64 bits
+        (6406, 1, np.float32),  # a matrix-vector product in BLAS
+    ])
+    def test_not_split(self, one_blas_thread, block_pools, monkeypatch,
+                       width, rows, dtype):
+        use_pool(monkeypatch, block_pools, 3)
+        assert kernels._column_ranges(width, rows, dtype) == (None, [(0, width)])
+
+    def test_one_worker_is_not_split(self, one_blas_thread, block_pools,
+                                     monkeypatch):
+        use_pool(monkeypatch, block_pools, 1)
+        assert kernels._column_ranges(6406, 128, np.float32) == (None, [(0, 6406)])
+
+
+def geometries():
+    for dilation in (1, 2, 4, 8):
+        for causal in (False, True):
+            span = 2 * dilation  # kernel size 3
+            yield dilation, span if causal else span // 2
+
+
+class TestSplitMatchesOneGemmPerTap:
+    """Every row width around the split thresholds, both kernels that run
+    `_conv`, bit for bit against one GEMM per tap on the calling thread."""
+
+    WIDTHS = (list(range(THRESHOLD - 16, THRESHOLD + 33))
+              + list(range(3 * kernels.RANGE_COLUMNS - 16,
+                           3 * kernels.RANGE_COLUMNS + 33)))
+
+    @pytest.mark.parametrize("workers", [3, None], ids=["3", "default"])
+    def test_forward_and_grad_input(self, one_blas_thread, block_pools,
+                                    monkeypatch, workers):
+        use_pool(monkeypatch, block_pools, workers)
+        gen = np.random.default_rng(5)
+        weight = gen.normal(scale=0.1, size=(128, 128, 3)).astype(np.float32)
+        bias = gen.normal(size=128).astype(np.float32)
+        row = gen.normal(size=(1, 128, max(self.WIDTHS))).astype(np.float32)
+        for width in self.WIDTHS:
+            x = row[:, :, :width]
+            for dilation, left in geometries():
+                span = 2 * dilation
+                expected = conv_reference(x, weight, dilation, left)
+                expected += bias[:, None]
+                got = kernels.conv1d_forward(x, weight, bias, dilation, left=left)
+                assert got.tobytes() == expected.tobytes(), (width, dilation, left)
+                expected = conv_reference(
+                    x, weight.transpose(1, 0, 2)[:, :, ::-1], dilation, span - left)
+                got = kernels.conv1d_grad_input(x, weight, dilation, left=left)
+                assert got.tobytes() == expected.tobytes(), (width, dilation, left)
+        assert len(kernels._column_ranges(THRESHOLD, 128, np.float32)[1]) == 2
+
+    def test_batch_of_rows(self, one_blas_thread, block_pools, monkeypatch):
+        # the batch-16 output projection: a k=1 conv on the padded batch
+        use_pool(monkeypatch, block_pools, 3)
+        gen = np.random.default_rng(6)
+        x = gen.normal(size=(16, 128, 3 * kernels.RANGE_COLUMNS + 5)).astype(np.float32)
+        weight = gen.normal(size=(80, 128, 1)).astype(np.float32)
+        got = kernels.conv1d_forward(x, weight, np.zeros(80, np.float32), 1, left=0)
+        assert got.tobytes() == conv_reference(x, weight, 1, 0).tobytes()
+
+
+@pytest.fixture(scope="module")
+def full_student():
+    return pipeline.build_student(pipeline.default_config(),
+                                  len(PhonemeVocabulary()),
+                                  np.random.default_rng(11))
+
+
+def renders(model):
+    """A 16-item render whose decoder row is split in three at 3 workers,
+    and one item whose decoder row is split in two."""
+    gen = np.random.default_rng(3)
+    lengths = np.linspace(14, 98, 16).astype(int)
+    ids = [gen.integers(1, 100, size=n) for n in lengths]
+    durations = [gen.integers(1, 8, size=n) for n in lengths]
+    mels, _ = synthesize_batch(model, ids, durations)
+    one, _ = synthesize(model, ids[-1], np.full(98, 12))
+    return mels + [one]
+
+
+class TestRenderSameForAnyWorkerCount:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_matches_the_default_pool(self, full_student, one_blas_thread,
+                                      block_pools, monkeypatch, workers):
+        default = renders(full_student)
+        use_pool(monkeypatch, block_pools, workers)
+        for expected, got in zip(default, renders(full_student), strict=True):
+            assert expected.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("blas", [2, None], ids=["two", "absent"])
+    def test_no_job_unless_blas_runs_one_thread(self, full_student,
+                                                monkeypatch, blas):
+        class Refusing:
+            def submit(self, *args):
+                raise AssertionError("a conv range was handed to the pool")
+
+        monkeypatch.setattr(pool, "worker_pool", lambda: (Refusing(), 2))
+        monkeypatch.setattr(kernels, "_blas_threads", lambda: blas)
+        renders(full_student)
+        # the stub does refuse a split render
+        monkeypatch.setattr(kernels, "_blas_threads", lambda: 1)
+        with pytest.raises(AssertionError, match="handed to the pool"):
+            renders(full_student)
+
+
+def test_more_ranges_than_cores_under_frequent_switches(one_blas_thread,
+                                                         monkeypatch):
+    # five ranges on four pool threads, the interpreter switching threads
+    # every 10 us: a range written twice or lost would change the bits
+    threads = ThreadPoolExecutor(4)
+    monkeypatch.setattr(pool, "worker_pool", lambda: (threads, 5))
+    gen = np.random.default_rng(7)
+    weight = gen.normal(scale=0.1, size=(128, 128, 3)).astype(np.float32)
+    bias = np.zeros(128, np.float32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for width in (5 * kernels.RANGE_COLUMNS, 6406):
+            x = gen.normal(size=(1, 128, width)).astype(np.float32)
+            expected = conv_reference(x, weight, 4, 4)
+            expected += bias[:, None]
+            expected = expected.tobytes()
+            assert len(kernels._column_ranges(width, 128, np.float32)[1]) == 5
+            for _ in range(10):
+                got = kernels.conv1d_forward(x, weight, bias, 4, left=4)
+                assert got.tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+        threads.shutdown()
+
+
+class TestBlasThreads:
+    def test_answers_one_when_pinned(self):
+        if kernels._blas_threads() is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        code = ("from melsynth.nn_core import kernels; "
+                "print(kernels._blas_threads())")
+        src = Path(kernels.__file__).resolve().parents[2]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "1"
+
+
+def test_import_starts_no_thread():
+    code = ("import sys, threading, melsynth, melsynth.pipeline, melsynth.cli; "
+            "print('concurrent.futures' in sys.modules, threading.active_count())")
+    src = Path(kernels.__file__).resolve().parents[2]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          text=True, check=True)
+    assert done.stdout.split() == ["False", "1"]
+
+
+@pytest.mark.parametrize("failing", ["caller", "pool"])
+@pytest.mark.parametrize("workers", [1, 3, None], ids=["1", "3", "default"])
+def test_error_in_a_range_leaves_after_every_range_ends(
+        one_blas_thread, block_pools, monkeypatch, workers, failing):
+    use_pool(monkeypatch, block_pools, workers)
+    # the calling thread's range fails, or the first range a pool thread
+    # computes; with 1 worker the calling thread computes the whole row
+    on_pool = failing == "pool" and workers != 1
+    lock, running, started = threading.Lock(), [], threading.Event()
+    failed = []
+    sum_taps = kernels._sum_taps
+
+    def spy(*part):
+        token = object()
+        with lock:
+            running.append(token)
+            fails = not failed and on_pool == (
+                threading.current_thread() is not threading.main_thread())
+            if fails:
+                failed.append(token)
+        try:
+            if fails:
+                # fail while another range is being computed, where there
+                # are threads to compute one
+                started.wait(timeout=0.5)
+                raise RuntimeError("range failed")
+            started.set()
+            time.sleep(0.1)
+            return sum_taps(*part)
+        finally:
+            with lock:
+                running.remove(token)
+
+    monkeypatch.setattr(kernels, "_sum_taps", spy)
+    x = np.ones((1, 128, 6406), np.float32)
+    weight = np.ones((128, 128, 3), np.float32)
+    with pytest.raises(RuntimeError, match="range failed"):
+        kernels.conv1d_forward(x, weight, np.zeros(128, np.float32), 1, left=1)
+    assert running == []

@@ -6,7 +6,6 @@ import re
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from melsynth.audio_frontend.griffin_lim import (BLOCK_FRAMES, FGLA_MOMENTUM,
                                                  GRIFFIN_LIM_ITERATIONS,
                                                  _initial_spectrum)
 from melsynth.audio_frontend.mel import analysis_window, reflect_edges
-from melsynth.nn_core import NonFiniteError
+from melsynth.nn_core import NonFiniteError, pool
 
 # the module, which the package's `griffin_lim` function shadows
 GL = importlib.import_module("melsynth.audio_frontend.griffin_lim")
@@ -389,15 +388,6 @@ class TestBitIdenticalToWholeArrayPasses:
                 whole_array_griffin_lim(mel, 6, config, momentum)), n_frames
 
 
-@pytest.fixture(scope="module")
-def block_pools():
-    """`_block_pool` results for 1 worker (the calling thread alone) and for
-    3 (the calling thread and two pool threads), whatever this host has."""
-    threads = ThreadPoolExecutor(2)
-    yield {1: (None, 1), 3: (threads, 3)}
-    threads.shutdown()
-
-
 class TestSameForAnyWorkerCount:
     FRAME_COUNTS = [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1,
                     2 * BLOCK_FRAMES + 3, 686]
@@ -416,7 +406,7 @@ class TestSameForAnyWorkerCount:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_matches_the_default_pool(self, block_pools, monkeypatch, workers):
         default = self.outputs()
-        monkeypatch.setattr(GL, "_block_pool", lambda: block_pools[workers])
+        monkeypatch.setattr(pool, "worker_pool", lambda: block_pools[workers])
         for expected, got in zip(default, self.outputs(), strict=True):
             assert np.array_equal(expected, got)
 
@@ -424,7 +414,7 @@ class TestSameForAnyWorkerCount:
     def test_error_in_a_block_leaves_after_every_block_ends(
             self, block_pools, monkeypatch, workers):
         if workers:
-            monkeypatch.setattr(GL, "_block_pool", lambda: block_pools[workers])
+            monkeypatch.setattr(pool, "worker_pool", lambda: block_pools[workers])
         n_frames = 8 * BLOCK_FRAMES
         synthesis = GL._Synthesis(CFG, n_frames)
         spec = np.zeros((n_frames, CFG.n_fft // 2 + 1), np.complex128)
@@ -545,7 +535,7 @@ class TestGriffinLim:
         griffin_lim(mel, 2, CFG)  # builds the cached filterbank inverse
         n_frames, bins = mel.shape[1], CFG.n_fft // 2 + 1
         blocks = n_frames - 1 + -(-CFG.win_length // CFG.hop_length)
-        _, workers = GL._block_pool()
+        _, workers = pool.worker_pool()
         slots = workers + 1 if workers > 1 else 1
         # the target, the projection and the previous projection, the two
         # signal buffers and the norm, and the ring of blocks' frames: one

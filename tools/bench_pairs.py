@@ -2,17 +2,18 @@
 """Alternating parent/change runs of perfbench, kept raw in one BENCH file.
 
     python3 tools/bench_pairs.py run --parent ../parent --change . \
-        --seeds 1-10 --seconds 25 --out BENCH.json
+        --seeds 1-10 --seconds 25 --out BENCH.json [--workloads tts-b1,...]
     python3 tools/bench_pairs.py summary BENCH.json
     python3 tools/bench_pairs.py chain BENCH_pr6.json BENCH_pr7.json ...
 
-`run` runs every workload of BENCHMARK.json once per seed on each tree,
-untraced, one process at a time; the side that runs first alternates from
-seed to seed. Each tree runs its own perfbench/run.py. Every line a run
-prints is stored unchanged. `summary` prints, per workload and end-to-end
-metric, both sides' medians, the parent's interquartile range, the pairs
-the change reads better in (ties count for neither) and a verdict against
-the metric's bound in BENCHMARK.json, as a Markdown table:
+`run` runs every workload of BENCHMARK.json, or those `--workloads` names,
+once per seed on each tree, untraced, one process at a time; the side that
+runs first alternates from seed to seed. Each tree runs its own
+perfbench/run.py. Every line a run prints is stored unchanged. `summary`
+prints, per workload and end-to-end metric, both sides' medians, the
+parent's interquartile range, the pairs the change reads better in (ties
+count for neither) and a verdict against the metric's bound in
+BENCHMARK.json, as a Markdown table:
 `worse` when the change's median is worse than the parent's by more than
 the bound; `better` when it beats the parent's median by more than the
 parent's IQR and the change reads better in at least 8 pairs;
@@ -51,9 +52,16 @@ def run_one(tree, workload, seed, seconds):
 
 def cmd_run(args):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    chosen = args.workloads or names
+    unknown = set(chosen) - set(names)
+    if unknown:
+        raise SystemExit(f"bench_pairs.py: no workload {sorted(unknown)} in "
+                         f"BENCHMARK.json, which has {names}")
+    workloads = [name for name in names if name in chosen]
     runs = []
     for seed in args.seeds:
-        for workload in [w["name"] for w in spec["workloads"]]:
+        for workload in workloads:
             sides = ["parent", "change"]
             if seed % 2 == 0:
                 sides.reverse()
@@ -65,7 +73,7 @@ def cmd_run(args):
                 print(f"{workload} seed {seed} {side}: "
                       f"exit {run['returncode']}", file=sys.stderr)
     args.out.write_text(json.dumps({
-        "command": "python3 tools/bench_pairs.py run " + " ".join(sys.argv[2:]),
+        "command": "python3 tools/bench_pairs.py " + " ".join(args.argv),
         "seconds": args.seconds,
         "seeds": args.seeds,
         "runs": runs,
@@ -203,11 +211,14 @@ def main(argv=None):
     run.add_argument("--seeds", type=seed_range, default="1-10")
     run.add_argument("--seconds", type=float, default=25.0)
     run.add_argument("--out", type=Path, required=True)
+    run.add_argument("--workloads", type=lambda text: text.split(","),
+                     help="comma-separated workload names; all by default")
     summary = sub.add_parser("summary")
     summary.add_argument("bench", type=Path)
     chain = sub.add_parser("chain")
     chain.add_argument("benches", type=Path, nargs="+")
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else argv
     return {"run": cmd_run, "summary": cmd_summary,
             "chain": cmd_chain}[args.command](args)
 
