@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import wave
 from dataclasses import dataclass, field
@@ -49,27 +50,30 @@ def load_wav(path, expected_rate=22050):
     return data
 
 
-def save_wav(path, waveform, sample_rate=22050):
-    """Write float waveform in [-1, 1] as 16-bit PCM mono.
-
-    The bytes go to a temp file in the same directory, which is renamed over
-    `path`; on any error the temp file is removed and `path` keeps its old
-    contents. There is no fsync: a WAV is cheap to write again.
-    """
+@contextlib.contextmanager
+def _replacing(path):
+    """A temp path in `path`'s directory to write to, renamed over `path`
+    when the block ends; on any error it is removed and `path` keeps its
+    old contents. There is no fsync: these files are cheap to write again."""
     path = Path(path)
-    clipped = np.clip(np.asarray(waveform, dtype=np.float64), -1.0, 1.0)
-    pcm = np.round(clipped * 32767.0).astype("<i2")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with wave.open(str(tmp), "wb") as wf:
-            wf.setnchannels(1)
-            wf.setsampwidth(2)
-            wf.setframerate(sample_rate)
-            wf.writeframes(pcm.tobytes())
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_wav(path, waveform, sample_rate=22050):
+    """Write float waveform in [-1, 1] as 16-bit PCM mono, atomically."""
+    clipped = np.clip(np.asarray(waveform, dtype=np.float64), -1.0, 1.0)
+    pcm = np.round(clipped * 32767.0).astype("<i2")
+    with _replacing(path) as tmp, wave.open(str(tmp), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(sample_rate)
+        wf.writeframes(pcm.tobytes())
 
 
 def _read_lines(path):
@@ -144,14 +148,15 @@ def load_dataset(root, holdout=100, vocab=None, sample_rate=22050):
 
 
 def write_durations(path, durations):
-    """Sidecar: one 'id|d1 d2 ... dN' line per utterance."""
+    """Sidecar: one 'id|d1 d2 ... dN' line per utterance, written atomically."""
     lines = []
     for utt_id, d in durations.items():
         d = np.asarray(d)
         if np.any(d < 0):
             raise ValueError(f"negative duration for {utt_id!r}")
         lines.append(f"{utt_id}|{' '.join(str(int(v)) for v in d)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_durations(path):

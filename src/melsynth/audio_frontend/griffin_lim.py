@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-from collections import deque
 
 import numpy as np
 
@@ -84,11 +83,11 @@ class _Synthesis:
                                  config, np.zeros(self.shape))
         np.maximum(self.norm, 1e-10, out=self.norm)
         self.starts = range(0, n_frames, BLOCK_FRAMES)
-        self.pool, workers = pool.worker_pool()
+        workers = pool.worker_pool()[1]
         # a block's frames stay in their slot until they are added, so one
         # slot more than there are workers keeps every worker busy; alone,
         # the calling thread reuses one slot while it is in cache
-        slots = min(workers + 1, len(self.starts)) if self.pool else 1
+        slots = min(workers + 1, len(self.starts)) if workers > 1 else 1
         self.ring = np.empty((slots, min(n_frames, BLOCK_FRAMES),
                               config.n_fft))
 
@@ -106,14 +105,11 @@ class _Synthesis:
 
         `spectra(rows, frames)` gives the frame-major spectrum of the frames
         in slice `rows`; `frames` is that block's rows of its ring slot,
-        free for it to use until it returns. Blocks are made (`spectra`,
-        `irfft`, synthesis window) up to one ring ahead, by the pool's
-        threads and by the calling thread, which makes the first block no
-        thread has started whenever the block it adds next is not ready.
-        Only the calling thread zeroes, adds and normalises, in frame order,
-        so the output does not depend on the number of threads. `spectra`
-        may read shared arrays and write its own rows only. If a block
-        raises, the blocks still being made finish before the error leaves.
+        free for it to use until it returns. Making a block (`spectra`,
+        `irfft`, synthesis window) is one job of `pool.run_in_order`, up to
+        one ring ahead; the calling thread zeroes, adds and normalises each
+        block in frame order. `spectra` may read shared arrays and write
+        its own rows only.
         """
         config, span, n_frames = self.config, self.span, self.n_frames
 
@@ -126,43 +122,18 @@ class _Synthesis:
             frames[:, :config.win_length] *= self.window
             return frames
 
+        def add(i, frames):
+            first = self.starts[i]
+            stop = first + frames.shape[0]
+            # zero what no earlier frame reached, add, and normalise what
+            # no later frame reaches: frame `stop` starts at block `stop`
+            blocks[first + span - 1:stop + span - 1] = 0.0
+            _overlap_add(frames, config, blocks[first:stop + span - 1])
+            done = slice(first, stop if stop < n_frames else None)
+            np.divide(blocks[done], self.norm[done], out=blocks[done])
+
         blocks[:span - 1] = 0.0
-        n_blocks, slots = len(self.starts), len(self.ring)
-        # blocks i to submitted - 1: a Future of the pool, or the frames the
-        # calling thread made
-        jobs, submitted = deque(), 0
-        try:
-            for i, first in enumerate(self.starts):
-                # block i + slots takes block i's slot, so it is submitted
-                # only once block i has been added
-                ahead = min(i + slots, n_blocks)
-                jobs.extend(self.pool.submit(frames_of, j)
-                            for j in range(max(submitted, i + 1), ahead))
-                if submitted == i:  # block i was given to no thread
-                    jobs.appendleft(frames_of(i))
-                submitted = ahead
-                # until block i is made, make the first block no thread has
-                # started (cancelling its Future)
-                while not (isinstance(jobs[0], np.ndarray) or jobs[0].done()):
-                    k = next((k for k, job in enumerate(jobs)
-                              if not isinstance(job, np.ndarray)
-                              and job.cancel()), None)
-                    if k is None:
-                        break
-                    jobs[k] = frames_of(i + k)
-                job = jobs.popleft()
-                frames = job if isinstance(job, np.ndarray) else job.result()
-                stop = first + frames.shape[0]
-                # zero what no earlier frame reached, add, and normalise what
-                # no later frame reaches: frame `stop` starts at block `stop`
-                blocks[first + span - 1:stop + span - 1] = 0.0
-                _overlap_add(frames, config, blocks[first:stop + span - 1])
-                done = slice(first, stop if stop < n_frames else None)
-                np.divide(blocks[done], self.norm[done], out=blocks[done])
-        finally:
-            for job in jobs:
-                if not (isinstance(job, np.ndarray) or job.cancel()):
-                    job.exception()  # waits for a block a thread is making
+        pool.run_in_order(frames_of, add, len(self.starts), len(self.ring))
         padded, pad = self.padded(blocks), config.n_fft // 2
         return padded[pad:padded.size - pad]
 

@@ -10,17 +10,16 @@ zero guards between items and pass it as batch 1, so each product is one
 wide GEMM.
 
 A wide float32 conv runs on every CPU the process may run on, by output
-columns: the calling thread computes one range of columns and each thread of
-the package's pool (``pool.worker_pool``) another, every tap and the tap sum
-included, and the caller waits for all of them. This happens only when BLAS
-itself runs one thread, as numpy's bundled OpenBLAS answers through ctypes;
-on top of a multi-threaded BLAS the two kinds of thread would contend for
-the CPUs, and where BLAS cannot be asked nothing is split. Set BLAS to one
-thread (``OPENBLAS_NUM_THREADS=1``) to split. Each output column sums its
-taps in the same order in every range, and OpenBLAS's sgemm gives a column
-range of at least a few dozen columns the same bits as the same columns of
-the whole product (tests pin every row width around the cuts), so results
-are bit for bit the same for any worker count, and run to run.
+columns: each range of columns is one job of ``pool.run_in_order``, every
+tap and the tap sum included. This happens only when BLAS itself runs one
+thread, as numpy's bundled OpenBLAS answers through ctypes; on top of a
+multi-threaded BLAS the two kinds of thread would contend for the CPUs, and
+where BLAS cannot be asked nothing is split. Set BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``) to split. Each output column sums its taps in
+the same order in every range, and OpenBLAS's sgemm gives a column range of
+at least a few dozen columns the same bits as the same columns of the whole
+product (tests pin every row width around the cuts), so results are bit for
+bit the same for any worker count, and run to run.
 """
 
 from __future__ import annotations
@@ -70,24 +69,22 @@ def _blas_threads():
 
 
 def _column_ranges(time, rows, dtype):
-    """The pool and the output column ranges [a, b) of a conv, the calling
-    thread's first; no pool and one range when the conv is not split.
+    """The output column ranges [a, b) of a conv; one range when the conv
+    is not split.
 
     float64 convs (gradient checks) and one-row products (a matrix-vector
     product in BLAS) are not split: OpenBLAS gives some of their column
     slices other bits than the whole product.
     """
-    whole = None, [(0, time)]
-    if time < 2 * RANGE_COLUMNS or rows < 2 or dtype != np.float32:
+    whole = [(0, time)]
+    if (time < 2 * RANGE_COLUMNS or rows < 2 or dtype != np.float32
+            or _blas_threads() != 1):
         return whole
-    if _blas_threads() != 1:
-        return whole
-    threads, workers = pool.worker_pool()
-    n = min(workers, time // RANGE_COLUMNS)
-    if threads is None or n < 2:
+    n = min(pool.worker_pool()[1], time // RANGE_COLUMNS)
+    if n < 2:
         return whole
     cuts = [0] + [time * i // n // 16 * 16 for i in range(1, n)] + [time]
-    return threads, list(zip(cuts, cuts[1:]))
+    return list(zip(cuts, cuts[1:]))
 
 
 def _sum_taps(x, taps, windows, out, tmp):
@@ -116,12 +113,9 @@ def _conv(x, weight, dilation, left):
     """The tap products summed over their windows, without bias.
 
     The tap nearest shift 0 has the widest window: it comes first. A tap
-    whose window is empty reads only zeros and is left out. A split conv
-    hands the pool its ranges first, each as views of `out` and `tmp` with
-    the windows counted from the range's first column; a range no thread
-    has started when the caller gets to it is computed by the caller. If a
-    range raises, the ranges still being computed finish before the error
-    leaves.
+    whose window is empty reads only zeros and is left out. Each column
+    range is one job, as views of `out` and `tmp` with the windows counted
+    from the range's first column.
     """
     cout, _, ksize = weight.shape
     time = x.shape[2]
@@ -135,27 +129,16 @@ def _conv(x, weight, dilation, left):
         if j == first or hi > lo:
             windows.append((j, shift, lo, hi))
     tmp = np.empty_like(out) if len(windows) > 1 else None
-    threads, ranges = _column_ranges(time, cout, out.dtype)
-    if threads is None:
-        _sum_taps(x, taps, windows, out, tmp)
-        return out
-    parts = [(x, taps,
-              [(j, shift + a, min(max(lo, a), b) - a, min(max(hi, a), b) - a)
-               for j, shift, lo, hi in windows],
-              out[:, :, a:b], None if tmp is None else tmp[:, :, a:b])
-             for a, b in ranges]
-    jobs = [threads.submit(_sum_taps, *part) for part in parts[1:]]
-    try:
-        _sum_taps(*parts[0])
-        for job, part in zip(jobs, parts[1:]):
-            if job.cancel():  # no thread has started it
-                _sum_taps(*part)
-            else:
-                job.result()
-    finally:
-        for job in jobs:
-            if not job.cancel():
-                job.exception()  # waits for a range a thread is computing
+    ranges = _column_ranges(time, cout, out.dtype)
+    # no views for an unsplit conv: a toy training chain makes thousands
+    parts = [(x, taps, windows, out, tmp)] if len(ranges) == 1 else [
+        (x, taps,
+         [(j, shift + a, min(max(lo, a), b) - a, min(max(hi, a), b) - a)
+          for j, shift, lo, hi in windows],
+         out[:, :, a:b], None if tmp is None else tmp[:, :, a:b])
+        for a, b in ranges]
+    pool.run_in_order(lambda k: _sum_taps(*parts[k]), lambda k, _: None,
+                      len(parts), len(parts))
     return out
 
 

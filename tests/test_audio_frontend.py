@@ -1,5 +1,6 @@
 """Mel extraction, normalization regimes, vocabulary, corpus loading."""
 
+import os
 import tempfile
 import wave
 from pathlib import Path
@@ -265,6 +266,25 @@ class TestDurationsSidecar:
         (tmp_path / "d.txt").write_text(f"u1|3 2\nu2|3 {token}\n")
         with pytest.raises(DatasetError, match="d.txt:2"):
             read_durations(tmp_path / "d.txt")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, n: save_wav(path, sine(440, 0.01 * n)),
+    lambda path, n: write_durations(path, {"u": np.arange(n)}),
+], ids=["save_wav", "write_durations"])
+def test_failed_rename_keeps_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "kept"
+    write(path, 3)
+    before = path.read_bytes()
+
+    def rename_fails(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", rename_fails)
+    with pytest.raises(OSError, match="rename failed"):
+        write(path, 5)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
 
 
 # an utterance id as load_dataset reads it from a metadata.csv line

@@ -157,8 +157,7 @@ class TestColumnRanges:
         use_pool(monkeypatch, block_pools, 3)
         for width in (THRESHOLD, THRESHOLD + 17, 3 * kernels.RANGE_COLUMNS,
                       6406):
-            threads, ranges = kernels._column_ranges(width, 128, np.float32)
-            assert threads is block_pools[3][0]
+            ranges = kernels._column_ranges(width, 128, np.float32)
             assert ranges[0][0] == 0 and ranges[-1][1] == width
             assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
             assert all(a % 16 == 0 for a, _ in ranges)
@@ -173,12 +172,12 @@ class TestColumnRanges:
     def test_not_split(self, one_blas_thread, block_pools, monkeypatch,
                        width, rows, dtype):
         use_pool(monkeypatch, block_pools, 3)
-        assert kernels._column_ranges(width, rows, dtype) == (None, [(0, width)])
+        assert kernels._column_ranges(width, rows, dtype) == [(0, width)]
 
     def test_one_worker_is_not_split(self, one_blas_thread, block_pools,
                                      monkeypatch):
         use_pool(monkeypatch, block_pools, 1)
-        assert kernels._column_ranges(6406, 128, np.float32) == (None, [(0, 6406)])
+        assert kernels._column_ranges(6406, 128, np.float32) == [(0, 6406)]
 
 
 def geometries():
@@ -216,7 +215,7 @@ class TestSplitMatchesOneGemmPerTap:
                     x, weight.transpose(1, 0, 2)[:, :, ::-1], dilation, span - left)
                 got = kernels.conv1d_grad_input(x, weight, dilation, left=left)
                 assert got.tobytes() == expected.tobytes(), (width, dilation, left)
-        assert len(kernels._column_ranges(THRESHOLD, 128, np.float32)[1]) == 2
+        assert len(kernels._column_ranges(THRESHOLD, 128, np.float32)) == 2
 
     def test_batch_of_rows(self, one_blas_thread, block_pools, monkeypatch):
         # the batch-16 output projection: a k=1 conv on the padded batch
@@ -289,7 +288,7 @@ def test_more_ranges_than_cores_under_frequent_switches(one_blas_thread,
             expected = conv_reference(x, weight, 4, 4)
             expected += bias[:, None]
             expected = expected.tobytes()
-            assert len(kernels._column_ranges(width, 128, np.float32)[1]) == 5
+            assert len(kernels._column_ranges(width, 128, np.float32)) == 5
             for _ in range(10):
                 got = kernels.conv1d_forward(x, weight, bias, 4, left=4)
                 assert got.tobytes() == expected
