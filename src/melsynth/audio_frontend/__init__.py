@@ -23,6 +23,7 @@ from .dataset import (
     load_dataset,
     load_wav,
     read_durations,
+    replacing,
     save_wav,
     write_durations,
 )

@@ -51,10 +51,10 @@ def load_wav(path, expected_rate=22050):
 
 
 @contextlib.contextmanager
-def _replacing(path):
+def replacing(path):
     """A temp path in `path`'s directory to write to, renamed over `path`
     when the block ends; on any error it is removed and `path` keeps its
-    old contents. There is no fsync: these files are cheap to write again."""
+    old contents. No fsync here: checkpoints fsync inside the block."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -69,7 +69,7 @@ def save_wav(path, waveform, sample_rate=22050):
     """Write float waveform in [-1, 1] as 16-bit PCM mono, atomically."""
     clipped = np.clip(np.asarray(waveform, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(clipped * 32767.0).astype("<i2")
-    with _replacing(path) as tmp, wave.open(str(tmp), "wb") as wf:
+    with replacing(path) as tmp, wave.open(str(tmp), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(sample_rate)
@@ -155,7 +155,7 @@ def write_durations(path, durations):
         if np.any(d < 0):
             raise ValueError(f"negative duration for {utt_id!r}")
         lines.append(f"{utt_id}|{' '.join(str(int(v)) for v in d)}")
-    with _replacing(path) as tmp:
+    with replacing(path) as tmp:
         tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..audio_frontend import replacing
 from .config import architecture_text, config_to_text
 
 MAGIC = b"SPDY"
@@ -48,34 +49,26 @@ def fnv1a_64(data):
 def save_tensors(path, named_arrays, arch_hash):
     """Write the container atomically.
 
-    The bytes go to a temp file in the same directory, which is flushed,
-    fsynced and renamed over `path`; on any error the temp file is removed
-    and `path` keeps its old contents.
+    The bytes go through `replacing`: they are flushed and fsynced before
+    the rename over `path`, and on any error `path` keeps its old contents.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<Q", arch_hash))
-            fh.write(struct.pack("<I", len(named_arrays)))
-            for name, array in named_arrays.items():
-                # asarray keeps 0-d shape; ascontiguousarray would promote to 1-d
-                data = np.asarray(array, dtype="<f4")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", data.ndim))
-                for dim in data.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(data.tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        fh.write(struct.pack("<Q", arch_hash))
+        fh.write(struct.pack("<I", len(named_arrays)))
+        for name, array in named_arrays.items():
+            # asarray keeps 0-d shape; ascontiguousarray would promote to 1-d
+            data = np.asarray(array, dtype="<f4")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", data.ndim))
+            for dim in data.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(data.tobytes())
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def _read_exact(fh, n, path, what):

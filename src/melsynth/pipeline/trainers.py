@@ -18,6 +18,7 @@ from ..audio_frontend import (
     load_dataset,
     normalize_standard,
     read_durations,
+    replacing,
     save_wav,
     tokenize_text,
     wav_to_mel,
@@ -79,21 +80,10 @@ class MetricsLog:
             self.path.write_text(",".join(self.fields) + "\n", encoding="utf-8")
 
     def append(self, **values):
-        row = ",".join(_format_cell(values[f]) for f in self.fields)
+        row = ",".join(f"{v:.6g}" if isinstance(v, float) else str(v)
+                       for v in (values[f] for f in self.fields))
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(row + "\n")
-
-
-def _step_metrics(opt, grad_norm, started):
-    """Gradient norm, clip flag and run wall time logged with every step."""
-    return {"grad_norm": grad_norm, "clipped": int(grad_norm > opt.clip_norm),
-            "wall_s": time.perf_counter() - started}
-
-
-def _format_cell(v):
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
 
 
 def write_pgm(path, matrix):
@@ -102,11 +92,81 @@ def write_pgm(path, matrix):
     peak = m.max()
     scaled = np.zeros_like(m) if peak <= 0 else m / peak
     data = np.round(255.0 * np.clip(scaled, 0.0, 1.0)).astype(np.uint8)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
+
+
+def _durations_path(cfg, path):
+    """The durations sidecar: `path`, or `data.durations` under the corpus."""
+    return Path(cfg.data.root) / cfg.data.durations if path is None \
+        else Path(path)
+
+
+class _Run:
+    """A training run's bookkeeping, the same for teacher and student: rng,
+    Adam, resume, the `{kind}_metrics.csv` and `{kind}_eval.csv` logs, the
+    step history, the epoch loop and the `{kind}.ckpt` checkpoints."""
+
+    def __init__(self, kind, cfg, out_dir):
+        self.started = time.perf_counter()  # wall_s counts from here
+        self.kind, self.cfg = kind, cfg
+        self.out = Path(out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.checkpoint = self.out / f"{kind}.ckpt"
+        self.history = []
+
+    def start(self, build, vocab_size, seed, resume):
+        """Builds the model with build(cfg, vocab_size, rng), puts Adam on it
+        and loads `resume` when given; returns the model and the stored
+        bookkeeping (empty for a fresh run)."""
+        seed = self.cfg.training.seed if seed is None else seed
+        self.rng = np.random.default_rng(seed)
+        self.model = build(self.cfg, vocab_size, self.rng)
+        self.opt = Adam(self.model.parameters(), lr=self.cfg.training.base_lr,
+                        clip_norm=self.cfg.training.grad_clip)
+        meta = {} if resume is None else load_checkpoint(
+            resume, self.model, self.cfg, self.kind)
+        self.epoch, self.step = meta.get("epoch", 0), meta.get("step", 0)
+        return self.model, meta
+
+    def train(self, count, max_steps, losses, scores, lr, train_step,
+              evaluate, extras=dict):
+        """Epochs of train_step(indices) over `count` items in shuffled
+        minibatches: each step at lr(step), logged with the `losses` values
+        it returns before the gradient norm; each epoch logged with the
+        `scores` of evaluate(); checkpoints with extras(). `max_steps`, when
+        given, replaces the `{kind}.epochs` cap and counts across resumes."""
+        metrics = MetricsLog(self.out / f"{self.kind}_metrics.csv",
+                             ["step", "lr", *losses, "grad_norm", "clipped",
+                              "wall_s"])
+        eval_log = MetricsLog(self.out / f"{self.kind}_eval.csv",
+                              ["epoch", "step", *scores])
+        while (self.step < max_steps if max_steps is not None
+               else self.epoch < getattr(self.cfg, self.kind).epochs):
+            for idx in iterate_minibatches(self.rng.permutation(count),
+                                           self.cfg.training.batch_size):
+                self.step += 1
+                self.opt.lr = lr(self.step)
+                *values, grad_norm = train_step(idx)
+                row = dict(zip(losses, values))
+                metrics.append(step=self.step, lr=self.opt.lr, **row,
+                               grad_norm=grad_norm,
+                               clipped=int(grad_norm > self.opt.clip_norm),
+                               wall_s=time.perf_counter() - self.started)
+                self.history.append({"step": self.step, **row})
+                if max_steps is not None and self.step >= max_steps:
+                    break
+            self.epoch += 1
+            eval_log.append(epoch=self.epoch, step=self.step, **evaluate())
+            if self.epoch % self.cfg.training.checkpoint_every == 0:
+                self.save(extras())
+        self.save(extras())
+
+    def save(self, extras):
+        save_checkpoint(self.checkpoint, self.model, self.cfg, self.kind,
+                        epoch=self.epoch, step=self.step, **extras)
 
 
 # ---------------------------------------------------------------------------
@@ -135,66 +195,42 @@ def evaluate_teacher(model, utts, cfg):
 def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
                          resume=None, quiet=True):
     """Train the aligner; returns checkpoint path, model and step history."""
-    started = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    run = _Run("teacher", cfg, out_dir)
     acfg = audio_config(cfg)
     train, holdout, vocab = load_corpus(cfg)
     for u in train + holdout:
         prepare_utterance(u, acfg)
     eval_set = holdout or train
 
-    seed = cfg.training.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    model = build_teacher(cfg, len(vocab), rng)
-    opt = Adam(model.parameters(), lr=cfg.training.base_lr,
-               clip_norm=cfg.training.grad_clip)
+    model, _ = run.start(build_teacher, len(vocab), seed, resume)
     steps_per_epoch = max(1, math.ceil(len(train) / cfg.training.batch_size))
     warmup_steps = max(1, cfg.training.warmup_epochs * steps_per_epoch)
-    start_epoch, step = 0, 0
-    if resume is not None:
-        meta = load_checkpoint(resume, model, cfg, "teacher")
-        start_epoch, step = meta["epoch"], meta["step"]
 
-    metrics = MetricsLog(out / "teacher_metrics.csv",
-                         ["step", "lr", "mae", "guided", "grad_norm",
-                          "clipped", "wall_s"])
-    eval_log = MetricsLog(out / "teacher_eval.csv",
-                          ["epoch", "step", "mae", "guided", "diagonality"])
-    ckpt_path = out / "teacher.ckpt"
-    history = []
-    epoch = start_epoch
-    # max_steps, when given, replaces the epoch cap and counts across resumes
-    while (step < max_steps if max_steps is not None
-           else epoch < cfg.teacher.epochs):
-        order = rng.permutation(len(train))
-        for idx in iterate_minibatches(order, cfg.training.batch_size):
-            step += 1
-            opt.lr = noam_lr(cfg.training.base_lr, warmup_steps, step)
-            batch = pad_teacher_batch([train[i] for i in idx])
-            inputs = build_inputs(batch, model=model, rng=rng, augment=cfg.augment)
-            mae, guided, _, grad_norm = teacher_training_step(
-                model, opt, batch, inputs, g=cfg.teacher.guided_g)
-            metrics.append(step=step, lr=opt.lr, mae=mae, guided=guided,
-                           **_step_metrics(opt, grad_norm, started))
-            history.append({"step": step, "mae": mae, "guided": guided})
-            if max_steps is not None and step >= max_steps:
-                break
-        epoch += 1
+    def train_step(idx):
+        batch = pad_teacher_batch([train[i] for i in idx])
+        inputs = build_inputs(batch, model=model, rng=run.rng,
+                              augment=cfg.augment)
+        mae, guided, _, grad_norm = teacher_training_step(
+            model, run.opt, batch, inputs, g=cfg.teacher.guided_g)
+        return mae, guided, grad_norm
+
+    def evaluate():
         scores, attention = evaluate_teacher(model, eval_set, cfg)
-        eval_log.append(epoch=epoch, step=step, **scores)
-        write_pgm(out / "attention" / f"epoch{epoch:04d}.pgm", attention)
+        write_pgm(run.out / "attention" / f"epoch{run.epoch:04d}.pgm",
+                  attention)
         if not quiet:
-            print(f"epoch {epoch}: step {step} "
+            print(f"epoch {run.epoch}: step {run.step} "
                   f"eval mae {scores['mae']:.4f} guided {scores['guided']:.5f} "
                   f"diagonality {scores['diagonality']:.4f}")
-        if epoch % cfg.training.checkpoint_every == 0:
-            save_checkpoint(ckpt_path, model, cfg, "teacher",
-                            epoch=epoch, step=step)
-    save_checkpoint(ckpt_path, model, cfg, "teacher", epoch=epoch, step=step)
+        return scores
+
+    run.train(len(train), max_steps,
+              ["mae", "guided"], ["mae", "guided", "diagonality"],
+              lambda step: noam_lr(cfg.training.base_lr, warmup_steps, step),
+              train_step, evaluate)
     scores, _ = evaluate_teacher(model, eval_set, cfg)
-    return {"checkpoint": ckpt_path, "model": model, "history": history,
-            "final_eval": scores, "step": step}
+    return {"checkpoint": run.checkpoint, "model": model,
+            "history": run.history, "final_eval": scores, "step": run.step}
 
 
 def run_extract_durations(cfg, checkpoint_path=None, out_path=None,
@@ -211,8 +247,7 @@ def run_extract_durations(cfg, checkpoint_path=None, out_path=None,
     for chunk in iterate_minibatches(utts, cfg.training.batch_size):
         for u, durations in zip(chunk, extract_batch_durations(model, chunk)):
             table[u.id] = durations
-    out = Path(out_path) if out_path is not None \
-        else Path(cfg.data.root) / cfg.data.durations
+    out = _durations_path(cfg, out_path)
     write_durations(out, table)
     return out
 
@@ -266,13 +301,10 @@ def evaluate_student(model, items, cfg):
 def run_student_training(cfg, out_dir, durations_path=None, seed=None,
                          max_steps=None, resume=None, quiet=True):
     """Train the synthesizer on teacher durations; plateau lr on holdout."""
-    started = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    run = _Run("student", cfg, out_dir)
     acfg = audio_config(cfg)
     train, holdout, vocab = load_corpus(cfg)
-    side = Path(durations_path) if durations_path is not None \
-        else Path(cfg.data.root) / cfg.data.durations
+    side = _durations_path(cfg, durations_path)
     if not side.exists():
         raise DatasetError(f"durations sidecar not found: {side}")
     table = read_durations(side)
@@ -286,71 +318,43 @@ def run_student_training(cfg, out_dir, durations_path=None, seed=None,
         holdout, [wav_to_mel(u.waveform, acfg) for u in holdout], table,
         mean, std, side) if holdout else train_items
 
-    seed = cfg.training.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    model = build_student(cfg, len(vocab), rng)
-    opt = Adam(model.parameters(), lr=cfg.training.base_lr,
-               clip_norm=cfg.training.grad_clip)
+    model, meta = run.start(build_student, len(vocab), seed, resume)
     schedule = PlateauSchedule(cfg.training.base_lr,
                                factor=cfg.training.plateau_factor,
                                patience=cfg.training.plateau_patience,
                                min_lr=cfg.training.min_lr)
-    start_epoch, step = 0, 0
-    if resume is not None:
-        meta = load_checkpoint(resume, model, cfg, "student")
-        start_epoch, step = meta["epoch"], meta["step"]
-        if "plateau" in meta:
-            schedule.current, schedule.best, schedule.bad_count = meta["plateau"]
-        if "stats" in meta:
-            mean, std = meta["stats"]
+    if "plateau" in meta:
+        schedule.current, schedule.best, schedule.bad_count = meta["plateau"]
+    if "stats" in meta:
+        mean, std = meta["stats"]
 
-    metrics = MetricsLog(out / "student_metrics.csv",
-                         ["step", "lr", "mae", "ssim_loss", "duration",
-                          "grad_norm", "clipped", "wall_s"])
-    eval_log = MetricsLog(out / "student_eval.csv",
-                          ["epoch", "step", "mae", "ssim", "duration", "total"])
-    ckpt_path = out / "student.ckpt"
+    def train_step(idx):
+        batch = pad_student_batch([train_items[i] for i in idx])
+        return student_training_step(model, batch, run.opt)
 
-    def save(epoch_done):
-        save_checkpoint(
-            ckpt_path, model, cfg, "student", epoch=epoch_done, step=step,
-            stats=(mean, std),
-            plateau=[schedule.current,
-                     np.nan if schedule.best is None else schedule.best,
-                     schedule.bad_count])
-
-    history = []
-    model.train()
-    epoch = start_epoch
-    while (step < max_steps if max_steps is not None
-           else epoch < cfg.student.epochs):
-        order = rng.permutation(len(train_items))
-        for idx in iterate_minibatches(order, cfg.training.batch_size):
-            step += 1
-            opt.lr = schedule.current
-            batch = pad_student_batch([train_items[i] for i in idx])
-            mae, ssim_loss, duration, grad_norm = student_training_step(
-                model, batch, opt)
-            metrics.append(step=step, lr=opt.lr, mae=mae, ssim_loss=ssim_loss,
-                           duration=duration,
-                           **_step_metrics(opt, grad_norm, started))
-            history.append({"step": step, "mae": mae, "ssim_loss": ssim_loss,
-                            "duration": duration})
-            if max_steps is not None and step >= max_steps:
-                break
-        epoch += 1
+    def evaluate():
         scores = evaluate_student(model, eval_items, cfg)
         schedule.update(scores["total"])
-        eval_log.append(epoch=epoch, step=step, **scores)
         if not quiet:
-            print(f"epoch {epoch}: step {step} lr {schedule.current:.2e} "
-                  f"eval mae {scores['mae']:.4f} ssim {scores['ssim']:.4f}")
-        if epoch % cfg.training.checkpoint_every == 0:
-            save(epoch)
-    save(epoch)
+            print(f"epoch {run.epoch}: step {run.step} "
+                  f"lr {schedule.current:.2e} eval mae {scores['mae']:.4f} "
+                  f"ssim {scores['ssim']:.4f}")
+        return scores
+
+    def extras():
+        return {"stats": (mean, std),
+                "plateau": [schedule.current,
+                            np.nan if schedule.best is None else schedule.best,
+                            schedule.bad_count]}
+
+    run.train(len(train_items), max_steps,
+              ["mae", "ssim_loss", "duration"],
+              ["mae", "ssim", "duration", "total"],
+              lambda step: schedule.current, train_step, evaluate, extras)
     train_scores = evaluate_student(model, train_items, cfg)
-    return {"checkpoint": ckpt_path, "model": model, "history": history,
-            "train_eval": train_scores, "stats": (mean, std), "step": step}
+    return {"checkpoint": run.checkpoint, "model": model,
+            "history": run.history, "train_eval": train_scores,
+            "stats": (mean, std), "step": run.step}
 
 
 # ---------------------------------------------------------------------------

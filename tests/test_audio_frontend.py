@@ -33,6 +33,14 @@ from melsynth.audio_frontend import (
 )
 from melsynth.audio_frontend import vocab as vocab_module
 from melsynth.audio_frontend.mel import hz_to_mel, mel_to_hz
+from melsynth.nn_core import PlainResidualBlock
+from melsynth.pipeline import (
+    default_config,
+    load_tensors,
+    save_checkpoint,
+    save_tensors,
+    write_pgm,
+)
 
 CFG = AudioConfig()
 
@@ -271,7 +279,10 @@ class TestDurationsSidecar:
 @pytest.mark.parametrize("write", [
     lambda path, n: save_wav(path, sine(440, 0.01 * n)),
     lambda path, n: write_durations(path, {"u": np.arange(n)}),
-], ids=["save_wav", "write_durations"])
+    lambda path, n: save_checkpoint(path, PlainResidualBlock(2, 3, 1),
+                                    default_config(), "student", epoch=n),
+    lambda path, n: write_pgm(path, np.arange(n * n).reshape(n, n)),
+], ids=["save_wav", "write_durations", "save_checkpoint", "write_pgm"])
 def test_failed_rename_keeps_old_file(tmp_path, monkeypatch, write):
     path = tmp_path / "kept"
     write(path, 3)
@@ -285,6 +296,23 @@ def test_failed_rename_keeps_old_file(tmp_path, monkeypatch, write):
         write(path, 5)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+
+
+def test_save_tensors_fsyncs_before_rename(tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def record(name, fn):
+        def recorder(*args):
+            calls.append(name)
+            return fn(*args)
+        return recorder
+
+    monkeypatch.setattr(os, "fsync", record("fsync", fsync))
+    monkeypatch.setattr(os, "replace", record("replace", replace))
+    save_tensors(tmp_path / "w.bin", {"w": np.ones(3)}, arch_hash=7)
+    assert calls == ["fsync", "replace"]
+    assert load_tensors(tmp_path / "w.bin")[0]["w"].tolist() == [1.0] * 3
 
 
 # an utterance id as load_dataset reads it from a metadata.csv line

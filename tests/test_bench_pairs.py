@@ -95,13 +95,43 @@ class TestBetter:
     def test_higher_is_better(self):
         metric = {"better": "higher", "bound": 0.25}
         assert bench_pairs.verdict(self.PARENT, [1.1] * 10, metric) == "better"
-        assert bench_pairs.verdict(self.PARENT, [0.9] * 10, metric) == "ok"
+        assert bench_pairs.verdict(self.PARENT, [0.9] * 10, metric) == "slower"
 
     def test_summary_row(self):
         parent = [{"time_s": p, "noisy_s": p, "rate": p} for p in self.PARENT]
         change = [{"time_s": 0.8, "noisy_s": 1.0, "rate": 1.2}] * 10
         assert verdicts(parent, change) == {"time_s": "better", "noisy_s": "ok",
                                             "rate": "better"}
+
+
+class TestSlower:
+    """The mirror of `better`: a consistent loss inside the bound."""
+    PARENT = TestBetter.PARENT
+    LOWER = TestBetter.LOWER
+
+    def test_beyond_iqr_in_eight_pairs_is_slower(self):
+        change = [1.1] * 8 + [0.5, 0.5]
+        assert bench_pairs.pairs_better(self.PARENT, change, self.LOWER) == 2
+        assert bench_pairs.verdict(self.PARENT, change, self.LOWER) == "slower"
+
+    def test_seven_pairs_are_not_enough(self):
+        change = [1.1] * 7 + [0.5] * 3
+        assert bench_pairs.verdict(self.PARENT, change, self.LOWER) == "ok"
+
+    def test_loss_within_the_parent_iqr_is_ok(self):
+        # parent IQR is 0.015; every pair reads worse, by less than that
+        change = [p + 0.01 for p in self.PARENT]
+        assert bench_pairs.pairs_better(self.PARENT, change, self.LOWER) == 0
+        assert bench_pairs.verdict(self.PARENT, change, self.LOWER) == "ok"
+
+    def test_beyond_the_bound_is_still_worse(self):
+        assert bench_pairs.verdict(self.PARENT, [1.3] * 10, self.LOWER) == "worse"
+
+    def test_summary_row(self):
+        parent = [{"time_s": p, "noisy_s": p, "rate": p} for p in self.PARENT]
+        change = [{"time_s": 1.2, "noisy_s": 1.0, "rate": 0.8}] * 10
+        assert verdicts(parent, change) == {"time_s": "slower", "noisy_s": "ok",
+                                            "rate": "slower"}
 
 
 class TestChain:

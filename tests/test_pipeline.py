@@ -185,35 +185,6 @@ class TestTeacherTraining:
         for key in ("mae", "guided", "diagonality"):
             assert np.isfinite(result["final_eval"][key])
 
-    def test_resume_continues_step_count(self, corpus, teacher_run, tmp_path):
-        cfg, first = teacher_run
-        resumed = run_teacher_training(cfg, tmp_path, max_steps=4,
-                                       resume=first["checkpoint"])
-        assert [h["step"] for h in resumed["history"]] == [3, 4]
-        # the Noam schedule continues at step 3 (3 training utterances in
-        # batches of 2 make 2 steps per epoch); the log keeps 6 digits
-        warmup = cfg.training.warmup_epochs * 2
-        lrs = np.loadtxt(tmp_path / "teacher_metrics.csv", delimiter=",",
-                         skiprows=1, usecols=1, ndmin=1)
-        assert lrs[0] == float(
-            f"{noam_lr(cfg.training.base_lr, warmup, 3):.6g}")
-
-    def test_resume_counts_steps_across_a_partial_epoch(self, corpus,
-                                                         tmp_path):
-        cfg = micro_cfg(corpus)
-        first = run_teacher_training(cfg, tmp_path / "a", max_steps=3)
-        resumed = run_teacher_training(cfg, tmp_path / "b", max_steps=6,
-                                       resume=first["checkpoint"])
-        assert [h["step"] for h in resumed["history"]] == [4, 5, 6]
-
-    def test_resume_with_nothing_left_keeps_progress(self, corpus,
-                                                     teacher_run, tmp_path):
-        cfg, first = teacher_run
-        again = run_teacher_training(cfg, tmp_path, max_steps=2,
-                                     resume=first["checkpoint"])
-        assert again["history"] == []
-        assert progress(again["checkpoint"]) == progress(first["checkpoint"])
-
 
 class TestDurationExtraction:
     def test_sidecar_complete_and_consistent(self, corpus, sidecar):
@@ -266,33 +237,6 @@ class TestStudentTrainingRun:
         assert (out / "student_metrics.csv").exists()
         assert (out / "student_eval.csv").exists()
 
-    def test_resume_continues_step_count(self, corpus, sidecar, student_run,
-                                         tmp_path):
-        cfg, first = student_run
-        resumed = run_student_training(cfg, tmp_path, durations_path=sidecar,
-                                       max_steps=4, resume=first["checkpoint"])
-        assert [h["step"] for h in resumed["history"]] == [3, 4]
-        # stats ride the checkpoint (stored as float32)
-        assert resumed["stats"] == pytest.approx(first["stats"], rel=1e-6)
-
-    def test_resume_counts_steps_across_a_partial_epoch(self, corpus, sidecar,
-                                                         tmp_path):
-        cfg = micro_cfg(corpus)
-        first = run_student_training(cfg, tmp_path / "a", max_steps=3,
-                                     durations_path=sidecar)
-        resumed = run_student_training(cfg, tmp_path / "b", max_steps=6,
-                                       durations_path=sidecar,
-                                       resume=first["checkpoint"])
-        assert [h["step"] for h in resumed["history"]] == [4, 5, 6]
-
-    def test_resume_with_nothing_left_keeps_progress(self, corpus, sidecar,
-                                                     student_run, tmp_path):
-        cfg, first = student_run
-        again = run_student_training(cfg, tmp_path, durations_path=sidecar,
-                                     max_steps=2, resume=first["checkpoint"])
-        assert again["history"] == []
-        assert progress(again["checkpoint"]) == progress(first["checkpoint"])
-
     def test_failed_evaluation_restores_train_mode(self, student_run):
         cfg, result = student_run
         model = result["model"]
@@ -305,6 +249,50 @@ class TestStudentTrainingRun:
             evaluate_student(model, bad, cfg)
         assert model.training
         assert all(block.training for block in model.encoder.blocks)
+
+
+@pytest.mark.parametrize("kind", ["teacher", "student"])
+class TestResume:
+    """Teacher and student share one run loop; each resumes the same way."""
+
+    @staticmethod
+    def train(kind, cfg, out, sidecar, **kwargs):
+        if kind == "teacher":
+            return run_teacher_training(cfg, out, **kwargs)
+        return run_student_training(cfg, out, durations_path=sidecar, **kwargs)
+
+    def test_continues_step_count(self, kind, request, sidecar, tmp_path):
+        cfg, first = request.getfixturevalue(f"{kind}_run")
+        resumed = self.train(kind, cfg, tmp_path, sidecar, max_steps=4,
+                             resume=first["checkpoint"])
+        assert [h["step"] for h in resumed["history"]] == [3, 4]
+        if kind == "teacher":
+            # the Noam schedule continues at step 3 (3 training utterances in
+            # batches of 2 make 2 steps per epoch); the log keeps 6 digits
+            warmup = cfg.training.warmup_epochs * 2
+            lrs = np.loadtxt(tmp_path / "teacher_metrics.csv", delimiter=",",
+                             skiprows=1, usecols=1, ndmin=1)
+            assert lrs[0] == float(
+                f"{noam_lr(cfg.training.base_lr, warmup, 3):.6g}")
+        else:
+            # stats ride the checkpoint (stored as float32)
+            assert resumed["stats"] == pytest.approx(first["stats"], rel=1e-6)
+
+    def test_counts_steps_across_a_partial_epoch(self, kind, corpus, sidecar,
+                                                 tmp_path):
+        cfg = micro_cfg(corpus)
+        first = self.train(kind, cfg, tmp_path / "a", sidecar, max_steps=3)
+        resumed = self.train(kind, cfg, tmp_path / "b", sidecar, max_steps=6,
+                             resume=first["checkpoint"])
+        assert [h["step"] for h in resumed["history"]] == [4, 5, 6]
+
+    def test_nothing_left_keeps_progress(self, kind, request, sidecar,
+                                         tmp_path):
+        cfg, first = request.getfixturevalue(f"{kind}_run")
+        again = self.train(kind, cfg, tmp_path, sidecar, max_steps=2,
+                           resume=first["checkpoint"])
+        assert again["history"] == []
+        assert progress(again["checkpoint"]) == progress(first["checkpoint"])
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,11 @@ count for neither) and a verdict against the metric's bound in
 BENCHMARK.json, as a Markdown table:
 `worse` when the change's median is worse than the parent's by more than
 the bound; `better` when it beats the parent's median by more than the
-parent's IQR and the change reads better in at least 8 pairs;
-`unresolved` when the parent's IQR over its median exceeds the bound; `ok`
-otherwise. `chain` prints, per workload and end-to-end metric, the product
+parent's IQR and the change reads better in at least 8 pairs; `slower`,
+the mirror image, when it is worse than the parent's median by more than
+the parent's IQR (but within the bound) and reads worse in at least 8
+pairs; `unresolved` when the parent's IQR over its median exceeds the
+bound; `ok` otherwise. `chain` prints, per workload and end-to-end metric, the product
 over the given files of the change/parent median ratio within each file:
 the change over a stack of PRs, each measured against its own parent, as
 medians drift between sessions and files.
@@ -32,7 +34,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BETTER_PAIRS = 8  # pairs a change must read better in to be called better
+BETTER_PAIRS = 8  # pairs a change must read better in (worse in: `slower`)
 
 
 def seed_range(text):
@@ -101,7 +103,8 @@ def pairs_better(parent, change, metric):
 
 
 def verdict(parent, change, metric):
-    """`worse`, `better`, `unresolved` or `ok` for one metric's paired values."""
+    """`worse`, `better`, `slower`, `unresolved` or `ok` for one metric's
+    paired values."""
     mp = statistics.median(parent)
     sign = 1 if metric["better"] == "lower" else -1
     gain = sign * (mp - statistics.median(change))
@@ -110,6 +113,9 @@ def verdict(parent, change, metric):
     q1, q3 = quartiles(parent)
     if gain > q3 - q1 and pairs_better(parent, change, metric) >= BETTER_PAIRS:
         return "better"
+    # the mirror image: the pairs in which the parent reads better
+    if -gain > q3 - q1 and pairs_better(change, parent, metric) >= BETTER_PAIRS:
+        return "slower"
     return "unresolved" if q3 - q1 > metric["bound"] * abs(mp) else "ok"
 
 
