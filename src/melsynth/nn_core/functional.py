@@ -342,12 +342,47 @@ def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False
     the conv weights; it runs as a per-channel affine epilogue on the GEMM
     output, in place when no gradient is recorded.
 
+    The ReLU runs in the conv's column-range jobs, and in eval mode the
+    whole epilogue does, every step elementwise, so no full-width pass
+    follows the conv. Train mode needs the statistics of the whole row
+    first, so its affine epilogue runs after the conv returns.
+
     Returns (out, mean, var): the statistics the normalization used.
     """
     ksize, left = _conv_geometry(x, weight, dilation, causal)
     xd = x.data
-    r = kernels.conv1d_forward(xd[None], weight.data, bias.data, dilation, left=left)[0]
-    np.maximum(r, 0, out=r)
+    dtype = np.result_type(xd, weight.data)
+    recorded = grad_enabled() and any(
+        t.requires_grad for t in (x, weight, bias, scale, shift))
+
+    def affine(mean, var):
+        """1 / sd, and the norm as a * relu + c per channel."""
+        inv = 1.0 / np.sqrt(np.asarray(var, dtype=np.float64) + eps)
+        a64 = scale.data * inv
+        return (inv, a64.astype(dtype)[:, None],
+                (shift.data - mean * a64).astype(dtype)[:, None])
+
+    def normalize(src, dst, lo, hi):
+        """dst = (a * src + c + x) * keep on columns [lo, hi) of the row."""
+        np.multiply(src, a, out=dst)
+        dst += c
+        dst += xd[:, lo:hi]
+        dst *= keep[lo:hi]
+
+    def epilogue(view, lo, hi):
+        np.maximum(view, 0, out=view)
+        if running is not None:
+            dst = view if beside is None else beside[:, :, lo:hi]
+            normalize(view, dst, lo, hi)
+
+    beside = None  # eval mode's output when backward needs the conv's
+    if running is not None:
+        mean, var = running
+        inv, a, c = affine(mean, var)
+        if recorded:
+            beside = np.empty((1, weight.data.shape[0], xd.shape[1]), dtype)
+    r = kernels.conv1d_forward(xd[None], weight.data, bias.data, dilation,
+                               left=left, epilogue=epilogue)[0]
     if running is None:
         count = float(frames.sum())
         if count < 2:
@@ -355,18 +390,11 @@ def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False
         mean = (r @ frames) / count
         centered = r - mean[:, None]
         var = np.square(centered, out=centered) @ frames / count
+        inv, a, c = affine(mean, var)
+        out = np.empty_like(r) if recorded else r
+        normalize(r, out, 0, r.shape[1])
     else:
-        mean, var = running
-    inv = 1.0 / np.sqrt(np.asarray(var, dtype=np.float64) + eps)
-    a64 = scale.data * inv
-    a = a64.astype(r.dtype)[:, None]
-    c = (shift.data - mean * a64).astype(r.dtype)[:, None]
-    recorded = grad_enabled() and any(
-        t.requires_grad for t in (x, weight, bias, scale, shift))
-    out = np.multiply(r, a, out=None if recorded else r)
-    out += c
-    out += xd
-    out *= keep
+        out = r if beside is None else beside[0]
 
     def backward(g):
         g = g * keep  # gradient of the residual sum, zero on guards

@@ -11,15 +11,18 @@ wide GEMM.
 
 A wide float32 conv runs on every CPU the process may run on, by output
 columns: each range of columns is one job of ``pool.run_in_order``, every
-tap and the tap sum included. This happens only when BLAS itself runs one
-thread, as numpy's bundled OpenBLAS answers through ctypes; on top of a
-multi-threaded BLAS the two kinds of thread would contend for the CPUs, and
-where BLAS cannot be asked nothing is split. Set BLAS to one thread
-(``OPENBLAS_NUM_THREADS=1``) to split. Each output column sums its taps in
-the same order in every range, and OpenBLAS's sgemm gives a column range of
-at least a few dozen columns the same bits as the same columns of the whole
-product (tests pin every row width around the cuts), so results are bit for
-bit the same for any worker count, and run to run.
+tap, the tap sum, the bias and the caller's elementwise epilogue included,
+so no full-width pass is left for the calling thread alone. This happens
+only when BLAS itself runs one thread, as numpy's bundled OpenBLAS answers
+through ctypes; on top of a multi-threaded BLAS the two kinds of thread
+would contend for the CPUs, and where BLAS cannot be asked nothing is
+split. Set BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) to split. Each
+output column sums its taps in the same order in every range, OpenBLAS's
+sgemm gives a column range of at least a few dozen columns the same bits
+as the same columns of the whole product (tests pin every row width around
+the cuts), and an elementwise epilogue does to a column what it would do
+in the whole row, so results are bit for bit the same for any worker
+count, and run to run.
 """
 
 from __future__ import annotations
@@ -109,13 +112,15 @@ def _sum_taps(x, taps, windows, out, tmp):
             out += tmp
 
 
-def _conv(x, weight, dilation, left):
+def _conv(x, weight, dilation, left, finish=None):
     """The tap products summed over their windows, without bias.
 
     The tap nearest shift 0 has the widest window: it comes first. A tap
     whose window is empty reads only zeros and is left out. Each column
     range is one job, as views of `out` and `tmp` with the windows counted
-    from the range's first column.
+    from the range's first column. ``finish(view, a, b)``, when given, runs
+    in the same job right after the tap sum, on the view of `out` that
+    holds columns [a, b); an unsplit conv passes `out` itself.
     """
     cout, _, ksize = weight.shape
     time = x.shape[2]
@@ -137,16 +142,32 @@ def _conv(x, weight, dilation, left):
           for j, shift, lo, hi in windows],
          out[:, :, a:b], None if tmp is None else tmp[:, :, a:b])
         for a, b in ranges]
-    pool.run_in_order(lambda k: _sum_taps(*parts[k]), lambda k, _: None,
-                      len(parts), len(parts))
+
+    def job(k):
+        _sum_taps(*parts[k])
+        if finish is not None:
+            finish(parts[k][3], *ranges[k])
+
+    pool.run_in_order(job, lambda k, _: None, len(parts), len(parts))
     return out
 
 
-def conv1d_forward(x, weight, bias, dilation, *, left):
-    """(batch, cin, time) -> (batch, cout, time)."""
-    out = _conv(x, weight, dilation, left)
-    out += bias[:, None]
-    return out
+def conv1d_forward(x, weight, bias, dilation, *, left, epilogue=None):
+    """(batch, cin, time) -> (batch, cout, time).
+
+    The bias is added in each column range's job. ``epilogue(view, a, b)``,
+    when given, runs next in the same job, on the (batch, cout, b - a) view
+    of the output that holds columns [a, b), possibly on a pool thread: it
+    must run only elementwise numpy work, on those columns.
+    """
+    bias = bias[:, None]
+
+    def finish(view, a, b):
+        view += bias
+        if epilogue is not None:
+            epilogue(view, a, b)
+
+    return _conv(x, weight, dilation, left, finish)
 
 
 def conv1d_grad_input(gout, weight, dilation, *, left):

@@ -1,6 +1,8 @@
 """Dilated convolution contract: padding, causality, oracles, gradients,
-and wide rows split by output columns over the worker pool."""
+and wide rows split by output columns over the worker pool, the fused
+plain residual block's epilogue included."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from melsynth import pipeline
 from melsynth.audio_frontend import PhonemeVocabulary
 from melsynth.nn_core import Tensor, kernels, pool
 from melsynth.nn_core import functional as F
-from melsynth.student import synthesize, synthesize_batch
+from melsynth.student import StudentModel, synthesize, synthesize_batch
 
 THRESHOLD = 2 * kernels.RANGE_COLUMNS  # the narrowest row that is split
 
@@ -227,6 +229,112 @@ class TestSplitMatchesOneGemmPerTap:
         assert got.tobytes() == conv_reference(x, weight, 1, 0).tobytes()
 
 
+def eval_block_reference(xd, weight, bias, scale, shift, running, keep,
+                         dilation, left, eps=1e-5):
+    """The eval-mode plain residual block as it ran before its epilogue
+    moved into the conv's column-range jobs: one GEMM per tap, then bias,
+    ReLU, batch-norm affine, residual and keep, each over the whole row on
+    the calling thread. Returns (out, relu(conv), a, 1 / sd)."""
+    r = conv_reference(xd[None], weight, dilation, left)[0]
+    r += bias[:, None]
+    np.maximum(r, 0, out=r)
+    mean, var = running
+    inv = 1.0 / np.sqrt(np.asarray(var, dtype=np.float64) + eps)
+    a64 = scale * inv
+    a = a64.astype(r.dtype)[:, None]
+    out = r * a
+    out += (shift - mean * a64).astype(r.dtype)[:, None]
+    out += xd
+    out *= keep
+    return out, r, a, inv
+
+
+def eval_block_gradients_reference(g, xd, weight, running, keep, dilation,
+                                   left, r, a, inv):
+    """The gradients (x, weight, bias, scale, shift) of the eval-mode block
+    for the output gradient `g`, from `eval_block_reference`'s r, a and
+    1 / sd, with every conv on the calling thread."""
+    g = g * keep
+    gshift = g.sum(axis=1)
+    xhat = ((r - np.asarray(running[0], dtype=r.dtype)[:, None])
+            * inv.astype(r.dtype)[:, None])
+    gscale = np.einsum("ct,ct->c", g, xhat)
+    gr = g * a
+    gr *= r > 0
+    gweight = kernels.conv1d_grad_weight(gr[None], xd[None], dilation, 3,
+                                         left=left)
+    span = 2 * dilation
+    gx = g + conv_reference(gr[None], weight.transpose(1, 0, 2)[:, :, ::-1],
+                            dilation, span - left)[0]
+    return [gx, gweight, gr.sum(axis=1), gscale, gshift]
+
+
+class TestPlainResidualEpilogueInRanges:
+    """The eval-mode block runs its whole epilogue inside the conv's column
+    ranges: bit for bit the sequence it replaced, at every row width around
+    the split thresholds, with and without recorded gradients."""
+
+    @staticmethod
+    def block(width, gen):
+        weight = gen.normal(scale=0.1, size=(128, 128, 3)).astype(np.float32)
+        bias = gen.normal(scale=0.1, size=128).astype(np.float32)
+        scale = gen.uniform(0.5, 1.5, 128).astype(np.float32)
+        shift = gen.normal(scale=0.3, size=128).astype(np.float32)
+        running = (gen.uniform(0.0, 0.5, 128).astype(np.float32),
+                   gen.uniform(0.2, 1.0, 128).astype(np.float32))
+        keep = (gen.random(width) > 0.1).astype(np.float32)
+        xd = gen.normal(size=(128, width)).astype(np.float32) * keep
+        return xd, weight, bias, scale, shift, running, keep
+
+    @staticmethod
+    def run(xd, weight, bias, scale, shift, running, keep, dilation, left,
+            grad):
+        tensors = [Tensor(a, requires_grad=grad)
+                   for a in (xd, weight, bias, scale, shift)]
+        out, _, _ = F.plain_residual(*tensors, keep, dilation=dilation,
+                                     causal=left == 2 * dilation,
+                                     running=running)
+        return out, tensors
+
+    def test_no_grad_matches_calling_thread(self, one_blas_thread, block_pools,
+                                            monkeypatch):
+        pools = {1: block_pools[1], 3: block_pools[3], None: pool.worker_pool()}
+        widths = TestSplitMatchesOneGemmPerTap.WIDTHS
+        params = self.block(max(widths), np.random.default_rng(8))
+        for width in widths:
+            xd, weight, bias, scale, shift, running, keep = params
+            xd, keep = np.ascontiguousarray(xd[:, :width]), keep[:width]
+            for dilation, left in geometries():
+                expected, *_ = eval_block_reference(
+                    xd, weight, bias, scale, shift, running, keep, dilation, left)
+                for workers, threads in pools.items():
+                    monkeypatch.setattr(pool, "worker_pool", lambda: threads)
+                    got, _ = self.run(xd, weight, bias, scale, shift, running,
+                                      keep, dilation, left, grad=False)
+                    assert got.data.tobytes() == expected.tobytes(), (
+                        width, dilation, left, workers)
+
+    @pytest.mark.parametrize("workers", [1, 3, None], ids=["1", "3", "default"])
+    def test_recorded_gradients_match_calling_thread(
+            self, one_blas_thread, block_pools, monkeypatch, workers):
+        # the epilogue writes beside the conv's output, which backward reads
+        use_pool(monkeypatch, block_pools, workers)
+        for width in (THRESHOLD, THRESHOLD + 17, 3 * kernels.RANGE_COLUMNS + 5):
+            gen = np.random.default_rng(width)
+            params = self.block(width, gen)
+            g = gen.normal(size=(128, width)).astype(np.float32)
+            for dilation, left in geometries():
+                expected, r, a, inv = eval_block_reference(*params, dilation, left)
+                out, tensors = self.run(*params, dilation, left, grad=True)
+                assert out.data.tobytes() == expected.tobytes(), (width, dilation, left)
+                F.sum(F.mul(out, g)).backward()
+                want = eval_block_gradients_reference(
+                    g, params[0], params[1], params[5], params[6], dilation,
+                    left, r, a, inv)
+                for t, w in zip(tensors, want, strict=True):
+                    assert t.grad.tobytes() == w.tobytes(), (width, dilation, left)
+
+
 @pytest.fixture(scope="module")
 def full_student():
     return pipeline.build_student(pipeline.default_config(),
@@ -269,6 +377,40 @@ class TestRenderSameForAnyWorkerCount:
         monkeypatch.setattr(kernels, "_blas_threads", lambda: 1)
         with pytest.raises(AssertionError, match="handed to the pool"):
             renders(full_student)
+
+
+def test_render_calls_program_code_on_the_main_thread_only(
+        full_student, one_blas_thread, block_pools, monkeypatch):
+    # the perfbench tracer keeps one span stack: a span target entered from a
+    # pool thread would corrupt a traced run. Only numpy runs in the jobs.
+    use_pool(monkeypatch, block_pools, 3)
+    off_main = []
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    targets = [(F, name, fn) for name, fn in vars(F).items()
+               if inspect.isfunction(fn) and fn.__module__ == F.__name__]
+    targets += [(StudentModel, name, fn) for name, fn in vars(StudentModel).items()
+                if inspect.isfunction(fn)]
+    targets += [(kernels, "conv1d_forward", kernels.conv1d_forward)]
+    for owner, name, fn in targets:
+        monkeypatch.setattr(owner, name, watched(name, fn))
+    ran_on = set()
+    sum_taps = kernels._sum_taps
+
+    def spy(*part):
+        ran_on.add(threading.current_thread() is threading.main_thread())
+        return sum_taps(*part)
+
+    monkeypatch.setattr(kernels, "_sum_taps", spy)
+    renders(full_student)
+    assert ran_on == {True, False}  # the convs did split
+    assert off_main == []
 
 
 def test_more_ranges_than_cores_under_frequent_switches(one_blas_thread,
@@ -320,42 +462,65 @@ def test_import_starts_no_thread():
     assert done.stdout.split() == ["False", "1"]
 
 
+def check_error_leaves_after_every_range_ends(monkeypatch, block_pools,
+                                              workers, failing, stage):
+    use_pool(monkeypatch, block_pools, workers)
+    # the calling thread's range fails, or the first range a pool thread
+    # computes, in its tap sum or in the epilogue that follows it in the
+    # same job; with 1 worker the calling thread computes the whole row
+    on_pool = failing == "pool" and workers != 1
+    lock, running, started = threading.Lock(), [], threading.Event()
+    failed, entered = [], []
+
+    def spied(fn, may_fail):
+        def spy(*part):
+            token = object()
+            with lock:
+                running.append(token)
+                entered.append(token)
+                fails = may_fail and not failed and on_pool == (
+                    threading.current_thread() is not threading.main_thread())
+                if fails:
+                    failed.append(token)
+            try:
+                if fails:
+                    # fail while another range is being computed, where
+                    # there are threads to compute one
+                    started.wait(timeout=0.5)
+                    raise RuntimeError("range failed")
+                started.set()
+                time.sleep(0.1)
+                return fn(*part)
+            finally:
+                with lock:
+                    running.remove(token)
+        return spy
+
+    monkeypatch.setattr(kernels, "_sum_taps",
+                        spied(kernels._sum_taps, stage == "taps"))
+    epilogue = spied(lambda view, a, b: None, stage == "epilogue")
+    x = np.ones((1, 128, 6406), np.float32)
+    weight = np.ones((128, 128, 3), np.float32)
+    with pytest.raises(RuntimeError, match="range failed"):
+        kernels.conv1d_forward(x, weight, np.zeros(128, np.float32), 1, left=1,
+                               epilogue=epilogue)
+    assert running == []
+    calls = len(entered)
+    time.sleep(0.3)  # no part of a job starts after the error has left
+    assert len(entered) == calls
+
+
 @pytest.mark.parametrize("failing", ["caller", "pool"])
 @pytest.mark.parametrize("workers", [1, 3, None], ids=["1", "3", "default"])
 def test_error_in_a_range_leaves_after_every_range_ends(
         one_blas_thread, block_pools, monkeypatch, workers, failing):
-    use_pool(monkeypatch, block_pools, workers)
-    # the calling thread's range fails, or the first range a pool thread
-    # computes; with 1 worker the calling thread computes the whole row
-    on_pool = failing == "pool" and workers != 1
-    lock, running, started = threading.Lock(), [], threading.Event()
-    failed = []
-    sum_taps = kernels._sum_taps
+    check_error_leaves_after_every_range_ends(monkeypatch, block_pools,
+                                              workers, failing, "taps")
 
-    def spy(*part):
-        token = object()
-        with lock:
-            running.append(token)
-            fails = not failed and on_pool == (
-                threading.current_thread() is not threading.main_thread())
-            if fails:
-                failed.append(token)
-        try:
-            if fails:
-                # fail while another range is being computed, where there
-                # are threads to compute one
-                started.wait(timeout=0.5)
-                raise RuntimeError("range failed")
-            started.set()
-            time.sleep(0.1)
-            return sum_taps(*part)
-        finally:
-            with lock:
-                running.remove(token)
 
-    monkeypatch.setattr(kernels, "_sum_taps", spy)
-    x = np.ones((1, 128, 6406), np.float32)
-    weight = np.ones((128, 128, 3), np.float32)
-    with pytest.raises(RuntimeError, match="range failed"):
-        kernels.conv1d_forward(x, weight, np.zeros(128, np.float32), 1, left=1)
-    assert running == []
+@pytest.mark.parametrize("failing", ["caller", "pool"])
+@pytest.mark.parametrize("workers", [1, 3, None], ids=["1", "3", "default"])
+def test_error_in_an_epilogue_leaves_after_every_range_ends(
+        one_blas_thread, block_pools, monkeypatch, workers, failing):
+    check_error_leaves_after_every_range_ends(monkeypatch, block_pools,
+                                              workers, failing, "epilogue")
