@@ -328,19 +328,19 @@ def conv1d(x, weight, bias, dilation=1, causal=False):
 
 
 def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False,
-                   frames=None, running=None, eps=1e-5):
+                   running=None, eps=1e-5):
     """Fused plain residual block on a guard-banded (channels, width) row:
 
         out = (x + scale * norm(relu(conv(x))) + shift) * keep
 
     norm uses ``running`` = (mean, var) when given (eval mode); otherwise the
-    batch statistics over the columns where ``frames`` is 1 (train mode), with
-    a hand-written backward that includes the mean and variance terms.
-    ``keep`` (width,) is the mask on item columns and 0 on the guards, so the
-    output is again a row with zero guards; the conv must reach no further
-    than the guards. Batch norm comes after the ReLU, so it cannot fold into
-    the conv weights; it runs as a per-channel affine epilogue on the GEMM
-    output, in place when no gradient is recorded.
+    batch statistics over the row's columns weighted by ``keep``, so only real
+    frames count (train mode), with a hand-written backward that includes the
+    mean and variance terms. ``keep`` (width,) is the mask on item columns and
+    0 on the guards, so the output is again a row with zero guards; the conv
+    must reach no further than the guards. Batch norm comes after the ReLU,
+    so it cannot fold into the conv weights; it runs as a per-channel affine
+    epilogue on the GEMM output, in place when no gradient is recorded.
 
     The ReLU runs in the conv's column-range jobs, and in eval mode the
     whole epilogue does, every step elementwise, so no full-width pass
@@ -384,12 +384,12 @@ def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False
     r = kernels.conv1d_forward(xd[None], weight.data, bias.data, dilation,
                                left=left, epilogue=epilogue)[0]
     if running is None:
-        count = float(frames.sum())
+        count = float(keep.sum())
         if count < 2:
             raise ValueError("batch norm needs batch*time >= 2 in train mode")
-        mean = (r @ frames) / count
+        mean = (r @ keep) / count
         centered = r - mean[:, None]
-        var = np.square(centered, out=centered) @ frames / count
+        var = np.square(centered, out=centered) @ keep / count
         inv, a, c = affine(mean, var)
         out = np.empty_like(r) if recorded else r
         normalize(r, out, 0, r.shape[1])
@@ -408,7 +408,7 @@ def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False
         gr = g * a
         if running is None:
             # the statistics depend on every frame they were taken over
-            gr -= (a / count) * (gshift[:, None] + xhat * gscale[:, None]) * frames
+            gr -= (a / count) * (gshift[:, None] + xhat * gscale[:, None]) * keep
         gr *= r > 0
         if weight.requires_grad:
             weight.accumulate_grad(

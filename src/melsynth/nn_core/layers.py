@@ -65,9 +65,10 @@ class Embedding(Module):
 
 class BatchNormTemporal(Module):
     """Parameters and running statistics of a per-channel normalization over
-    every batch item and time step; :func:`functional.plain_residual` computes
-    it. Train mode normalizes with batch statistics and updates running stats
-    by exponential moving average; eval mode is a fixed per-channel affine map.
+    the real frames of every batch item; :func:`functional.plain_residual`
+    computes it. Train mode normalizes with batch statistics and updates
+    running stats by exponential moving average; eval mode is a fixed
+    per-channel affine map.
     """
 
     eps = 1e-5
@@ -121,16 +122,15 @@ class RowLayout:
     """Where each item of a (batch, channels, time) batch sits in one
     guard-banded row: item 0, guard, ..., guard, item B-1, each `guard` zeros.
 
-    packed=True gives each item its true length, up to the last frame the
-    mask keeps, so padded frames are never computed; frames it drops count as
-    zeros. packed=False keeps every item at the full time length, so batch
-    statistics see the same frames as the padded batch. ``keep`` holds the
-    mask on item columns and 0 on guards; ``item`` is 1 on item columns.
-    A mask must be a prefix mask (see :func:`functional.length_mask`): a
-    zero before an item's last nonzero frame raises ValueError.
+    Each item takes its true length, up to the last frame the mask keeps, so
+    padded frames are never computed and batch statistics count only real
+    frames; frames it drops count as zeros. ``keep`` holds the mask on item
+    columns and 0 on the guards. A mask must be a prefix mask (see
+    :func:`functional.length_mask`): a zero before an item's last nonzero
+    frame raises ValueError.
     """
 
-    def __init__(self, x, mask, guard, packed):
+    def __init__(self, x, mask, guard):
         batch, _, frames = x.shape
         if mask is None:
             m = np.ones((batch, frames), dtype=x.dtype)
@@ -143,18 +143,13 @@ class RowLayout:
         if holes.size:
             raise ValueError(f"mask of item {holes[0]} has a zero before its "
                              f"last nonzero frame")
-        if packed:
-            self.lengths = ends.tolist()
-        else:
-            self.lengths = [frames] * batch
+        self.lengths = ends.tolist()
         self.frames = frames
         offsets = np.cumsum([0] + [n + guard for n in self.lengths])
         self.starts, self.width = offsets[:-1], int(offsets[-1]) - guard
         self.keep = np.zeros(self.width, dtype=x.dtype)
-        self.item = np.zeros(self.width, dtype=x.dtype)
         for s, n, row in zip(self.starts, self.lengths, m):
             self.keep[s:s + n] = row[:n]
-            self.item[s:s + n] = 1.0
 
     def pack(self, x):
         return F.pack_rows(x, self.starts, self.lengths, self.width)
@@ -168,7 +163,7 @@ class PlainResidualBlock(Module):
 
     ``conv`` and ``norm`` hold the parameters and running statistics; the
     computation is one :func:`functional.plain_residual` op on a
-    guard-banded row. Eval mode packs items to their true lengths.
+    guard-banded row laid out by :class:`RowLayout`.
     """
 
     def __init__(self, channels, kernel_size, dilation, causal=False, rng=None):
@@ -184,7 +179,7 @@ class PlainResidualBlock(Module):
         out, mean, var = F.plain_residual(
             row, self.conv.weight, self.conv.bias, norm.scale, norm.shift,
             layout.keep, dilation=self.conv.dilation, causal=self.conv.causal,
-            frames=layout.item, running=running, eps=norm.eps)
+            running=running, eps=norm.eps)
         if self.training:
             norm.update_running(mean, var, sum(layout.lengths))
         return out

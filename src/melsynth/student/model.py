@@ -30,11 +30,10 @@ class PlainStack(Module):
 
     The batch is packed once into a guard-banded row (see
     :class:`~melsynth.nn_core.layers.RowLayout`), as in the teacher's
-    GatedStack, with the guards re-zeroed after every block. In eval mode
-    each item takes its true length from the mask and padded frames are never
-    computed; in train mode every item keeps the full length, so batch norm
-    sees the same frames as the padded batch. Output frames where the mask
-    is 0 are zero.
+    GatedStack, with the guards re-zeroed after every block. Each item takes
+    its true length from the mask, in training and inference alike, so padded
+    frames are never computed and batch norm counts only real frames. Output
+    frames where the mask is 0 are zero.
     """
 
     def __init__(self, channels, kernel_size, dilations, rng):
@@ -47,8 +46,7 @@ class PlainStack(Module):
     def forward(self, x, mask=None):
         if not self.blocks:
             return x
-        layout = RowLayout(x, mask, max(b.conv.reach() for b in self.blocks),
-                           packed=not self.training)
+        layout = RowLayout(x, mask, max(b.conv.reach() for b in self.blocks))
         h = layout.pack(x)
         for block in self.blocks:
             h = block.run(h, layout)

@@ -43,8 +43,7 @@ class GatedStack(Module):
         ]
 
     def forward(self, x, mask=None):
-        layout = RowLayout(x, mask, max(b.conv.reach() for b in self.blocks),
-                           packed=True)
+        layout = RowLayout(x, mask, max(b.conv.reach() for b in self.blocks))
         h0 = h = layout.pack(x)
         for block in self.blocks:
             h = block.run(h, layout)

@@ -118,19 +118,27 @@ def _per_channel(t):
     return Tensor.from_op(t.data[None, :, None], (t,), backward)
 
 
-def batch_norm(norm, x):
+def batch_norm(norm, x, mask=None):
     """Temporal batch norm of (batch, channels, time) `x` with the parameters
     and running statistics of BatchNormTemporal `norm`, op by op on the tape.
-    Train mode also updates the running statistics."""
+    Train mode takes its statistics over the frames where the (batch, 1,
+    time) `mask` is 1 (every frame when it is None) and also updates the
+    running statistics."""
     from melsynth.nn_core import functional as F
 
     if norm.training:
-        n = x.shape[0] * x.shape[2]
+        w = np.ones((x.shape[0], 1, x.shape[2])) if mask is None \
+            else getattr(mask, "data", mask)
+        n = float(np.sum(w))
         if n < 2:
             raise ValueError("batch norm needs batch*time >= 2 in train mode")
-        m = mean(x, axis=(0, 2), keepdims=True)
+
+        def frame_mean(t):
+            return F.mul(F.sum(F.mul(t, w), axis=(0, 2), keepdims=True), 1.0 / n)
+
+        m = frame_mean(x)
         centered = F.sub(x, m)
-        var = mean(F.mul(centered, centered), axis=(0, 2), keepdims=True)
+        var = frame_mean(F.mul(centered, centered))
         inv = div(1.0, sqrt(F.add(var, norm.eps)))
         normed = F.mul(centered, inv)
         norm.update_running(m.data, var.data, n)
@@ -146,7 +154,7 @@ def run_block(block, x):
     guard-banded row, run the block's fused op, unpack."""
     from melsynth.nn_core import RowLayout
 
-    layout = RowLayout(x, None, block.conv.reach(), packed=True)
+    layout = RowLayout(x, None, block.conv.reach())
     return layout.unpack(block.run(layout.pack(x), layout))
 
 

@@ -1,9 +1,10 @@
 """Acceptance suite: thirteen system-level checks, one printed line each.
 
 The heavy artifacts (10-utterance toy corpus, 300-step aligner run,
-2000-step synthesizer run) are built once and shared; the end-to-end check
-runs its own command-line chain from scratch. Run with `-s` (or read the
-captured output) for the [NN] PASS/FAIL lines.
+2000-step synthesizer run) are built once, by the end-to-end check's
+command-line chain from an empty directory, and shared with the checks that
+read them. Run with `-s` (or read the captured output) for the [NN]
+PASS/FAIL lines.
 """
 
 import math
@@ -25,6 +26,7 @@ from melsynth.audio_frontend.griffin_lim import (
     mel_to_linear_magnitude,
     spectral_convergence,
 )
+from melsynth import pipeline
 from melsynth.cli import main
 from melsynth.nn_core import (
     Conv1d,
@@ -43,13 +45,8 @@ from melsynth.pipeline import (
     evaluate_teacher,
     load_checkpoint,
     load_config,
-    make_toy_corpus,
     run_benchmark,
-    run_extract_durations,
-    run_student_training,
-    run_teacher_training,
     save_checkpoint,
-    write_toy_config,
 )
 from melsynth.student import (
     StudentModel,
@@ -93,34 +90,61 @@ def to64(module):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def toy(tmp_path_factory):
-    root = tmp_path_factory.mktemp("acc_toy")
-    make_toy_corpus(root, count=10, seed=0)
-    return root, load_config(write_toy_config(root))
+def chain(tmp_path_factory):
+    """The command-line chain from an empty directory to a student
+    checkpoint: make-toy, train-teacher (300 steps), extract-durations,
+    train-student (2000 steps). The two training entry points are wrapped,
+    so their result dicts and times are kept as they return."""
+    base = tmp_path_factory.mktemp("acc_chain")
+    root, out = base / "corpus", base / "run"
+    cfg_path = root / "toy.cfg"
+    results = {}
+
+    def timed(name):
+        train = getattr(pipeline, name)
+
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = train(*args, **kwargs)
+            result["elapsed"] = time.perf_counter() - t0
+            results[name] = result
+            return result
+
+        return run
+
+    t0 = time.perf_counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("run_teacher_training", "run_student_training"):
+            patch.setattr(pipeline, name, timed(name))
+        assert main(["make-toy", "--out", str(root), "--count", "10",
+                     "--seed", "0"]) == 0
+        assert main(["train-teacher", "--config", str(cfg_path),
+                     "--out", str(out), "--max-steps", "300"]) == 0
+        assert main(["extract-durations", "--config", str(cfg_path),
+                     "--checkpoint", str(out / "teacher.ckpt"),
+                     "--out", str(out / "durations.csv")]) == 0
+        assert main(["train-student", "--config", str(cfg_path),
+                     "--out", str(out), "--max-steps", "2000",
+                     "--durations", str(out / "durations.csv")]) == 0
+    return {"root": root, "config": cfg_path, "out": out,
+            "teacher": results["run_teacher_training"],
+            "student": results["run_student_training"],
+            "elapsed": time.perf_counter() - t0}
 
 
 @pytest.fixture(scope="module")
-def teacher300(toy, tmp_path_factory):
-    _, cfg = toy
-    out = tmp_path_factory.mktemp("acc_teacher")
-    t0 = time.perf_counter()
-    result = run_teacher_training(cfg, out, max_steps=300)
-    result["elapsed"] = time.perf_counter() - t0
-    return cfg, result
+def toy(chain):
+    return chain["root"], load_config(chain["config"])
 
 
 @pytest.fixture(scope="module")
-def student2000(toy, teacher300, tmp_path_factory):
-    _, cfg = toy
-    cfg_t, teacher = teacher300
-    side = tmp_path_factory.mktemp("acc_dur") / "durations.csv"
-    run_extract_durations(cfg, out_path=side, model=teacher["model"])
-    out = tmp_path_factory.mktemp("acc_student")
-    t0 = time.perf_counter()
-    result = run_student_training(cfg, out, durations_path=side,
-                                  max_steps=2000)
-    result["elapsed"] = time.perf_counter() - t0
-    return cfg, result
+def teacher300(toy, chain):
+    return toy[1], chain["teacher"]
+
+
+@pytest.fixture(scope="module")
+def student2000(toy, chain):
+    return toy[1], chain["student"]
 
 
 # ---------------------------------------------------------------------------
@@ -512,28 +536,16 @@ class TestCriterion11:
 # ---------------------------------------------------------------------------
 
 class TestCriterion12:
-    def test_end_to_end(self, tmp_path, capsys):
+    def test_end_to_end(self, chain, capsys):
         t0 = time.perf_counter()
-        root = tmp_path / "corpus"
-        assert main(["make-toy", "--out", str(root), "--count", "10",
-                     "--seed", "0"]) == 0
-        cfg_path = root / "toy.cfg"
-        out = tmp_path / "run"
-        assert main(["train-teacher", "--config", str(cfg_path),
-                     "--out", str(out), "--max-steps", "300"]) == 0
-        assert main(["extract-durations", "--config", str(cfg_path),
-                     "--checkpoint", str(out / "teacher.ckpt"),
-                     "--out", str(out / "durations.csv")]) == 0
-        assert main(["train-student", "--config", str(cfg_path),
-                     "--out", str(out), "--max-steps", "2000",
-                     "--durations", str(out / "durations.csv")]) == 0
+        cfg_path, out = chain["config"], chain["out"]
         capsys.readouterr()
         assert main(["synthesize", "--config", str(cfg_path),
                      "--checkpoint", str(out / "student.ckpt"),
                      "--out", str(out / "utt.wav"),
                      "--phonemes", "AA IY UW EH OW M AA"]) == 0
         stdout = capsys.readouterr().out
-        elapsed = time.perf_counter() - t0
+        elapsed = chain["elapsed"] + time.perf_counter() - t0
         frames = int(re.search(r"(\d+) frames", stdout).group(1))
         wave = load_wav(out / "utt.wav", expected_rate=22050)
         slack = abs(len(wave) - frames * 256)

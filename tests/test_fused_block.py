@@ -11,9 +11,11 @@ import pytest
 from conftest import batch_norm, gradcheck, mean, peek_config, run_block
 from melsynth import pipeline, student
 from melsynth.audio_frontend import PhonemeVocabulary
-from melsynth.nn_core import PlainResidualBlock, RowLayout, Tensor, kernels, no_grad
+from melsynth.nn_core import (Adam, BatchNormTemporal, PlainResidualBlock, RowLayout,
+                               Tensor, kernels, no_grad)
 from melsynth.nn_core import functional as F
-from melsynth.student import PlainStack, StudentModel
+from melsynth.student import (PlainStack, StudentModel, pad_student_batch,
+                              student_training_step)
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,15 +69,15 @@ def im2col_conv(x, conv):
 
 
 def unfused_stack(blocks, x, mask, conv=None):
-    """The replaced PlainStack: F.add(x, batch_norm(norm, F.relu(conv(x)))),
-    then the mask.
+    """The replaced PlainStack: F.add(x, batch_norm(norm, F.relu(conv(x)),
+    mask)), then the mask; train-mode statistics cover the masked frames.
 
     conv=None runs the im2col reference conv (no gradient); otherwise
     conv(block, x) must return a Tensor.
     """
     for block in blocks:
         z = Tensor(im2col_conv(x.data, block.conv)) if conv is None else conv(block, x)
-        x = F.add(x, batch_norm(block.norm, F.relu(z)))
+        x = F.add(x, batch_norm(block.norm, F.relu(z), mask))
         if mask is not None:
             x = F.mul(x, mask)
     return x
@@ -212,9 +214,9 @@ class TestFusedParity:
         got = grads(stack, lambda m, xt: m(xt, mask))
         want = grads(reference, lambda m, xt: unfused_stack(
             m.blocks, xt, mask, conv=lambda block, h: block.conv(h)))
-        # eval mode packs items to their lengths: frames past a length count
-        # as zeros and get no gradient. Its running statistics are float32
-        # buffers, which the unfused norm turns into a float32 1/sd.
+        # the stack packs items to their lengths: frames past a length count
+        # as zeros and get no gradient. Eval mode's running statistics are
+        # float32 buffers, which the unfused norm turns into a float32 1/sd.
         got[0] = got[0] * mask
         want[0] = want[0] * mask
         tol = 1e-9 if training else 1e-5
@@ -252,13 +254,14 @@ class TestFusedGradcheck:
                 buf[...] = before
             return out
 
-        gradcheck(loss, [xt] + block.parameters())
+        # h=1e-4: train-mode statistics over 8 real frames curve the loss
+        # enough that h=1e-3 leaves a truncation error above rtol
+        gradcheck(loss, [xt] + block.parameters(), h=1e-4)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_plain_residual_op(self, rng, causal):
         # a row laid out by hand: guard 2, item of 4, guard 2, item of 3, guard 2
         keep = np.array([0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0.5, 0, 0], dtype=np.float64)
-        frames = (keep > 0).astype(np.float64)
         x = Tensor(rng.normal(size=(2, 13)) * keep, requires_grad=True)
         w = Tensor(rng.normal(scale=0.5, size=(2, 2, 2)), requires_grad=True)
         b = Tensor(rng.normal(scale=0.1, size=2), requires_grad=True)
@@ -267,8 +270,7 @@ class TestFusedGradcheck:
         for running in (None, (np.array([0.2, 0.1]), np.array([0.5, 0.8]))):
             def loss():
                 out, _, _ = F.plain_residual(x, w, b, scale, shift, keep, dilation=2,
-                                             causal=causal, frames=frames,
-                                             running=running)
+                                             causal=causal, running=running)
                 return mean(F.mul(out, out))
 
             gradcheck(loss, [x, w, b, scale, shift])
@@ -279,41 +281,36 @@ class TestFusedGradcheck:
 # ---------------------------------------------------------------------------
 
 class TestPackedLayout:
-    def test_eval_packs_true_lengths_train_keeps_padding(self, rng):
+    def test_packs_true_lengths(self, rng):
         x, mask = batch_with_lengths(rng, 2, LENGTHS)
-        packed = RowLayout(Tensor(x), mask, guard=4, packed=True)
-        assert packed.lengths == list(LENGTHS)
-        assert packed.width == sum(LENGTHS) + 4 * (len(LENGTHS) - 1)
-        padded = RowLayout(Tensor(x), mask, guard=4, packed=False)
-        assert padded.width == 3 * max(LENGTHS) + 4 * 2
-        assert padded.item.sum() == 3 * max(LENGTHS)
-        assert padded.keep.sum() == sum(LENGTHS)
-        row = packed.pack(Tensor(x))
-        np.testing.assert_array_equal(packed.unpack(row).data, x)
+        layout = RowLayout(Tensor(x), mask, guard=4)
+        assert layout.lengths == list(LENGTHS)
+        assert layout.width == sum(LENGTHS) + 4 * (len(LENGTHS) - 1)
+        assert layout.keep.sum() == sum(LENGTHS)
+        row = layout.pack(Tensor(x))
+        np.testing.assert_array_equal(layout.unpack(row).data, x)
 
     def test_one_item_row_is_the_item(self, rng):
         x, mask = batch_with_lengths(rng, 2, (9,))
-        layout = RowLayout(Tensor(x), mask, guard=4, packed=True)
+        layout = RowLayout(Tensor(x), mask, guard=4)
         assert layout.width == 9
-        assert np.all(layout.item == 1.0)
+        assert np.all(layout.keep == 1.0)
         np.testing.assert_array_equal(layout.pack(Tensor(x)).data, x[0])
 
     def test_mask_with_hole_rejected(self, rng):
         x, mask = batch_with_lengths(rng, 2, LENGTHS)
         mask[1, 0, 2] = 0.0  # a zero before the item's last one
         with pytest.raises(ValueError, match="item 1 has a zero"):
-            RowLayout(Tensor(x), mask, guard=4, packed=True)
-        with pytest.raises(ValueError, match="item 1 has a zero"):
-            RowLayout(Tensor(x), mask, guard=4, packed=False)
+            RowLayout(Tensor(x), mask, guard=4)
 
     def test_guards_stay_zero(self, rng):
         block = PlainResidualBlock(3, kernel_size=3, dilation=2, rng=rng)
         block.eval()
         randomize_norms([block], rng)
         x, mask = batch_with_lengths(rng, 3, LENGTHS)
-        layout = RowLayout(Tensor(x), mask, block.conv.reach(), packed=True)
+        layout = RowLayout(Tensor(x), mask, block.conv.reach())
         row = block.run(layout.pack(Tensor(x)), layout).data
-        assert np.all(row[:, layout.item == 0] == 0)
+        assert np.all(row[:, layout.keep == 0] == 0)
 
     def test_packed_decoder_matches_padded(self, rng):
         model = StudentModel(vocab_size=20, mel_bins=6, channels=8, enc_blocks=2,
@@ -327,6 +324,92 @@ class TestPackedLayout:
             want = model.out_proj(h).data
         for i, n in enumerate((30, 9, 17)):
             assert peak_error(got[i, :, :n], want[i, :, :n]) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# train mode: batch statistics over real frames only
+# ---------------------------------------------------------------------------
+
+def widen(a, extra, value=0):
+    """`a` padded on the right of its last axis by `extra` cells."""
+    pad = [(0, 0)] * (a.ndim - 1) + [(0, extra)]
+    return np.pad(a, pad, constant_values=value)
+
+
+def buffers(model):
+    """Copies of the model's running statistics."""
+    return [buf.copy() for _, buf in model.named_buffers()]
+
+
+class TestTrainPaddingInvariance:
+    """The same items padded wider give the same bits in training too: the
+    statistics, and so the running statistics, count only real frames."""
+
+    def test_plain_stack(self, rng, monkeypatch):
+        stack = PlainStack(6, 3, (1, 2, 4), rng)
+        randomize_norms(stack.blocks, rng)
+        stack.train()
+        x, mask = batch_with_lengths(rng, 6, LENGTHS)
+        weights = rng.normal(size=x.shape).astype(np.float32)
+        counts = []
+        update = BatchNormTemporal.update_running
+
+        def counting(norm, mean, var, count):
+            counts.append(count)
+            return update(norm, mean, var, count)
+
+        monkeypatch.setattr(BatchNormTemporal, "update_running", counting)
+
+        def step(extra):
+            model = copy.deepcopy(stack)
+            xt = Tensor(widen(x, extra), requires_grad=True)
+            out = model(xt, widen(mask, extra))
+            F.sum(F.mul(out, widen(weights, extra))).backward()
+            assert not np.any(out.data[:, :, x.shape[2]:])
+            assert not np.any(xt.grad[:, :, x.shape[2]:])
+            return ([out.data[:, :, :x.shape[2]], xt.grad[:, :, :x.shape[2]]]
+                    + [p.grad for p in model.parameters()] + buffers(model))
+
+        for got, want in zip(step(7), step(0)):
+            np.testing.assert_array_equal(got, want)
+        assert counts == [sum(LENGTHS)] * (2 * len(stack.blocks))
+
+    def test_student_training_step(self, rng):
+        model = StudentModel(vocab_size=20, mel_bins=6, channels=8, enc_blocks=2,
+                             dec_blocks=3, duration_blocks=2, rng=rng)
+        randomize_norms(model.encoder.blocks + model.duration_blocks.blocks
+                        + model.decoder.blocks, rng)
+        model.train()
+        items = []
+        for n in (5, 3, 4):
+            dur = rng.integers(1, 4, size=n)
+            items.append((rng.integers(1, 20, size=n), dur,
+                          rng.normal(size=(6, int(dur.sum()))).astype(np.float32)))
+        batch = pad_student_batch(items)
+        # the phoneme axis takes the extra padding: the frame axis is as
+        # long as the longest expansion, which the durations fix
+        wide = dict(batch)
+        for key in ("ids", "durations", "log_durations", "phoneme_mask"):
+            wide[key] = widen(batch[key], 7)
+
+        def step(batch):
+            clone = copy.deepcopy(model)
+            *losses, grad_norm = student_training_step(clone, batch,
+                                                       Adam(clone.parameters()))
+            grads = {name: p.grad for name, p in clone.named_parameters()}
+            return losses, grad_norm, grads, buffers(clone)
+
+        (losses, grad_norm, grads, stats), want = step(wide), step(batch)
+        assert losses == want[0]
+        # duration_out is a Linear over the padded phoneme axis: its weight
+        # gradient sums over 7 more zero products, which may round apart
+        np.testing.assert_allclose(grads.pop("duration_out.weight"),
+                                   want[2].pop("duration_out.weight"), rtol=1e-6)
+        assert grad_norm == pytest.approx(want[1], rel=1e-9)
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, want[2][name], err_msg=name)
+        for got, expected in zip(stats, want[3]):
+            np.testing.assert_array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------

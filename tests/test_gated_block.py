@@ -44,8 +44,7 @@ def unfused_block(block, h):
 
 
 def unfused_stack(stack, x, mask):
-    layout = RowLayout(x, mask, max(b.conv.reach() for b in stack.blocks),
-                       packed=True)
+    layout = RowLayout(x, mask, max(b.conv.reach() for b in stack.blocks))
     h = reshape(layout.pack(x), (1, x.shape[1], layout.width))  # a batch of one
     skips = None
     for block in stack.blocks:
@@ -86,10 +85,10 @@ class TestGatedResidualOp:
         stack = GatedStack(3, 4, 3, (1, 3), True, rng)
         x = rng.normal(size=(3, 3, max(LENGTHS))).astype(np.float32)
         mask = F.length_mask(LENGTHS, x.shape[2])
-        layout = RowLayout(Tensor(x), mask, 6, packed=True)
+        layout = RowLayout(Tensor(x), mask, 6)
         row = stack.blocks[1].run(stack.blocks[0].run(layout.pack(Tensor(x)), layout),
                                   layout).data
-        assert np.all(row[:, layout.item == 0] == 0)
+        assert np.all(row[:, layout.keep == 0] == 0)
 
 
 # ---------------------------------------------------------------------------
