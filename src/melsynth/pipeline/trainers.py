@@ -24,7 +24,7 @@ from ..audio_frontend import (
     wav_to_mel,
     write_durations,
 )
-from ..nn_core import Adam, PlateauSchedule, Tensor, no_grad, noam_lr
+from ..nn_core import Adam, PlateauSchedule, no_grad, noam_lr
 from ..student import StudentModel, pad_student_batch, student_losses, \
     student_training_step
 from ..student import synthesize as student_synthesize
@@ -36,9 +36,9 @@ from ..teacher import (
     iterate_minibatches,
     pad_teacher_batch,
     prepare_utterance,
+    teacher_losses,
     teacher_training_step,
 )
-from ..teacher.losses import batch_guided_attention_loss, masked_mae
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import audio_config
 
@@ -137,14 +137,20 @@ class _Run:
         minibatches: each step at lr(step), logged with the `losses` values
         it returns before the gradient norm; each epoch logged with the
         `scores` of evaluate(); checkpoints with extras(). `max_steps`, when
-        given, replaces the `{kind}.epochs` cap and counts across resumes."""
+        given, replaces the `{kind}.epochs` cap and counts across resumes.
+        The last checkpoint is written once, after the loop, even when no
+        step runs."""
         metrics = MetricsLog(self.out / f"{self.kind}_metrics.csv",
                              ["step", "lr", *losses, "grad_norm", "clipped",
                               "wall_s"])
         eval_log = MetricsLog(self.out / f"{self.kind}_eval.csv",
                               ["epoch", "step", *scores])
-        while (self.step < max_steps if max_steps is not None
-               else self.epoch < getattr(self.cfg, self.kind).epochs):
+
+        def running():
+            return (self.step < max_steps if max_steps is not None
+                    else self.epoch < getattr(self.cfg, self.kind).epochs)
+
+        while running():
             for idx in iterate_minibatches(self.rng.permutation(count),
                                            self.cfg.training.batch_size):
                 self.step += 1
@@ -160,7 +166,8 @@ class _Run:
                     break
             self.epoch += 1
             eval_log.append(epoch=self.epoch, step=self.step, **evaluate())
-            if self.epoch % self.cfg.training.checkpoint_every == 0:
+            if (self.epoch % self.cfg.training.checkpoint_every == 0
+                    and running()):
                 self.save(extras())
         self.save(extras())
 
@@ -176,15 +183,9 @@ class _Run:
 def evaluate_teacher(model, utts, cfg):
     """Teacher-forced holdout metrics; returns (dict, attention of item 0)."""
     batch = pad_teacher_batch(utts)
-    inputs = build_inputs(batch)
     with no_grad():
-        pred, attention = model(
-            batch["ids"], Tensor(inputs), batch["rates"],
-            phoneme_mask=batch["phoneme_mask"], frame_mask=batch["frame_mask"])
-        mae = masked_mae(pred, batch["targets"], batch["frame_mask"])
-        guided = batch_guided_attention_loss(
-            attention, batch["n_lengths"], batch["t_lengths"],
-            cfg.teacher.guided_g)
+        mae, guided, attention = teacher_losses(
+            model, batch, build_inputs(batch), cfg.teacher.guided_g)
     diagonality = batch_diagonality(
         attention.data, batch["n_lengths"], batch["t_lengths"])
     n0, t0 = int(batch["n_lengths"][0]), int(batch["t_lengths"][0])

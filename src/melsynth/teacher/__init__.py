@@ -14,7 +14,6 @@ from .align import (
     extract_batch_durations,
     extract_durations,
     masked_attention_path,
-    sequential_generate,
 )
 from .augment import AugmentParams, augment_batch
 from .train import (
@@ -23,5 +22,6 @@ from .train import (
     iterate_minibatches,
     pad_teacher_batch,
     prepare_utterance,
+    teacher_losses,
     teacher_training_step,
 )

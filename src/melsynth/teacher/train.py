@@ -48,12 +48,9 @@ def build_inputs(batch, model=None, rng=None, augment=None):
                                       feedback_passes=k))
 
 
-def teacher_training_step(model, optimizer, batch, inputs, g=0.2):
-    """One clipped Adam step on masked MAE + guided attention.
-
-    Returns (mae, guided, attention, grad_norm), the last being the global
-    gradient norm before clipping.
-    """
+def teacher_losses(model, batch, inputs, g):
+    """Forward pass on `inputs`; returns the masked MAE and guided attention
+    loss Tensors and the attention Tensor (batch, N, T)."""
     pred, attention = model(
         batch["ids"], Tensor(inputs), batch["rates"],
         phoneme_mask=batch["phoneme_mask"], frame_mask=batch["frame_mask"],
@@ -61,6 +58,16 @@ def teacher_training_step(model, optimizer, batch, inputs, g=0.2):
     mae = masked_mae(pred, batch["targets"], batch["frame_mask"])
     guided = batch_guided_attention_loss(
         attention, batch["n_lengths"], batch["t_lengths"], g)
+    return mae, guided, attention
+
+
+def teacher_training_step(model, optimizer, batch, inputs, g=0.2):
+    """One clipped Adam step on masked MAE + guided attention.
+
+    Returns (mae, guided, attention, grad_norm), the last being the global
+    gradient norm before clipping.
+    """
+    mae, guided, attention = teacher_losses(model, batch, inputs, g)
     loss = F.add(mae, guided)
     loss.check_finite("teacher loss")
     optimizer.zero_grad()

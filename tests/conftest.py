@@ -260,3 +260,40 @@ def augment_item_reference(mel, model, rng, params, phoneme_ids,
         sources = rng.integers(0, t, size=t)
         x[:, chosen] = snapshot[:, sources[chosen]]
     return x
+
+
+def prefix_predictions(model, phoneme_ids, mel, position_rate):
+    """Frame t of a teacher forward over the first t + 1 shifted frames, for
+    every t, stacked to (bins, T): frame-by-frame generation under teacher
+    forcing, each prefix recomputing all of its attention columns."""
+    from melsynth.nn_core import Tensor, no_grad
+    from melsynth.teacher import shift_frames
+
+    ids, inputs = np.asarray(phoneme_ids)[None], shift_frames(mel)[None]
+    columns = []
+    with no_grad():
+        for t in range(inputs.shape[2]):
+            pred, _ = model(ids, Tensor(inputs[:, :, :t + 1]), [position_rate])
+            columns.append(pred.data[0, :, t])
+    return np.stack(columns, axis=1)
+
+
+def window_walk_reference(logits):
+    """The location-masked attended-index walk over (N, T) logits as it ran
+    before it read a slice: each column after the first is copied with
+    every entry outside [prev, prev + FORWARD_REACH] set to NEG_INF, and the
+    copy's argmax is the next index."""
+    from melsynth.teacher import FORWARD_REACH, NEG_INF
+
+    path = np.empty(logits.shape[1], dtype=np.int64)
+    prev = None
+    for i in range(logits.shape[1]):
+        col = logits[:, i]
+        if prev is not None:
+            masked = np.full(col.shape[0], NEG_INF)
+            window = slice(prev, prev + FORWARD_REACH + 1)
+            masked[window] = col[window]
+            col = masked
+        prev = int(np.argmax(col))
+        path[i] = prev
+    return path

@@ -15,6 +15,7 @@ from melsynth.audio_frontend import (
 from melsynth.audio_frontend.griffin_lim import GRIFFIN_LIM_ITERATIONS
 from melsynth.cli import main
 from melsynth.nn_core import noam_lr
+from melsynth.pipeline import trainers
 from melsynth.pipeline import (
     MetricsLog,
     TOY_PHONES,
@@ -293,6 +294,29 @@ class TestResume:
                            resume=first["checkpoint"])
         assert again["history"] == []
         assert progress(again["checkpoint"]) == progress(first["checkpoint"])
+
+    def test_each_checkpoint_written_once(self, kind, corpus, sidecar,
+                                          tmp_path, monkeypatch):
+        # a checkpoint every epoch; 4 steps are 2 whole epochs, so the last
+        # epoch's checkpoint is the final one
+        saved = []
+
+        def counting(path, *args, epoch, step, **kwargs):
+            saved.append((path.parent.name, epoch, step))
+            return save_checkpoint(path, *args, epoch=epoch, step=step,
+                                   **kwargs)
+
+        monkeypatch.setattr(trainers, "save_checkpoint", counting)
+        cfg = micro_cfg(corpus)
+        first = self.train(kind, cfg, tmp_path / "a", sidecar, max_steps=4)
+        assert saved == [("a", 1, 2), ("a", 2, 4)]
+        # a finished run resumed into a new directory trains no step and
+        # still writes its checkpoint there
+        again = self.train(kind, cfg, tmp_path / "b", sidecar, max_steps=4,
+                           resume=first["checkpoint"])
+        assert saved[2:] == [("b", 2, 4)]
+        assert again["checkpoint"] == tmp_path / "b" / f"{kind}.ckpt"
+        assert progress(again["checkpoint"]) == (2, 4)
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,7 @@ A caller is program code outside the definition: a module of src/melsynth
 (the package ``__init__`` files only re-export), perfbench/ or tools/. A
 reference is an identifier, an attribute name (numpy's and math's aside) or
 a "module:attribute" string, the form perfbench's span targets take. Tests
-do not count. The functions only an acceptance criterion calls are listed
-in ACCEPTANCE_ONLY with that criterion.
+do not count.
 """
 
 import ast
@@ -14,9 +13,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "melsynth"
-ACCEPTANCE_ONLY = {
-    "sequential_generate": "criterion 02, sequential/parallel equivalence",
-}
 
 
 def references(tree, skip=None):
@@ -45,17 +41,15 @@ def test_every_public_definition_has_a_caller():
     paths += [*(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tools").rglob("*.py")]
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
     called = {p: references(tree) for p, tree in trees.items()}
-    defined, unused = set(), []
+    unused = []
     for path, tree in trees.items():
         if PACKAGE not in path.parents:
             continue
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
                 continue
-            defined.add(node.name)
-            if node.name in references(tree, skip=node) or node.name in ACCEPTANCE_ONLY:
+            if node.name in references(tree, skip=node):
                 continue
             if not any(node.name in names for p, names in called.items() if p != path):
                 unused.append(f"{path.relative_to(ROOT)}: {node.name}")
     assert not unused, "public definitions nothing calls: " + ", ".join(unused)
-    assert set(ACCEPTANCE_ONLY) <= defined
