@@ -2,8 +2,8 @@
 
 Each function takes/returns :class:`~melsynth.nn_core.tensor.Tensor` and
 registers a backward closure on the tape. Constants (masks, targets,
-positional tables) may be passed as plain numpy arrays or scalars; they
-never receive gradients.
+positional tables) are plain numpy arrays or scalars; they never receive
+gradients.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def matmul(a, b):
     return Tensor.from_op(out, (a, b), backward)
 
 
-def linear(x, weight, bias=None):
+def linear(x, weight, bias):
     """Per-time-step affine map on (batch, channels, time) input.
 
     weight: (out_channels, in_channels); bias: (out_channels,).
@@ -178,19 +178,17 @@ def linear(x, weight, bias=None):
             f"linear channel mismatch: input has {x.data.shape[1]}, weight expects {weight.data.shape[1]}"
         )
     out = np.matmul(weight.data, x.data)
-    if bias is not None:
-        out += bias.data[:, None]
+    out += bias.data[:, None]
 
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(np.matmul(weight.data.T, g))
         if weight.requires_grad:
             weight.accumulate_grad(np.matmul(g, np.swapaxes(x.data, 1, 2)).sum(axis=0))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor.from_op(out, parents, backward)
+    return Tensor.from_op(out, (x, weight, bias), backward)
 
 
 def embedding(weight, ids):

@@ -6,7 +6,6 @@ import numpy as np
 
 from . import functional as F
 from .module import Module, parameter
-from .tensor import Tensor
 
 
 def _rng(rng):
@@ -135,8 +134,7 @@ class RowLayout:
         if mask is None:
             m = np.ones((batch, frames), dtype=x.dtype)
         else:
-            m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-            m = np.broadcast_to(m, (batch, 1, frames))[:, 0]
+            m = np.broadcast_to(mask, (batch, 1, frames))[:, 0]
         nz = m != 0
         ends = np.where(nz.any(axis=1), frames - np.argmax(nz[:, ::-1], axis=1), 0)
         holes = np.flatnonzero(nz.sum(axis=1) != ends)

@@ -139,7 +139,7 @@ class _Run:
         `scores` of evaluate(); checkpoints with extras(). `max_steps`, when
         given, replaces the `{kind}.epochs` cap and counts across resumes.
         The last checkpoint is written once, after the loop, even when no
-        step runs."""
+        step runs. Returns the last epoch's scores, None when no epoch ran."""
         metrics = MetricsLog(self.out / f"{self.kind}_metrics.csv",
                              ["step", "lr", *losses, "grad_norm", "clipped",
                               "wall_s"])
@@ -150,6 +150,7 @@ class _Run:
             return (self.step < max_steps if max_steps is not None
                     else self.epoch < getattr(self.cfg, self.kind).epochs)
 
+        scores = None
         while running():
             for idx in iterate_minibatches(self.rng.permutation(count),
                                            self.cfg.training.batch_size):
@@ -165,11 +166,13 @@ class _Run:
                 if max_steps is not None and self.step >= max_steps:
                     break
             self.epoch += 1
-            eval_log.append(epoch=self.epoch, step=self.step, **evaluate())
+            scores = evaluate()
+            eval_log.append(epoch=self.epoch, step=self.step, **scores)
             if (self.epoch % self.cfg.training.checkpoint_every == 0
                     and running()):
                 self.save(extras())
         self.save(extras())
+        return scores
 
     def save(self, extras):
         save_checkpoint(self.checkpoint, self.model, self.cfg, self.kind,
@@ -225,11 +228,13 @@ def run_teacher_training(cfg, out_dir, seed=None, max_steps=None,
                   f"diagonality {scores['diagonality']:.4f}")
         return scores
 
-    run.train(len(train), max_steps,
-              ["mae", "guided"], ["mae", "guided", "diagonality"],
-              lambda step: noam_lr(cfg.training.base_lr, warmup_steps, step),
-              train_step, evaluate)
-    scores, _ = evaluate_teacher(model, eval_set, cfg)
+    scores = run.train(
+        len(train), max_steps,
+        ["mae", "guided"], ["mae", "guided", "diagonality"],
+        lambda step: noam_lr(cfg.training.base_lr, warmup_steps, step),
+        train_step, evaluate)
+    if scores is None:  # nothing left to train, as on a finished run's resume
+        scores, _ = evaluate_teacher(model, eval_set, cfg)
     return {"checkpoint": run.checkpoint, "model": model,
             "history": run.history, "final_eval": scores, "step": run.step}
 

@@ -65,33 +65,26 @@ def _pad_time(a, left, right):
     return out
 
 
-def ssim_index(x, y, lengths=None):
-    """Mean local SSIM between two equally shaped spectrogram batches.
+def ssim_index(pred, target, lengths):
+    """Mean local SSIM of a predicted spectrogram batch against its target.
 
-    x and y are (bins, T) images or padded (B, bins, T) batches, Tensors or
-    arrays. Item i is scored on its first lengths[i] frames (all T frames
-    when `lengths` is None); the result is the mean over items of each
-    item's mean local SSIM, a scalar Tensor in [-1, 1] recorded as one tape
-    node that carries gradients to both arguments.
+    pred is a padded (B, bins, T) Tensor and target an array of the same
+    shape. Item i is scored on its first lengths[i] frames; the result is the
+    mean over items of each item's mean local SSIM, a scalar Tensor in
+    [-1, 1] recorded as one tape node whose gradient goes to `pred` alone.
 
     Values are shifted by +SHIFT and clamped to [0, DYNAMIC_RANGE] for
     windowing; constants use L = DYNAMIC_RANGE. The WINDOW_SIZE Gaussian
     window (WINDOW_SIGMA) shrinks, kept odd, on an axis shorter than it.
-    Float64 inputs are scored in float64, everything else in float32.
+    Float64 inputs are scored in float64, float32 ones in float32.
     """
-    if not isinstance(x, Tensor):
-        x = Tensor(_as_float(x))
-    if not isinstance(y, Tensor):
-        y = Tensor(_as_float(y))
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if x.ndim not in (2, 3):
-        raise ValueError(f"expected (bins, T) or (B, bins, T), got {x.shape}")
-    lift = x.ndim == 2
-    xd, yd = (x.data[None], y.data[None]) if lift else (x.data, y.data)
+    xd, yd = pred.data, np.asarray(target)
+    if xd.shape != yd.shape:
+        raise ValueError(f"shape mismatch: {xd.shape} vs {yd.shape}")
+    if xd.ndim != 3:
+        raise ValueError(f"expected (B, bins, T), got {xd.shape}")
     batch, bins, frames = xd.shape
-    lengths = np.full(batch, frames) if lengths is None \
-        else np.asarray(lengths, dtype=np.int64).reshape(-1)
+    lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
     if lengths.shape != (batch,) or np.any(lengths < 1) \
             or np.any(lengths > frames):
         raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of "
@@ -101,9 +94,9 @@ def ssim_index(x, y, lengths=None):
     # covariance are shift invariant and this avoids float32 cancellation
     # in blur(x*x) - mu*mu for means far from zero
     half = DYNAMIC_RANGE / 2.0
-    xs, ys = xd.astype(dtype) + SHIFT, yd.astype(dtype) + SHIFT
+    xs = xd.astype(dtype) + SHIFT
     xc = np.clip(xs, 0.0, DYNAMIC_RANGE) - half
-    yc = np.clip(ys, 0.0, DYNAMIC_RANGE) - half
+    yc = np.clip(yd.astype(dtype) + SHIFT, 0.0, DYNAMIC_RANGE) - half
     blur_f = _blur_matrix(_odd_clip(WINDOW_SIZE, bins), bins, dtype)
 
     # items sharing a time window are blurred together over the group's
@@ -115,43 +108,33 @@ def ssim_index(x, y, lengths=None):
     for size in np.unique(sizes):
         items = np.flatnonzero(sizes == size)
         width = int(lengths[items].max())
-        score, grads = _window_group(
+        score, grad = _window_group(
             xc[items, :, :width], yc[items, :, :width], blur_f,
             int(size), lengths[items] - size + 1,
             batch)
         total += score
-        groups.append((items, width, grads))
+        groups.append((items, width, grad))
 
     def backward(g):
-        dx = np.zeros(xd.shape, dtype=dtype) if x.requires_grad else None
-        dy = np.zeros(yd.shape, dtype=dtype) if y.requires_grad else None
-        for items, width, grads in groups:
-            dxc, dyc = grads(g, dx is not None, dy is not None)
-            if dx is not None:
-                dx[items, :, :width] = dxc
-            if dy is not None:
-                dy[items, :, :width] = dyc
+        dx = np.zeros(xd.shape, dtype=dtype)
+        for items, width, grad in groups:
+            dx[items, :, :width] = grad(g)
         # the clamp passes the gradient where 0 < value + SHIFT <= range,
         # as relu's subgradient does
-        if dx is not None:
-            dx *= (xs > 0.0) & (xs <= DYNAMIC_RANGE)
-            x.accumulate_grad(dx[0] if lift else dx)
-        if dy is not None:
-            dy *= (ys > 0.0) & (ys <= DYNAMIC_RANGE)
-            y.accumulate_grad(dy[0] if lift else dy)
+        dx *= (xs > 0.0) & (xs <= DYNAMIC_RANGE)
+        pred.accumulate_grad(dx)
 
-    return Tensor.from_op(np.asarray(total, dtype=dtype), (x, y), backward)
+    return Tensor.from_op(np.asarray(total, dtype=dtype), (pred,), backward)
 
 
 def _window_group(xc, yc, blur_f, size_t, cols, batch):
     """SSIM of items that share one time window, in valid mode.
 
-    xc, yc: (items, bins, width) centred images; blur_f: the bins blur
-    matrix; size_t: the time window's size; cols: each item's count of
-    valid output columns. Returns the sum of the local SSIM over valid
-    pixels, each weighted 1 / (batch * its item's pixel count), and
-    grads(g, need_x, need_y) -> (d/dxc, d/dyc) of g times that sum (None
-    where not needed).
+    xc, yc: (items, bins, width) centred prediction and target; blur_f: the
+    bins blur matrix; size_t: the time window's size; cols: each item's
+    count of valid output columns. Returns the sum of the local SSIM over
+    valid pixels, each weighted 1 / (batch * its item's pixel count), and
+    grad(g) -> d/dxc of g times that sum.
     """
     half = DYNAMIC_RANGE / 2.0
     maps = np.stack([xc, yc, xc * xc, yc * yc, xc * yc])
@@ -166,7 +149,7 @@ def _window_group(xc, yc, blur_f, size_t, cols, batch):
     weight = (valid / (batch * s.shape[1] * cols[:, None, None])).astype(s.dtype)
     score = float(np.sum(s * weight, dtype=np.float64))
 
-    def grads(g, need_x, need_y):
+    def grad(g):
         # s = a1 a2 / (b1 b2) as a function of the window means, variances
         # and covariance; the variances' and covariance's dependence on the
         # means folds into g_mu
@@ -174,31 +157,17 @@ def _window_group(xc, yc, blur_f, size_t, cols, batch):
         den = b1 * b2
         g_var = -w * s / b2
         g_cov = w * 2.0 * a1 / den
-        a2_den, s_b1 = a2 / den, s / b1
-        fields = []
-        if need_x:
-            fields.append(w * 2.0 * (mu_y * a2_den - mu_x * s_b1)
-                          - 2.0 * mu_xc * g_var - mu_yc * g_cov)
-        if need_y:
-            fields.append(w * 2.0 * (mu_x * a2_den - mu_y * s_b1)
-                          - 2.0 * mu_yc * g_var - mu_xc * g_cov)
+        g_mu = (w * 2.0 * (mu_y * (a2 / den) - mu_x * (s / b1))
+                - 2.0 * mu_xc * g_var - mu_yc * g_cov)
         # transposed blur of every field at once; the window is symmetric,
         # so the transposed time blur is the same blur of the field padded
         # by size_t - 1 zeros at both ends
-        back = np.matmul(blur_f.T, np.stack(fields + [g_var, g_cov]))
-        back = _blur_time(_pad_time(back, size_t - 1, size_t - 1), size_t)
-        b_var, b_cov = back[-2], back[-1]
-        dxc = back[0] + 2.0 * xc * b_var + yc * b_cov if need_x else None
-        dyc = back[-3] + 2.0 * yc * b_var + xc * b_cov if need_y else None
-        return dxc, dyc
+        back = np.matmul(blur_f.T, np.stack([g_mu, g_var, g_cov]))
+        b_mu, b_var, b_cov = _blur_time(
+            _pad_time(back, size_t - 1, size_t - 1), size_t)
+        return b_mu + 2.0 * xc * b_var + yc * b_cov
 
-    return score, grads
-
-
-def _as_float(a):
-    a = np.asarray(a)
-    # float64 arrays keep full precision; everything else runs in float32
-    return a if a.dtype == np.float64 else a.astype(np.float32)
+    return score, grad
 
 
 def _odd_clip(size, limit):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn_core import Tensor, no_grad
+from ..nn_core import no_grad
 from ..nn_core import functional as F
 from ..teacher.losses import masked_mae
 from .expand import expand_encodings
@@ -48,24 +48,22 @@ def pad_student_batch(items):
 def masked_huber(pred, target, mask):
     """Huber loss (HUBER_DELTA) averaged over masked cells."""
     err = F.huber(F.sub(pred, target), HUBER_DELTA)
-    mask = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
     return F.sum(F.mul(err, mask / float(np.sum(mask))))
 
 
 def student_losses(model, batch):
     """Forward pass with teacher durations; returns the three loss Tensors."""
-    phoneme_mask = Tensor(batch["phoneme_mask"])
-    frame_mask = Tensor(batch["frame_mask"])
-    targets = Tensor(batch["targets"])
+    phoneme_mask, frame_mask = batch["phoneme_mask"], batch["frame_mask"]
+    targets = batch["targets"]
 
     encodings = model.encode(batch["ids"], phoneme_mask)
     log_dur_pred = model.predict_log_durations(encodings, phoneme_mask)
     duration_loss = masked_huber(
-        log_dur_pred, Tensor(batch["log_durations"]), phoneme_mask)
+        log_dur_pred, batch["log_durations"], phoneme_mask)
 
     expanded, exp_mask, _ = expand_encodings(encodings, batch["durations"])
     if exp_mask.shape != frame_mask.shape or not np.array_equal(
-            exp_mask, batch["frame_mask"]):
+            exp_mask, frame_mask):
         raise ValueError("expanded frame mask disagrees with target mask")
     pred = model.decode(expanded, frame_mask)
 

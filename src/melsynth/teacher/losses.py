@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn_core import Tensor
 from ..nn_core import functional as F
 
 
-def guided_attention_weights(n_phonemes, n_frames, g, dtype=np.float64):
+def guided_attention_weights(n_phonemes, n_frames, g):
     """Penalty matrix W (N, T): 0 where n/N = t/T, approaching 1 away from it.
 
     Indices are 1-based, so the bottom-right cell is always on the diagonal
@@ -18,7 +17,7 @@ def guided_attention_weights(n_phonemes, n_frames, g, dtype=np.float64):
         raise ValueError("guided attention width g must be positive")
     n = np.arange(1, n_phonemes + 1, dtype=np.float64)[:, None] / n_phonemes
     t = np.arange(1, n_frames + 1, dtype=np.float64)[None, :] / n_frames
-    return (1.0 - np.exp(-((n - t) ** 2) / (2.0 * g * g))).astype(dtype)
+    return 1.0 - np.exp(-((n - t) ** 2) / (2.0 * g * g))
 
 
 def batch_guided_attention_loss(attention, phoneme_lengths, frame_lengths, g):
@@ -30,7 +29,7 @@ def batch_guided_attention_loss(attention, phoneme_lengths, frame_lengths, g):
     batch, n_max, t_max = attention.data.shape
     weights = np.zeros((batch, n_max, t_max), dtype=attention.data.dtype)
     for i, (n_i, t_i) in enumerate(zip(phoneme_lengths, frame_lengths)):
-        w = guided_attention_weights(n_i, t_i, g, dtype=np.float64)
+        w = guided_attention_weights(n_i, t_i, g)
         weights[i, :n_i, :t_i] = w / (n_i * t_i * batch)
     return F.sum(F.mul(attention, weights))
 
@@ -44,15 +43,12 @@ def masked_mae(pred, target, frame_mask):
     bins = pred.data.shape[1]
     diff = F.abs_(F.sub(pred, target))
     total = F.sum(F.mul(diff, frame_mask))
-    mask_data = frame_mask.data if isinstance(frame_mask, Tensor) else frame_mask
-    denom = float(np.sum(mask_data)) * bins
+    denom = float(np.sum(frame_mask)) * bins
     return F.mul(total, 1.0 / denom)
 
 
 def diagonality_score(attention, n_phonemes, n_frames):
     """Mean |n/N - t/T| at the per-frame argmax (1-based), lower is better."""
-    a = attention.data if isinstance(attention, Tensor) else np.asarray(attention)
-    a = a[:n_phonemes, :n_frames]
-    picks = np.argmax(a, axis=0) + 1.0
+    picks = np.argmax(attention[:n_phonemes, :n_frames], axis=0) + 1.0
     frames = np.arange(1, n_frames + 1, dtype=np.float64)
     return float(np.mean(np.abs(picks / n_phonemes - frames / n_frames)))

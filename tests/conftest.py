@@ -127,8 +127,7 @@ def batch_norm(norm, x, mask=None):
     from melsynth.nn_core import functional as F
 
     if norm.training:
-        w = np.ones((x.shape[0], 1, x.shape[2])) if mask is None \
-            else getattr(mask, "data", mask)
+        w = np.ones((x.shape[0], 1, x.shape[2])) if mask is None else mask
         n = float(np.sum(w))
         if n < 2:
             raise ValueError("batch norm needs batch*time >= 2 in train mode")

@@ -176,8 +176,8 @@ class TestFusedParity:
         reference = copy.deepcopy(stack)
         x, mask = batch_with_lengths(rng, 6, LENGTHS)
         with no_grad():
-            got = stack(Tensor(x), Tensor(mask)).data
-            want = unfused_stack(reference.blocks, Tensor(x), Tensor(mask)).data
+            got = stack(Tensor(x), mask).data
+            want = unfused_stack(reference.blocks, Tensor(x), mask).data
         assert peak_error(got, want) < 1e-5
         assert not np.any(got * (1 - mask))
         for block, ref in zip(stack.blocks, reference.blocks):
@@ -320,7 +320,7 @@ class TestPackedLayout:
         x, mask = batch_with_lengths(rng, 8, (30, 9, 17))
         with no_grad():
             got = model.decode(Tensor(x), mask).data
-            h = unfused_stack(model.decoder.blocks, Tensor(x), Tensor(mask))
+            h = unfused_stack(model.decoder.blocks, Tensor(x), mask)
             want = model.out_proj(h).data
         for i, n in enumerate((30, 9, 17)):
             assert peak_error(got[i, :, :n], want[i, :, :n]) < 1e-5

@@ -186,6 +186,30 @@ class TestTeacherTraining:
         for key in ("mae", "guided", "diagonality"):
             assert np.isfinite(result["final_eval"][key])
 
+    def test_final_eval_is_the_last_epochs(self, corpus, tmp_path,
+                                           monkeypatch):
+        calls = []
+        evaluate = trainers.evaluate_teacher
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(trainers, "evaluate_teacher", counting)
+        cfg = micro_cfg(corpus)
+        # 3 training utterances in batches of 2: 4 steps are 2 epochs
+        first = run_teacher_training(cfg, tmp_path / "a", max_steps=4)
+        assert len(calls) == 2
+        last = (tmp_path / "a" / "teacher_eval.csv").read_text().split()[-1]
+        assert last == ",".join(["2", "4"] + [
+            f"{first['final_eval'][k]:.6g}"
+            for k in ("mae", "guided", "diagonality")])
+        # a finished run resumed trains no step and evaluates once
+        again = run_teacher_training(cfg, tmp_path / "b", max_steps=4,
+                                     resume=first["checkpoint"])
+        assert len(calls) == 3
+        assert again["final_eval"] == first["final_eval"]
+
 
 class TestDurationExtraction:
     def test_sidecar_complete_and_consistent(self, corpus, sidecar):

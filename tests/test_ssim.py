@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melsynth.nn_core import Tensor
 from melsynth.nn_core import functional as F
@@ -27,65 +29,74 @@ class TestGaussianWindow:
         assert narrow[5] > wide[5]
 
 
+def whole(x, y):
+    """SSIM of a prediction array against a target over every frame."""
+    return float(ssim_index(Tensor(x), y, [x.shape[2]] * x.shape[0]).data)
+
+
 class TestSsimIndex:
     def test_identical_images_score_one(self, rng):
-        x = rng.normal(size=(40, 60)).astype(np.float32)
-        assert float(ssim_index(x, x).data) == pytest.approx(1.0, abs=1e-6)
+        x = rng.normal(size=(1, 40, 60)).astype(np.float32)
+        assert whole(x, x) == pytest.approx(1.0, abs=1e-6)
 
     def test_symmetric_in_arguments(self, rng):
-        x = rng.normal(size=(20, 30)).astype(np.float32)
-        y = rng.normal(size=(20, 30)).astype(np.float32)
-        assert float(ssim_index(x, y).data) == float(ssim_index(y, x).data)
+        x = rng.normal(size=(1, 20, 30)).astype(np.float32)
+        y = rng.normal(size=(1, 20, 30)).astype(np.float32)
+        assert whole(x, y) == whole(y, x)
 
     def test_constant_images_match_closed_form(self):
         # zero variance everywhere: only the luminance term survives.
         # values shift by +4 before windowing, so 0.5 -> 4.5 and 0.6 -> 4.6.
-        x = np.full((16, 24), 0.5)
-        y = np.full((16, 24), 0.6)
+        x = np.full((1, 16, 24), 0.5)
+        y = np.full((1, 16, 24), 0.6)
         c1 = (0.01 * 8.0) ** 2
         want = (2 * 4.5 * 4.6 + c1) / (4.5**2 + 4.6**2 + c1)
-        assert float(ssim_index(x, y).data) == pytest.approx(want, abs=1e-6)
+        assert whole(x, y) == pytest.approx(want, abs=1e-6)
         # float32 inputs run the float32 path and land close but looser
-        got32 = float(ssim_index(x.astype(np.float32), y.astype(np.float32)).data)
+        got32 = whole(x.astype(np.float32), y.astype(np.float32))
         assert got32 == pytest.approx(want, abs=1e-4)
 
     def test_bounded_by_one(self, rng):
         for _ in range(5):
-            x = rng.normal(size=(12, 18)).astype(np.float32)
-            y = rng.normal(size=(12, 18)).astype(np.float32)
-            assert abs(float(ssim_index(x, y).data)) <= 1.0 + 1e-6
+            x = rng.normal(size=(1, 12, 18)).astype(np.float32)
+            y = rng.normal(size=(1, 12, 18)).astype(np.float32)
+            assert abs(whole(x, y)) <= 1.0 + 1e-6
 
     def test_dissimilar_scores_below_similar(self, rng):
-        x = rng.normal(size=(20, 40)).astype(np.float32)
+        x = rng.normal(size=(1, 20, 40)).astype(np.float32)
         near = x + rng.normal(scale=0.05, size=x.shape).astype(np.float32)
         far = rng.normal(size=x.shape).astype(np.float32)
-        assert float(ssim_index(x, near).data) > float(ssim_index(x, far).data)
+        assert whole(x, near) > whole(x, far)
 
     def test_window_shrinks_for_small_images(self, rng):
-        x = rng.normal(size=(5, 8)).astype(np.float32)
-        assert float(ssim_index(x, x).data) == pytest.approx(1.0, abs=1e-6)
-        tiny = rng.normal(size=(1, 1)).astype(np.float32)
-        assert float(ssim_index(tiny, tiny).data) == pytest.approx(1.0, abs=1e-6)
+        x = rng.normal(size=(1, 5, 8)).astype(np.float32)
+        assert whole(x, x) == pytest.approx(1.0, abs=1e-6)
+        tiny = rng.normal(size=(1, 1, 1)).astype(np.float32)
+        assert whole(tiny, tiny) == pytest.approx(1.0, abs=1e-6)
 
     def test_shape_mismatch_rejected(self, rng):
-        x = rng.normal(size=(4, 5)).astype(np.float32)
-        y = rng.normal(size=(4, 6)).astype(np.float32)
+        x = rng.normal(size=(1, 4, 5)).astype(np.float32)
+        y = rng.normal(size=(1, 4, 6)).astype(np.float32)
         with pytest.raises(ValueError):
-            ssim_index(x, y)
+            ssim_index(Tensor(x), y, [5])
+
+    def test_unbatched_image_rejected(self, rng):
+        x = rng.normal(size=(4, 5)).astype(np.float32)
+        with pytest.raises(ValueError):
+            ssim_index(Tensor(x), x, [5])
 
     def test_saturated_values_get_zero_gradient(self):
         # post-shift values beyond [0, 8] are clamped, cutting the gradient
-        x = Tensor(np.full((6, 9), 30.0), requires_grad=True)
-        y = Tensor(np.full((6, 9), 30.0))
-        out = ssim_index(x, y)
+        x = Tensor(np.full((1, 6, 9), 30.0), requires_grad=True)
+        out = ssim_index(x, np.full((1, 6, 9), 30.0), [9])
         assert float(out.data) == pytest.approx(1.0, abs=1e-6)
         out.backward()
         assert np.all(x.grad == 0.0)
 
     def test_gradients_match_finite_differences(self, rng):
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        y = Tensor(rng.normal(size=(4, 6)))
-        gradcheck(lambda: ssim_index(x, y), [x])
+        x = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
+        y = rng.normal(size=(1, 4, 6))
+        gradcheck(lambda: ssim_index(x, y, [6]), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -146,24 +157,23 @@ def padded_pair(rng, bins, lengths, dtype):
 
 
 class TestBatchedSsim:
+    # the target is a constant: only the prediction gradient exists
     def test_gradients_match_finite_differences(self, rng):
         x, y = padded_pair(rng, 6, LENGTHS, np.float64)
         x[0, 0, :3] = 5.0  # saturated: clamped, zero gradient
         xt = Tensor(x, requires_grad=True)
-        yt = Tensor(y, requires_grad=True)
-        gradcheck(lambda: ssim_index(xt, yt, LENGTHS), [xt, yt])
+        gradcheck(lambda: ssim_index(xt, y, LENGTHS), [xt])
 
     def test_padding_gets_no_gradient(self, rng):
         x, y = padded_pair(rng, 6, LENGTHS, np.float64)
         xt = Tensor(x, requires_grad=True)
-        yt = Tensor(y, requires_grad=True)
-        ssim_index(xt, yt, LENGTHS).backward()
+        ssim_index(xt, y, LENGTHS).backward()
         for i, t in enumerate(LENGTHS):
-            assert not np.any(xt.grad[i, :, t:]) and not np.any(yt.grad[i, :, t:])
+            assert not np.any(xt.grad[i, :, t:])
         # padding values do not reach the score either
-        before = ssim_index(x, y, LENGTHS).data.item()
+        before = ssim_index(Tensor(x), y, LENGTHS).data.item()
         x[1, :, LENGTHS[1]:] = 99.0
-        assert ssim_index(x, y, LENGTHS).data.item() == before
+        assert ssim_index(Tensor(x), y, LENGTHS).data.item() == before
 
     @pytest.mark.parametrize("bins, lengths", [(80, [121, 96]), (6, LENGTHS),
                                                (5, [4, 9, 2, 1])])
@@ -173,22 +183,56 @@ class TestBatchedSsim:
         x, _ = padded_pair(rng, bins, lengths, np.float32)
         y = x + rng.normal(scale=0.5, size=x.shape).astype(np.float32)
         results = []
-        for score in (lambda a, b: ssim_index(a, b, lengths),
-                      lambda a, b: batch_ssim_reference(a, b, lengths)):
+        for score in (lambda a: ssim_index(a, y, lengths),
+                      lambda a: batch_ssim_reference(a, Tensor(y), lengths)):
             xt = Tensor(x, requires_grad=True)
-            yt = Tensor(y, requires_grad=True)
-            out = score(xt, yt)
+            out = score(xt)
             out.backward()
-            results.append((out.data, xt.grad, yt.grad))
-        (got, gx, gy), (want, wx, wy) = results
+            results.append((out.data, xt.grad))
+        (got, gx), (want, wx) = results
         assert got.dtype == want.dtype == np.float32
         assert abs(float(got) - float(want)) <= 1e-6 * abs(float(want))
-        for g, w in ((gx, wx), (gy, wy)):
-            assert g.dtype == np.float32
-            assert np.max(np.abs(g - w)) <= 1e-6 * np.max(np.abs(w))
+        assert gx.dtype == np.float32
+        assert np.max(np.abs(gx - wx)) <= 1e-6 * np.max(np.abs(wx))
 
     def test_bad_lengths_rejected(self, rng):
         x, y = padded_pair(rng, 6, LENGTHS, np.float32)
         for lengths in ([14, 7], [14, 0, 12], [14, 7, 15]):
             with pytest.raises(ValueError):
-                ssim_index(x, y, lengths)
+                ssim_index(Tensor(x), y, lengths)
+
+
+@st.composite
+def padded_batches(draw):
+    """(x, y, lengths): a float64 batch of bins 1-12 and lengths 1-40,
+    padded with noise to the longest item."""
+    bins = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(lengths), bins, max(lengths))
+    return (rng.uniform(-4.5, 4.5, size=shape),
+            rng.uniform(-4.5, 4.5, size=shape), lengths)
+
+
+class TestSsimProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(padded_batches())
+    def test_self_similarity_is_one(self, batch):
+        x, _, lengths = batch
+        assert ssim_index(Tensor(x), x, lengths).data.item() == \
+            pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(padded_batches(), st.floats(-1e3, 1e3))
+    def test_padding_changes_nothing(self, batch, fill):
+        x, y, lengths = batch
+        runs = []
+        for _ in range(2):
+            xt = Tensor(x.copy(), requires_grad=True)
+            out = ssim_index(xt, y, lengths)
+            out.backward()
+            runs.append((out.data.tobytes(), xt.grad.tobytes()))
+            for i, t in enumerate(lengths):  # rewrite every padded cell
+                x[i, :, t:] = fill
+                y[i, :, t:] = -fill
+        assert runs[0] == runs[1]

@@ -179,7 +179,7 @@ class TestStudentModel:
         log_dur = model.predict_log_durations(enc)
         assert log_dur.shape == (2, 1, 5)
         out, mask, _ = expand_encodings(enc, np.full((2, 5), 2))
-        pred = model.decode(out, Tensor(mask))
+        pred = model.decode(out, mask)
         assert pred.shape == (2, 6, 10)
 
     def test_empty_sequence_rejected(self, rng):
@@ -224,9 +224,9 @@ class TestStudentModel:
         items = random_items(rng, count=3)
         batch = pad_student_batch(items)
         with no_grad():
-            enc = model.encode(batch["ids"], Tensor(batch["phoneme_mask"]))
+            enc = model.encode(batch["ids"], batch["phoneme_mask"])
             out, mask, lengths = expand_encodings(enc, batch["durations"])
-            pred = model.decode(out, Tensor(mask))
+            pred = model.decode(out, mask)
         for i, (ids, dur, _) in enumerate(items):
             single, _ = synthesize(model, ids, dur)
             t = int(lengths[i])
@@ -321,15 +321,15 @@ class TestStudentTraining:
 
     def test_masked_huber_hand_values(self):
         pred = Tensor(np.array([[[0.5, 3.0, 9.0]]], dtype=np.float32))
-        target = Tensor(np.zeros((1, 1, 3), dtype=np.float32))
-        mask = Tensor(np.array([[[1.0, 1.0, 0.0]]], dtype=np.float32))
+        target = np.zeros((1, 1, 3), dtype=np.float32)
+        mask = np.array([[[1.0, 1.0, 0.0]]], dtype=np.float32)
         # |0.5| <= 1 -> 0.125 quadratic; |3| > 1 -> 2.5 linear; last masked out
         got = float(masked_huber(pred, target, mask).data)
         assert got == pytest.approx((0.125 + 2.5) / 2.0, abs=1e-6)
 
     def test_batch_ssim_of_identical_is_one(self, rng):
         pred = Tensor(rng.normal(size=(2, 6, 12)).astype(np.float32))
-        score = ssim_index(pred, pred, [12, 9])
+        score = ssim_index(pred, pred.data, [12, 9])
         assert float(score.data) == pytest.approx(1.0, abs=1e-6)
 
     def test_training_step_reduces_losses(self, rng):
