@@ -9,6 +9,19 @@ transposes. The residual stacks lay their whole batch out as one row with
 zero guards between items and pass it as batch 1, so each product is one
 wide GEMM.
 
+On a float32 batch-1 row of at least RANGE_COLUMNS columns, with unit
+stride along time, each tap after the first adds its product into the
+output inside BLAS, as C = A·B + C through the ``cblas_sgemm`` of the
+OpenBLAS that numpy bundles, called through ctypes (which releases the
+GIL): no tap buffer, and no pass to add it. This is decided once per conv
+from the whole row, so every column range of a split conv makes the same
+calls. Every other conv writes each later tap into a buffer that is then
+added: at toy size the ctypes call costs more than the pass it saves. The
+two sums give the same bits up to a few hundred input channels (tests pin
+40 to 384); from 512 on, OpenBLAS adds its K panels into C one by one and
+the last bits can differ. Where numpy bundles no OpenBLAS, every conv runs
+on np.matmul and none is split.
+
 A wide float32 conv runs on every CPU the process may run on, by output
 columns: each range of columns is one job of ``pool.run_in_order``, every
 tap, the tap sum, the bias and the caller's elementwise epilogue included,
@@ -40,7 +53,8 @@ from . import pool
 # a 128->128 channel, k=3 conv ran 5-45% faster in two ranges from about
 # 1000 columns on, the more the wider the row; below that, handing a range
 # to a thread cost about what it saved, and splitting the 540-690 column
-# rows of batch-1 decoders made a synthesis 12% slower.
+# rows of batch-1 decoders made a synthesis 12% slower. A batch-1 row of
+# at least RANGE_COLUMNS columns sums its taps inside BLAS.
 RANGE_COLUMNS = 512
 
 
@@ -51,9 +65,10 @@ def _window(shift, time):
 
 
 @functools.cache
-def _blas_threads():
-    """The thread count of the OpenBLAS that numpy bundles, asked once
-    through ctypes, or None when there is no such library to ask."""
+def _openblas():
+    """The OpenBLAS that numpy bundles, opened once through ctypes: its
+    thread count and its ``cblas_sgemm``, or None when there is no such
+    library. The ``64_`` build takes int64 sizes, the other int32."""
     import ctypes
 
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -62,13 +77,24 @@ def _blas_threads():
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads"):
-            query = getattr(lib, name, None)
-            if query is not None:
+        for suffix, size in (("64_", ctypes.c_int64), ("", ctypes.c_int32)):
+            query = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            sgemm = getattr(lib, "scipy_cblas_sgemm" + suffix, None)
+            if query is not None and sgemm is not None:
                 query.argtypes, query.restype = [], ctypes.c_int
-                return query()
+                ptr, real = ctypes.c_void_p, ctypes.c_float
+                sgemm.argtypes = [ctypes.c_int] * 3 + [size] * 3 + [
+                    real, ptr, size, ptr, size, real, ptr, size]
+                sgemm.restype = None
+                return query(), sgemm
     return None
+
+
+def _blas_threads():
+    """The thread count of the OpenBLAS that numpy bundles, or None when
+    there is no such library to ask."""
+    blas = _openblas()
+    return None if blas is None else blas[0]
 
 
 def _column_ranges(time, rows, dtype):
@@ -90,18 +116,43 @@ def _column_ranges(time, rows, dtype):
     return list(zip(cuts, cuts[1:]))
 
 
-def _sum_taps(x, taps, windows, out, tmp):
+def _accumulator(x, taps):
+    """The sgemm of numpy's OpenBLAS when the later taps of a conv of `x`
+    add into its output inside BLAS, else None: for a float32 batch-1 row
+    of at least RANGE_COLUMNS columns whose channels, sgemm's B rows, have
+    unit inner stride and lie at least a row apart. numpy's `aligned` flag
+    also holds every stride to a multiple of 4 bytes."""
+    blas = _openblas()
+    step, unit = x.strides[1:]
+    if (blas is None or x.shape[0] != 1 or x.shape[2] < RANGE_COLUMNS
+            or x.dtype != np.float32 or taps.dtype != np.float32
+            or not x.flags.aligned or unit != 4 or step < 4 * x.shape[2]):
+        return None
+    return blas[1]
+
+
+def _sum_taps(x, taps, windows, out, tmp, sgemm):
     """The tap products summed into `out`.
 
     `windows` holds (tap, shift, lo, hi) per tap, in the order they are
     summed: tap j reads input column t + shift for output column t of
     `out`, and only output columns [lo, hi) have input. The first tap
-    writes straight into `out`; each other tap writes into `tmp`, which is
-    then added. Both are zeroed outside the tap's window. Each product runs
-    over the whole batch at once.
+    writes straight into `out`, zeroed outside its window. With `sgemm`,
+    each other tap adds its product into columns [lo, hi) of `out` inside
+    BLAS (C = A·B + C); without, it writes into `tmp`, zeroed outside its
+    window, which is then added. Each product runs over the whole batch at
+    once.
     """
     width = out.shape[2]
     for i, (j, shift, lo, hi) in enumerate(windows):
+        if i and sgemm is not None:
+            if hi > lo:
+                a, b, c = taps[j], x[0, :, lo + shift:hi + shift], out[0, :, lo:hi]
+                sgemm(101, 111, 111,  # row-major, neither operand transposed
+                      *c.shape, a.shape[1], 1.0, a.ctypes.data, a.shape[1],
+                      b.ctypes.data, b.strides[0] // 4,
+                      1.0, c.ctypes.data, c.strides[0] // 4)
+            continue
         dst = tmp if i else out
         if lo:
             dst[:, :, :lo] = 0
@@ -133,14 +184,15 @@ def _conv(x, weight, dilation, left, finish=None):
         lo, hi = _window(shift, time)
         if j == first or hi > lo:
             windows.append((j, shift, lo, hi))
-    tmp = np.empty_like(out) if len(windows) > 1 else None
+    sgemm = _accumulator(x, taps)
+    tmp = np.empty_like(out) if sgemm is None and len(windows) > 1 else None
     ranges = _column_ranges(time, cout, out.dtype)
     # no views for an unsplit conv: a toy training chain makes thousands
-    parts = [(x, taps, windows, out, tmp)] if len(ranges) == 1 else [
+    parts = [(x, taps, windows, out, tmp, sgemm)] if len(ranges) == 1 else [
         (x, taps,
          [(j, shift + a, min(max(lo, a), b) - a, min(max(hi, a), b) - a)
           for j, shift, lo, hi in windows],
-         out[:, :, a:b], None if tmp is None else tmp[:, :, a:b])
+         out[:, :, a:b], None if tmp is None else tmp[:, :, a:b], sgemm)
         for a, b in ranges]
 
     def job(k):

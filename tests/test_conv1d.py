@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -190,10 +191,12 @@ def geometries():
 
 
 class TestSplitMatchesOneGemmPerTap:
-    """Every row width around the split thresholds, both kernels that run
-    `_conv`, bit for bit against one GEMM per tap on the calling thread."""
+    """Every row width around the split thresholds and where the later taps
+    start to add inside BLAS, both kernels that run `_conv`, bit for bit
+    against one GEMM per tap on the calling thread."""
 
-    WIDTHS = (list(range(THRESHOLD - 16, THRESHOLD + 33))
+    WIDTHS = (list(range(kernels.RANGE_COLUMNS - 16, kernels.RANGE_COLUMNS + 33))
+              + list(range(THRESHOLD - 16, THRESHOLD + 33))
               + list(range(3 * kernels.RANGE_COLUMNS - 16,
                            3 * kernels.RANGE_COLUMNS + 33)))
 
@@ -227,6 +230,121 @@ class TestSplitMatchesOneGemmPerTap:
         weight = gen.normal(size=(80, 128, 1)).astype(np.float32)
         got = kernels.conv1d_forward(x, weight, np.zeros(80, np.float32), 1, left=0)
         assert got.tobytes() == conv_reference(x, weight, 1, 0).tobytes()
+
+
+def kernel_outputs(x, weight, bias, dilation, left):
+    """conv1d_forward on `x`, and conv1d_grad_input with `x` as the output
+    gradient of the conv whose weight is `weight` transposed: both sum
+    products over `x`'s channels."""
+    back = np.ascontiguousarray(weight.transpose(1, 0, 2))
+    return [kernels.conv1d_forward(x, weight, bias, dilation, left=left),
+            kernels.conv1d_grad_input(x, back, dilation, left=left)]
+
+
+def reference_outputs(x, weight, bias, dilation, left):
+    """`kernel_outputs` through `conv_reference`: one GEMM per tap into a
+    tap buffer, added, over the whole row on the calling thread."""
+    forward = conv_reference(x, weight, dilation, left)
+    forward += bias[:, None]
+    span = (weight.shape[2] - 1) * dilation
+    return [forward, conv_reference(x, weight[:, :, ::-1], dilation, span - left)]
+
+
+def conv_of(cin, width, seed):
+    """A (1, cin, width) row and a cin -> 128 channel, k = 3 conv."""
+    gen = np.random.default_rng(seed)
+    weight = gen.normal(scale=cin ** -0.5, size=(128, cin, 3)).astype(np.float32)
+    bias = gen.normal(size=128).astype(np.float32)
+    return gen.normal(size=(1, cin, width)).astype(np.float32), weight, bias
+
+
+class TestTapsAccumulateInBlas:
+    """A float32 batch-1 row of at least RANGE_COLUMNS columns adds each
+    later tap into the output inside BLAS (sgemm with beta = 1); other
+    convs add a tap buffer."""
+
+    @pytest.mark.parametrize("workers", [3, None], ids=["3", "default"])
+    @pytest.mark.parametrize("cin", [40, 80, 128, 384])
+    def test_same_bytes_up_to_384_channels(self, one_blas_thread, block_pools,
+                                           monkeypatch, workers, cin):
+        use_pool(monkeypatch, block_pools, workers)
+        for width in (kernels.RANGE_COLUMNS, THRESHOLD + 17):
+            x, weight, bias = conv_of(cin, width, cin)
+            for dilation, left in geometries():
+                got = kernel_outputs(x, weight, bias, dilation, left)
+                want = reference_outputs(x, weight, bias, dilation, left)
+                for g, w in zip(got, want, strict=True):
+                    assert g.tobytes() == w.tobytes(), (width, dilation, left)
+
+    def test_512_channels_within_tolerance_at_any_worker_count(
+            self, one_blas_thread, block_pools, monkeypatch):
+        # OpenBLAS adds its K panels into C one by one: the last bits may
+        # differ from one sum per tap added, but not between worker counts
+        pools = {1: block_pools[1], 3: block_pools[3], None: pool.worker_pool()}
+        x, weight, bias = conv_of(512, 3 * kernels.RANGE_COLUMNS + 5, 12)
+        for dilation, left in geometries():
+            want = reference_outputs(x, weight, bias, dilation, left)
+            results = []
+            for threads in pools.values():
+                monkeypatch.setattr(pool, "worker_pool", lambda: threads)
+                results.append(kernel_outputs(x, weight, bias, dilation, left))
+            for got in results[1:]:
+                for g, first in zip(got, results[0], strict=True):
+                    assert g.tobytes() == first.tobytes(), (dilation, left)
+            for g, w in zip(results[0], want, strict=True):
+                assert np.abs(g - w).max() <= 1e-5 * np.abs(w).max(), (dilation, left)
+
+    @pytest.mark.parametrize("layout", ["every other column", "time-major"])
+    def test_strided_row_same_bytes_as_contiguous(self, one_blas_thread,
+                                                  block_pools, monkeypatch,
+                                                  layout):
+        use_pool(monkeypatch, block_pools, 3)
+        x, weight, bias = conv_of(128, THRESHOLD + 17, 13)
+        if layout == "every other column":
+            view = np.repeat(x, 2, axis=2)[:, :, ::2]
+        else:
+            view = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert view.strides[2] != 4 and np.array_equal(view, x)
+        for dilation, left in geometries():
+            got = kernel_outputs(view, weight, bias, dilation, left)
+            want = kernel_outputs(x, weight, bias, dilation, left)
+            for g, w in zip(got, want, strict=True):
+                assert g.tobytes() == w.tobytes(), (dilation, left)
+
+    def test_without_bundled_openblas_matmul_alone_unsplit(self, monkeypatch):
+        # numpy built on another BLAS: no thread count to ask, no sgemm
+        monkeypatch.setattr(kernels, "_openblas", lambda: None)
+        assert kernels._blas_threads() is None
+        assert kernels._column_ranges(6406, 128, np.float32) == [(0, 6406)]
+        seen = []
+        sum_taps = kernels._sum_taps
+
+        def spy(*part):
+            seen.append(part[-1])
+            return sum_taps(*part)
+
+        monkeypatch.setattr(kernels, "_sum_taps", spy)
+        x, weight, bias = conv_of(128, 6406, 14)
+        for dilation, left in geometries():
+            got = kernel_outputs(x, weight, bias, dilation, left)
+            want = reference_outputs(x, weight, bias, dilation, left)
+            for g, w in zip(got, want, strict=True):
+                assert g.tobytes() == w.tobytes(), (dilation, left)
+        assert seen and all(sgemm is None for sgemm in seen)
+
+    def test_wide_row_allocates_no_tap_buffer(self):
+        if kernels._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        x, weight, bias = conv_of(128, 6406, 15)
+        kernels.conv1d_forward(x, weight, bias, 1, left=1)  # binds BLAS first
+        tracemalloc.start()
+        try:
+            out = kernels.conv1d_forward(x, weight, bias, 1, left=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output and the contiguous taps, no second (1, cout, time) buffer
+        assert peak < 1.1 * (out.nbytes + weight.nbytes), peak
 
 
 def eval_block_reference(xd, weight, bias, scale, shift, running, keep,
