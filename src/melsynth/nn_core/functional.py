@@ -209,23 +209,36 @@ def embedding(weight, ids):
     return Tensor.from_op(out, (weight,), backward)
 
 
-def gather_time(x, indices):
-    """Re-index the time axis: out[b, :, t] = x[b, :, indices[b, t]].
+def expand_time(x, indices, positions, table):
+    """Frame-rate copy of (batch, channels, N) ``x`` plus a positional term,
+    zero padded on the right to the longest item:
 
-    Used to expand per-phoneme encodings to frame rate; gradients scatter-add
-    back so repeated frames all contribute to their source phoneme.
+        out[b, :, t] = x[b, :, indices[b][t]] + table[:, positions[b][t]]
+
+    for t < len(indices[b]), and 0 past it. ``indices`` and ``positions``
+    hold one 1-d non-negative int array per item, of equal lengths; ``table`` is a
+    constant (channels, P) array. Each item is one ``np.take`` of its
+    columns and one of the table's, written into a contiguous array; the
+    gradient scatter-adds back, so repeated frames all contribute to their
+    source column.
     """
-    idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[2]):
-        raise IndexError("gather_time index outside input time range")
-    batch_ix = np.arange(x.data.shape[0])[:, None]
-    xt = x.data.transpose(0, 2, 1)
-    out = xt[batch_ix, idx].transpose(0, 2, 1)
+    xd = x.data
+    batch, channels, columns = xd.shape
+    if not len(indices) == len(positions) == batch:
+        raise ValueError(f"{len(indices)} index and {len(positions)} position "
+                         f"rows for {batch} items")
+    frames = max(idx.size for idx in indices)
+    out = np.zeros((batch, channels, frames), dtype=np.result_type(xd, table))
+    for b, (idx, pos) in enumerate(zip(indices, positions)):
+        view = out[b, :, :idx.size]
+        np.take(xd[b], idx, axis=1, out=view)  # IndexError past the columns
+        view += np.take(table, pos, axis=1)
 
     def backward(g):
         if x.requires_grad:
-            gxt = np.zeros_like(xt)
-            np.add.at(gxt, (batch_ix, idx), g.transpose(0, 2, 1))
+            gxt = np.zeros((batch, columns, channels), dtype=xd.dtype)
+            for b, idx in enumerate(indices):
+                np.add.at(gxt[b], idx, g[b, :, :idx.size].T)
             x.accumulate_grad(gxt.transpose(0, 2, 1))
 
     return Tensor.from_op(out, (x,), backward)
@@ -303,26 +316,30 @@ def _conv_geometry(x, weight, dilation, causal):
 
 
 def conv1d(x, weight, bias, dilation=1, causal=False):
-    """Dilated 1D convolution over (batch, channels, time), length-preserving.
+    """Dilated 1D convolution over (batch, channels, time), or over one
+    (channels, width) row as a batch of one, length-preserving.
 
     Frames past either end read as zeros. causal: output t sees inputs <= t.
     non-causal: centred (an odd extra frame is read on the right).
     """
     ksize, left = _conv_geometry(x, weight, dilation, causal)
-    xd = x.data
+    row = x.data.ndim == 2
+    xd = x.data[None] if row else x.data
     out = kernels.conv1d_forward(xd, weight.data, bias.data, dilation, left=left)
 
     def backward(g):
+        if row:
+            g = g[None]
         if weight.requires_grad:
             weight.accumulate_grad(
                 kernels.conv1d_grad_weight(g, xd, dilation, ksize, left=left))
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            x.accumulate_grad(
-                kernels.conv1d_grad_input(g, weight.data, dilation, left=left))
+            gx = kernels.conv1d_grad_input(g, weight.data, dilation, left=left)
+            x.accumulate_grad(gx[0] if row else gx)
 
-    return Tensor.from_op(out, (x, weight, bias), backward)
+    return Tensor.from_op(out[0] if row else out, (x, weight, bias), backward)
 
 
 def plain_residual(x, weight, bias, scale, shift, keep, dilation=1, causal=False,

@@ -30,12 +30,16 @@ only when BLAS itself runs one thread, as numpy's bundled OpenBLAS answers
 through ctypes; on top of a multi-threaded BLAS the two kinds of thread
 would contend for the CPUs, and where BLAS cannot be asked nothing is
 split. Set BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) to split. Each
-output column sums its taps in the same order in every range, OpenBLAS's
-sgemm gives a column range of at least a few dozen columns the same bits
-as the same columns of the whole product (tests pin every row width around
-the cuts), and an elementwise epilogue does to a column what it would do
-in the whole row, so results are bit for bit the same for any worker
-count, and run to run.
+output column sums its taps in the same order in every range, and an
+elementwise epilogue does to a column what it would do in the whole row.
+For a conv whose output and input channel counts multiply to at least
+40 * 80 (see ``_column_ranges``), OpenBLAS's sgemm gives each range the
+same bits as the same columns of the whole product (tests pin 40 -> 80,
+80 -> 40 and 128 -> 128 at every row width around the cuts), so results
+are bit for bit the same for any worker count, and run to run. Smaller products are not split: a
+40 -> 40 or 32 -> 32 conv of 1024-1600 columns read other bits in two
+ranges than in the whole row, likely because OpenBLAS takes its
+small-matrix kernel for a range and not for the whole row.
 """
 
 from __future__ import annotations
@@ -97,17 +101,23 @@ def _blas_threads():
     return None if blas is None else blas[0]
 
 
-def _column_ranges(time, rows, dtype):
-    """The output column ranges [a, b) of a conv; one range when the conv
-    is not split.
+def _column_ranges(time, rows, depth, dtype):
+    """The output column ranges [a, b) of a conv with `rows` output and
+    `depth` input channels; one range when the conv is not split.
 
-    float64 convs (gradient checks) and one-row products (a matrix-vector
-    product in BLAS) are not split: OpenBLAS gives some of their column
-    slices other bits than the whole product.
+    float64 convs (gradient checks), one-row products (a matrix-vector
+    product in BLAS) and products of fewer than 40 * 80 weights are not
+    split: OpenBLAS gives some of their column slices other bits than the
+    whole product. OpenBLAS picks its small-matrix sgemm kernel from
+    rows * depth * columns of each call, and every range here has at least
+    RANGE_COLUMNS - 16 columns, so a split conv of at least 40 * 80 weights
+    keeps each range's product above that kernel's cut-off. The bound is a
+    conservative one: some smaller products (48 -> 48, 40 -> 56) also kept
+    their bits in two ranges, 40 -> 40 and 32 -> 32 did not.
     """
     whole = [(0, time)]
-    if (time < 2 * RANGE_COLUMNS or rows < 2 or dtype != np.float32
-            or _blas_threads() != 1):
+    if (time < 2 * RANGE_COLUMNS or rows < 2 or rows * depth < 40 * 80
+            or dtype != np.float32 or _blas_threads() != 1):
         return whole
     n = min(pool.worker_pool()[1], time // RANGE_COLUMNS)
     if n < 2:
@@ -173,7 +183,7 @@ def _conv(x, weight, dilation, left, finish=None):
     in the same job right after the tap sum, on the view of `out` that
     holds columns [a, b); an unsplit conv passes `out` itself.
     """
-    cout, _, ksize = weight.shape
+    cout, cin, ksize = weight.shape
     time = x.shape[2]
     out = np.empty((x.shape[0], cout, time), dtype=np.result_type(x, weight))
     taps = weight.transpose(2, 0, 1).copy()  # (ksize, cout, cin), each contiguous
@@ -186,7 +196,7 @@ def _conv(x, weight, dilation, left, finish=None):
             windows.append((j, shift, lo, hi))
     sgemm = _accumulator(x, taps)
     tmp = np.empty_like(out) if sgemm is None and len(windows) > 1 else None
-    ranges = _column_ranges(time, cout, out.dtype)
+    ranges = _column_ranges(time, cout, cin, out.dtype)
     # no views for an unsplit conv: a toy training chain makes thousands
     parts = [(x, taps, windows, out, tmp, sgemm)] if len(ranges) == 1 else [
         (x, taps,

@@ -34,8 +34,10 @@ def expand_encodings(encodings, durations):
     """Expand (batch, channels, N) by per-item durations (batch, N).
 
     Items may expand to different lengths; the result is zero padded on the
-    right. Returns (expanded (batch, channels, T_max), frame_mask
-    (batch, 1, T_max), lengths (batch,)).
+    right. One tape op (:func:`~melsynth.nn_core.functional.expand_time`)
+    gathers each item's frames and adds their positional term. Returns
+    (expanded (batch, channels, T_max), frame_mask (batch, 1, T_max),
+    lengths (batch,)).
     """
     durations = np.atleast_2d(np.asarray(durations, dtype=np.int64))
     batch, channels, _ = encodings.shape
@@ -44,13 +46,9 @@ def expand_encodings(encodings, durations):
     lengths = durations.sum(axis=1)
     if np.any(lengths < 1):
         raise ValueError("all durations zero; nothing to expand")
-    gather = F.pad_right([expansion_indices(d) for d in durations], np.int64)
-    positions = F.pad_right([reset_positions(d) for d in durations], np.int64)
-    frame_mask = F.length_mask(lengths, gather.shape[1])
-    expanded = F.gather_time(encodings, gather)
+    indices = [expansion_indices(d) for d in durations]
+    positions = [reset_positions(d) for d in durations]
     # positions restart at every phoneme, so one table over 0..max covers all
-    table = F.sinusoid_table(np.arange(positions.max() + 1), channels)
-    pe = np.ascontiguousarray(table[:, positions].transpose(1, 0, 2))
-    pe *= frame_mask  # keep padded cells exactly zero
-    out = F.mul(F.add(expanded, pe), frame_mask)
-    return out, frame_mask, lengths
+    table = F.sinusoid_table(np.arange(durations.max()), channels)
+    out = F.expand_time(encodings, indices, positions, table)
+    return out, F.length_mask(lengths, out.shape[2]), lengths

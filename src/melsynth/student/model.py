@@ -46,11 +46,18 @@ class PlainStack(Module):
     def forward(self, x, mask=None):
         if not self.blocks:
             return x
-        layout = RowLayout(x, mask, max(b.conv.reach() for b in self.blocks))
+        row, layout = self.packed(x, mask)
+        return layout.unpack(row)
+
+    def packed(self, x, mask=None):
+        """The stack's output as one (channels, width) row, and the
+        :class:`RowLayout` that places each item in it."""
+        reach = max((b.conv.reach() for b in self.blocks), default=0)
+        layout = RowLayout(x, mask, reach)
         h = layout.pack(x)
         for block in self.blocks:
             h = block.run(h, layout)
-        return layout.unpack(h)
+        return h, layout
 
 
 class StudentModel(Module):
@@ -95,9 +102,11 @@ class StudentModel(Module):
         return self.duration_out(h)
 
     def decode(self, expanded, frame_mask=None):
-        """(batch, channels, T) expanded encodings -> (batch, mel_bins, T)."""
-        h = self.decoder(expanded, frame_mask)
-        return self.out_proj(h)
+        """(batch, channels, T) expanded encodings -> (batch, mel_bins, T),
+        zero past each item's length. ``out_proj`` runs on the decoder's
+        packed row, so only the mel bins are unpacked."""
+        row, layout = self.decoder.packed(expanded, frame_mask)
+        return layout.unpack(self.out_proj(row))
 
 
 def round_durations(log_durations):

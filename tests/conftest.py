@@ -107,6 +107,29 @@ def mean(x, axis=None, keepdims=False):
     return F.mul(F.sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
+def gather_time(x, indices):
+    """Re-index the time axis: out[b, :, t] = x[b, :, indices[b, t]];
+    gradients scatter-add back, so repeated frames all contribute to their
+    source column. The program's expansion gathered through it before it
+    became one op with the positional term."""
+    from melsynth.nn_core import Tensor
+
+    idx = np.asarray(indices)
+    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[2]):
+        raise IndexError("gather_time index outside input time range")
+    batch_ix = np.arange(x.data.shape[0])[:, None]
+    xt = x.data.transpose(0, 2, 1)
+    out = xt[batch_ix, idx].transpose(0, 2, 1)
+
+    def backward(g):
+        if x.requires_grad:
+            gxt = np.zeros_like(xt)
+            np.add.at(gxt, (batch_ix, idx), g.transpose(0, 2, 1))
+            x.accumulate_grad(gxt.transpose(0, 2, 1))
+
+    return Tensor.from_op(out, (x,), backward)
+
+
 def _per_channel(t):
     """View a (channels,) parameter as (1, channels, 1) for broadcasting."""
     from melsynth.nn_core import Tensor

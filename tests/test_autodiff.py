@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import div, filter1d_valid, gradcheck, mean, narrow, sqrt, tanh
+from conftest import (div, filter1d_valid, gather_time, gradcheck, mean, narrow,
+                      sqrt, tanh)
 from melsynth.nn_core import AutodiffError, NonFiniteError, Tensor, no_grad
 from melsynth.nn_core import functional as F
 
@@ -110,7 +111,7 @@ class TestFiniteDifferences:
         idx = np.array([[0, 0, 1, 3, 3, 2], [1, 1, 1, 0, 2, 3]])
 
         def loss():
-            y = F.gather_time(x, idx)
+            y = gather_time(x, idx)
             return mean(F.huber(F.sub(y, 0.25), delta=0.5))
 
         gradcheck(loss, [x])
@@ -136,13 +137,13 @@ class TestOpSemantics:
 
     def test_gather_time_selects_columns(self):
         x = Tensor(np.arange(12.0).reshape(1, 2, 6))
-        out = F.gather_time(x, np.array([[5, 0, 0]]))
+        out = gather_time(x, np.array([[5, 0, 0]]))
         np.testing.assert_array_equal(out.data, [[[5.0, 0.0, 0.0], [11.0, 6.0, 6.0]]])
 
     def test_gather_time_range_checked(self):
         x = Tensor(np.zeros((1, 2, 4)))
         with pytest.raises(IndexError):
-            F.gather_time(x, np.array([[4]]))
+            gather_time(x, np.array([[4]]))
 
     def test_embedding_out_of_range(self):
         table = Tensor(np.eye(3), requires_grad=True)

@@ -160,7 +160,7 @@ class TestColumnRanges:
         use_pool(monkeypatch, block_pools, 3)
         for width in (THRESHOLD, THRESHOLD + 17, 3 * kernels.RANGE_COLUMNS,
                       6406):
-            ranges = kernels._column_ranges(width, 128, np.float32)
+            ranges = kernels._column_ranges(width, 128, 128, np.float32)
             assert ranges[0][0] == 0 and ranges[-1][1] == width
             assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
             assert all(a % 16 == 0 for a, _ in ranges)
@@ -175,12 +175,21 @@ class TestColumnRanges:
     def test_not_split(self, one_blas_thread, block_pools, monkeypatch,
                        width, rows, dtype):
         use_pool(monkeypatch, block_pools, 3)
-        assert kernels._column_ranges(width, rows, dtype) == [(0, width)]
+        assert kernels._column_ranges(width, rows, 128, dtype) == [(0, width)]
+
+    @pytest.mark.parametrize("rows,depth", [(40, 40), (32, 32), (2, 1599)])
+    def test_small_product_not_split(self, one_blas_thread, block_pools,
+                                     monkeypatch, rows, depth):
+        # OpenBLAS gives a range of a small product other bits than the
+        # same columns of the whole one
+        use_pool(monkeypatch, block_pools, 3)
+        assert kernels._column_ranges(6406, rows, depth, np.float32) == [(0, 6406)]
+        assert len(kernels._column_ranges(6406, 40, 80, np.float32)) == 3
 
     def test_one_worker_is_not_split(self, one_blas_thread, block_pools,
                                      monkeypatch):
         use_pool(monkeypatch, block_pools, 1)
-        assert kernels._column_ranges(6406, 128, np.float32) == [(0, 6406)]
+        assert kernels._column_ranges(6406, 128, 128, np.float32) == [(0, 6406)]
 
 
 def geometries():
@@ -193,7 +202,9 @@ def geometries():
 class TestSplitMatchesOneGemmPerTap:
     """Every row width around the split thresholds and where the later taps
     start to add inside BLAS, both kernels that run `_conv`, bit for bit
-    against one GEMM per tap on the calling thread."""
+    against one GEMM per tap on the calling thread. 40 -> 40 channels is
+    below the smallest product that is split: split, it read other bits in
+    two ranges than in the whole row."""
 
     WIDTHS = (list(range(kernels.RANGE_COLUMNS - 16, kernels.RANGE_COLUMNS + 33))
               + list(range(THRESHOLD - 16, THRESHOLD + 33))
@@ -201,13 +212,15 @@ class TestSplitMatchesOneGemmPerTap:
                            3 * kernels.RANGE_COLUMNS + 33)))
 
     @pytest.mark.parametrize("workers", [3, None], ids=["3", "default"])
+    @pytest.mark.parametrize("cin,cout", [(40, 40), (40, 80), (80, 40), (128, 128)],
+                             ids=["40x40", "40x80", "80x40", "128x128"])
     def test_forward_and_grad_input(self, one_blas_thread, block_pools,
-                                    monkeypatch, workers):
+                                    monkeypatch, workers, cin, cout):
         use_pool(monkeypatch, block_pools, workers)
         gen = np.random.default_rng(5)
-        weight = gen.normal(scale=0.1, size=(128, 128, 3)).astype(np.float32)
-        bias = gen.normal(size=128).astype(np.float32)
-        row = gen.normal(size=(1, 128, max(self.WIDTHS))).astype(np.float32)
+        weight = gen.normal(scale=0.1, size=(cout, cin, 3)).astype(np.float32)
+        bias = gen.normal(size=cout).astype(np.float32)
+        row = gen.normal(size=(1, cin, max(self.WIDTHS))).astype(np.float32)
         for width in self.WIDTHS:
             x = row[:, :, :width]
             for dilation, left in geometries():
@@ -216,14 +229,18 @@ class TestSplitMatchesOneGemmPerTap:
                 expected += bias[:, None]
                 got = kernels.conv1d_forward(x, weight, bias, dilation, left=left)
                 assert got.tobytes() == expected.tobytes(), (width, dilation, left)
-                expected = conv_reference(
-                    x, weight.transpose(1, 0, 2)[:, :, ::-1], dilation, span - left)
-                got = kernels.conv1d_grad_input(x, weight, dilation, left=left)
+                # x as the output gradient of a cout -> cin conv
+                back = np.ascontiguousarray(weight.transpose(1, 0, 2))
+                expected = conv_reference(x, weight[:, :, ::-1], dilation, span - left)
+                got = kernels.conv1d_grad_input(x, back, dilation, left=left)
                 assert got.tobytes() == expected.tobytes(), (width, dilation, left)
-        assert len(kernels._column_ranges(THRESHOLD, 128, np.float32)) == 2
+        split = cin * cout >= 40 * 80
+        assert len(kernels._column_ranges(THRESHOLD, cout, cin, np.float32)) == (
+            2 if split else 1)
 
     def test_batch_of_rows(self, one_blas_thread, block_pools, monkeypatch):
-        # the batch-16 output projection: a k=1 conv on the padded batch
+        # a k=1, 128 -> 80 conv over a batch of 16 wide rows, split by
+        # columns like a batch-1 row
         use_pool(monkeypatch, block_pools, 3)
         gen = np.random.default_rng(6)
         x = gen.normal(size=(16, 128, 3 * kernels.RANGE_COLUMNS + 5)).astype(np.float32)
@@ -315,7 +332,7 @@ class TestTapsAccumulateInBlas:
         # numpy built on another BLAS: no thread count to ask, no sgemm
         monkeypatch.setattr(kernels, "_openblas", lambda: None)
         assert kernels._blas_threads() is None
-        assert kernels._column_ranges(6406, 128, np.float32) == [(0, 6406)]
+        assert kernels._column_ranges(6406, 128, 128, np.float32) == [(0, 6406)]
         seen = []
         sum_taps = kernels._sum_taps
 
@@ -548,7 +565,7 @@ def test_more_ranges_than_cores_under_frequent_switches(one_blas_thread,
             expected = conv_reference(x, weight, 4, 4)
             expected += bias[:, None]
             expected = expected.tobytes()
-            assert len(kernels._column_ranges(width, 128, np.float32)) == 5
+            assert len(kernels._column_ranges(width, 128, 128, np.float32)) == 5
             for _ in range(10):
                 got = kernels.conv1d_forward(x, weight, bias, 4, left=4)
                 assert got.tobytes() == expected

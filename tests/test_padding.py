@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import augment_item_reference
+from conftest import augment_item_reference, gather_time, gradcheck, mean
 from melsynth.audio_frontend import Utterance
-from melsynth.nn_core import Tensor
+from melsynth.nn_core import Tensor, no_grad
 from melsynth.nn_core import functional as F
 from melsynth.student import StudentModel, expand_encodings, pad_student_batch
 from melsynth.student import train as student_train
@@ -129,7 +129,7 @@ def ref_expand_encodings(encodings, durations):
         gather[i, :t_i] = expansion_indices(durations[i])
         positions[i, :t_i] = reset_positions(durations[i])
         frame_mask[i, 0, :t_i] = 1.0
-    expanded = F.gather_time(encodings, gather)
+    expanded = gather_time(encodings, gather)
     table = F.sinusoid_table(np.arange(positions.max() + 1), channels)
     pe = np.ascontiguousarray(table[:, positions].transpose(1, 0, 2))
     pe *= frame_mask
@@ -299,3 +299,122 @@ class TestBuilderParity:
         encodings = Tensor(rng.normal(size=(2, 8, 3)).astype(np.float32))
         with pytest.raises(ValueError, match="1 duration rows for 2 items"):
             expand_encodings(encodings, np.array([1, 2, 1]))
+
+
+# ---------------------------------------------------------------------------
+# the expansion as one op, and the decoder's projection on its packed row
+# ---------------------------------------------------------------------------
+
+def ragged_durations(rng, batch, phonemes):
+    """(batch, phonemes) durations of 0-4 frames, items of different
+    lengths, zero-duration phonemes inside and at the ends, no empty item."""
+    durations = rng.integers(0, 5, size=(batch, phonemes))
+    for i in range(batch):
+        durations[i, rng.integers(0, phonemes)] = 0
+        durations[i, rng.integers(phonemes // 2, phonemes + 1):] = 0
+        durations[i, i % phonemes] += 1
+    return durations
+
+
+def expand_and_grad(expand, encodings, durations, upstream):
+    """expand's output and mask, and the gradient of sum(out * upstream)
+    with respect to the encodings."""
+    x = Tensor(encodings.copy(), requires_grad=True)
+    out, mask, lengths = expand(x, durations)
+    F.sum(F.mul(out, upstream)).backward()
+    return out.data, mask, lengths, x.grad
+
+
+class TestExpandTime:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_gather_add_mul_chain(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        durations = ragged_durations(rng, 5, 7)
+        encodings = rng.normal(size=(5, 8, 7)).astype(dtype)
+        frames = int(durations.sum(axis=1).max())
+        # nonzero on the padding too, which must reach no encoding
+        upstream = rng.normal(size=(5, 8, frames)).astype(dtype)
+        got = expand_and_grad(expand_encodings, encodings, durations, upstream)
+        want = expand_and_grad(ref_expand_encodings, encodings, durations,
+                               upstream)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    def test_one_tape_node(self, rng):
+        x = Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32),
+                   requires_grad=True)
+        out, _, _ = expand_encodings(x, np.array([[1, 0, 2], [2, 2, 0]]))
+        assert out._parents == (x,)
+        assert out.data.flags.c_contiguous
+
+    def test_gradcheck(self, rng):
+        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        durations = np.array([[2, 0, 1, 3, 0], [0, 0, 4, 0, 0], [1, 1, 0, 0, 0]])
+        frames = int(durations.sum(axis=1).max())
+        weights = rng.normal(size=(3, 4, frames))
+
+        def loss():
+            out, _, _ = expand_encodings(x, durations)
+            return mean(F.huber(F.mul(out, weights), delta=0.5))
+
+        gradcheck(loss, [x])
+
+    def test_index_range_checked(self):
+        x = Tensor(np.zeros((1, 2, 4), np.float32))
+        table = np.zeros((2, 1), np.float32)
+        with pytest.raises(IndexError):
+            F.expand_time(x, [np.array([4])], [np.array([0])], table)
+
+
+def decoding_student(rng):
+    model = StudentModel(vocab_size=20, mel_bins=6, channels=8, enc_blocks=1,
+                         dec_blocks=4, duration_blocks=1, rng=rng)
+    for block in model.decoder.blocks:
+        block.norm.running_mean[...] = rng.uniform(0.0, 0.5, 8)
+        block.norm.running_var[...] = rng.uniform(0.2, 1.0, 8)
+    model.out_proj.bias.data[...] = rng.normal(size=6)  # nonzero on padding
+    return model
+
+
+class TestDecodeOnPackedRow:
+    """decode runs out_proj on the decoder's packed row and unpacks the mel
+    bins; before, out_proj ran on the unpacked padded batch."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_projection_of_padded_batch(self, rng, training):
+        model = decoding_student(rng)
+        model.train(training)
+        lengths = (30, 9, 17, 1)
+        x = rng.normal(size=(4, 8, 30)).astype(np.float32)
+        mask = F.length_mask(lengths, 30)
+        with no_grad():
+            got = model.decode(Tensor(x), mask).data
+            want = model.out_proj(model.decoder(Tensor(x), mask)).data
+        assert got.shape == want.shape == (4, 6, 30)
+        for i, n in enumerate(lengths):
+            np.testing.assert_array_equal(got[i, :, :n], want[i, :, :n])
+            assert not np.any(got[i, :, n:])
+
+    def test_gradients_match_padded_batch(self, rng):
+        model = decoding_student(rng)
+        lengths = (12, 5, 9)
+        x = rng.normal(size=(3, 8, 12)).astype(np.float32)
+        mask = F.length_mask(lengths, 12)
+        upstream = rng.normal(size=(3, 6, 12)).astype(np.float32) * mask
+
+        def grads(decode):
+            for p in model.parameters():
+                p.grad = None
+            inputs = Tensor(x, requires_grad=True)
+            F.sum(F.mul(decode(inputs), upstream)).backward()
+            return [inputs.grad] + [p.grad.copy() for p in model.parameters()
+                                    if p.grad is not None]
+
+        got = grads(lambda t: model.decode(t, mask))
+        want = grads(lambda t: model.out_proj(model.decoder(t, mask)))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # out_proj's weight and bias sums run over the row, not per item
+            np.testing.assert_allclose(g, w, rtol=1e-5, atol=1e-6)
