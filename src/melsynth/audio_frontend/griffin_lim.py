@@ -24,8 +24,9 @@ HANN_GAMMA = 0.25645
 PHASE_LOG_RANGE = 4.0
 # Frames per block of a synthesis pass. A Griffin-Lim iteration carries a
 # block from analysis to overlap-add while its rows stay in cache: the
-# frames work buffer, the projection, the previous projection and the
-# target take BLOCK_FRAMES * (8 n_fft + 40 bins) bytes, 1.8 MB at n_fft 1024.
+# float32 frames work buffer, the complex64 projection and previous
+# projection and the float32 target take BLOCK_FRAMES * (4 n_fft + 20 bins)
+# bytes, 0.9 MB at n_fft 1024.
 BLOCK_FRAMES = 64
 
 
@@ -62,13 +63,15 @@ def _overlap_add(frames, config, out):
 
 
 class _Synthesis:
-    """Least-squares inverse of the centered STFT for one frame count.
+    """Least-squares inverse of the centered STFT for one frame count, in
+    float32.
 
-    The window-squared norm, its 1e-10 clip, the synthesis window and a
-    ring of (BLOCK_FRAMES, n_fft) block buffers are built once. A signal buffer
-    (`signal_buffer`) holds the signal in blocks of hop samples with
-    n_fft // 2 samples of padding on each side: `padded` views it in the
-    layout `analysis_frames` reads, so re-analysis needs no copy.
+    The window-squared norm (summed in float64), its 1e-10 clip, the
+    synthesis window and a ring of (BLOCK_FRAMES, n_fft) block buffers are
+    built once. A signal buffer (`signal_buffer`) holds the signal in
+    blocks of hop samples with n_fft // 2 samples of padding on each side:
+    `padded` views it in the layout `analysis_frames` reads, so re-analysis
+    needs no copy.
     """
 
     def __init__(self, config, n_frames):
@@ -78,10 +81,10 @@ class _Synthesis:
         self.span = -(-width // hop)  # blocks of hop samples a frame spans
         self.shape = (n_frames - 1 + self.span, hop)
         # undoes the 2/sum(window) scaling stft_magnitude applies
-        self.window = win * (win.sum() / 2.0)
-        self.norm = _overlap_add(np.broadcast_to(win * win, (n_frames, width)),
-                                 config, np.zeros(self.shape))
-        np.maximum(self.norm, 1e-10, out=self.norm)
+        self.window = (win * (win.sum() / 2.0)).astype(np.float32)
+        norm = _overlap_add(np.broadcast_to(win * win, (n_frames, width)),
+                            config, np.zeros(self.shape))
+        self.norm = np.maximum(norm, 1e-10, out=norm).astype(np.float32)
         self.starts = range(0, n_frames, BLOCK_FRAMES)
         workers = pool.worker_pool()[1]
         # a block's frames stay in their slot until they are added, so one
@@ -89,10 +92,10 @@ class _Synthesis:
         # the calling thread reuses one slot while it is in cache
         slots = min(workers + 1, len(self.starts)) if workers > 1 else 1
         self.ring = np.empty((slots, min(n_frames, BLOCK_FRAMES),
-                              config.n_fft))
+                              config.n_fft), np.float32)
 
     def signal_buffer(self):
-        return np.empty(self.shape)
+        return np.empty(self.shape, np.float32)
 
     def padded(self, blocks):
         config = self.config
@@ -142,10 +145,10 @@ def istft(spec, config=AudioConfig()):
     """Least-squares inverse of the centered STFT (window-squared overlap-add).
 
     `spec` (bins, frames) carries the same 2/sum(window) scaling
-    `stft_magnitude` applies; returns the de-padded waveform of length
-    hop * (frames - 1).
+    `stft_magnitude` applies; returns the de-padded float32 waveform of
+    length hop * (frames - 1), synthesised from `spec` in complex64.
     """
-    spec, bins = np.asarray(spec), config.n_fft // 2 + 1
+    spec, bins = np.asarray(spec, np.complex64), config.n_fft // 2 + 1
     if spec.ndim != 2 or spec.shape[0] != bins or spec.shape[1] == 0:
         raise ValueError(f"istft needs a spectrum of n_fft // 2 + 1 = {bins} "
                          f"rows and at least one frame, got shape "
@@ -164,7 +167,8 @@ def spectral_convergence(magnitude, waveform, config=AudioConfig()):
 
 def griffin_lim(log_mel, iterations=GRIFFIN_LIM_ITERATIONS, config=AudioConfig(),
                 momentum=FGLA_MOMENTUM):
-    """Invert a raw_log mel spectrogram to a waveform, peak limited to <= 1.
+    """Invert a raw_log mel spectrogram to a float32 waveform, peak limited
+    to 0.95.
 
     Fixed-point iteration: keep the target magnitude, re-estimate phase from
     the previous reconstruction. With `momentum` alpha > 0 this is the fast
@@ -191,15 +195,16 @@ def griffin_lim(log_mel, iterations=GRIFFIN_LIM_ITERATIONS, config=AudioConfig()
                          f"frames (n_mels = {config.n_mels})")
     # the pseudo-inverse output carries the same scaling stft_magnitude applies
     with np.errstate(over="ignore", invalid="ignore"):
-        target = np.ascontiguousarray(mel_to_linear_magnitude(log_mel, config).T)
+        target = np.ascontiguousarray(mel_to_linear_magnitude(log_mel, config).T,
+                                      dtype=np.float32)
     if not np.isfinite(target).all():
         raise NonFiniteError(
             f"non-finite linear magnitude from mel of shape {shape}")
     y = _iterate(target, iterations, config, momentum)
     peak = np.max(np.abs(y)) if y.size else 0.0
-    if peak > 0.95:
-        y = y * (0.95 / peak)
-    return y.astype(np.float32)
+    # one float32 copy out of the signal buffer; the float32 scale leaves
+    # the peak within a float32 rounding of 0.95
+    return y * (0.95 / peak if peak > 0.95 else 1.0)
 
 
 def _initial_spectrum(target, config, spec, scratch):
@@ -211,12 +216,14 @@ def _initial_spectrum(target, config, spec, scratch):
     and a centred difference over bins (one-sided at the edges); the
     advances are summed over frames by the trapezoid rule, from 0 at frame
     0. The estimate is exact for a Gaussian window and a stationary
-    sinusoid. `target` and `spec` are frame-major (frames, bins); `scratch`
-    is a real (frames, bins) work buffer that holds log s, then the phase,
-    while spec.real holds half of each advance.
+    sinusoid. `target` (float32) and `spec` (complex64) are frame-major
+    (frames, bins); `scratch` is a complex64 (frames, bins) work buffer.
+    The phase is summed in float64: viewed as float64, each complex64 buffer
+    is a (frames, bins) array, so scratch holds log s, then the phase, while
+    spec holds half of each advance.
     """
     hop, n_fft, bins = config.hop_length, config.n_fft, target.shape[1]
-    logs, half = scratch, spec.real
+    logs, half = scratch.view(np.float64), spec.view(np.float64)
     peak = target.max(initial=0.0)
     # an all-zero target floors at 1, a flat log-magnitude
     np.maximum(target, peak * np.exp(-PHASE_LOG_RANGE) or 1.0, out=logs)
@@ -235,7 +242,7 @@ def _initial_spectrum(target, config, spec, scratch):
     np.add(half[:-1], half[1:], out=phase[1:])
     np.cumsum(phase, axis=0, out=phase)
     # float32 sin and cos are vectorised, and an initial estimate needs no
-    # more precision
+    # more precision; the advances in spec are spent
     np.cos(phase, out=spec.real, dtype=np.float32)
     np.sin(phase, out=spec.imag, dtype=np.float32)
     spec *= target
@@ -249,21 +256,21 @@ def _iterate(target, iterations, config, momentum):
     the previous iteration's signal, projected onto the target magnitude,
     extrapolated and added into the next signal while its rows sit in
     cache. Every buffer is allocated once and freed on return: the
-    projection and the previous projection are two complex (frames, bins)
+    projection and the previous projection are two complex64 (frames, bins)
     buffers swapped each iteration, never copied (the second also holds the
     initial log-magnitude and phase), and two signal buffers likewise.
     """
     bins = target.shape[1]
     synthesis = _Synthesis(config, target.shape[0])
-    spec = np.empty(target.shape, np.complex128)
+    spec = np.empty(target.shape, np.complex64)
     prev = np.empty_like(spec)
-    _initial_spectrum(target, config, spec, prev.view(np.float64)[:, :bins])
+    _initial_spectrum(target, config, spec, prev)
     signals = [synthesis.signal_buffer() for _ in range(2)]
     segments = [analysis_frames(synthesis.padded(b), config) for b in signals]
     y = synthesis.synthesize(lambda rows, frames: spec[rows], signals[0])
     if y.size < config.win_length:  # too short to re-analyze: the initial estimate
         return y
-    window = analysis_window(config)
+    window = analysis_window(config).astype(np.float32)
     for n in range(iterations - 1):
         spec, prev = prev, spec  # prev keeps the last projection
         current = n % 2

@@ -61,9 +61,10 @@ def mel_filterbank(config=AudioConfig()):
 
 
 def analysis_window(config):
-    """The Hann window with the 2/sum(window) magnitude scaling folded in."""
+    """The Hann window with the 2/sum(window) magnitude scaling folded in,
+    times n_fft, which `stft_frames`' forward-normalised rfft divides out."""
     window = hann_window(config.win_length)
-    return window * (2.0 / window.sum())
+    return window * (2.0 * config.n_fft / window.sum())
 
 
 def reflect_edges(padded, pad):
@@ -95,11 +96,16 @@ def stft_frames(segments, window, frames, out=None):
     `window` is `analysis_window(config)`; `frames` ((len(segments), n_fft))
     is a work buffer, so a caller that analyses a signal a block of frames
     at a time, or many signals of one length, allocates nothing per call.
+    The rfft runs in the dtype of `frames`. With the default norm, numpy
+    passes its scale as the int 1 and a float32 rfft falls back to the
+    float64 loop through a cast buffer; norm="forward" passes 1/n_fft in
+    the input's precision. At a power-of-two n_fft the 1/n_fft scale and
+    the window's n_fft factor are exact, so float64 spectra keep their bits.
     """
     width = segments.shape[1]
     np.multiply(segments, window, out=frames[:, :width])
     frames[:, width:] = 0.0
-    return np.fft.rfft(frames, axis=1, out=out)
+    return np.fft.rfft(frames, axis=1, norm="forward", out=out)
 
 
 def stft_magnitude(waveform, config=AudioConfig()):

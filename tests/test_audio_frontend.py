@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from melsynth.audio_frontend import (
     LEXICON,
@@ -20,6 +21,7 @@ from melsynth.audio_frontend import (
     corpus_stats,
     denormalize_standard,
     frame_count,
+    hann_window,
     load_dataset,
     load_wav,
     mel_filterbank,
@@ -27,6 +29,7 @@ from melsynth.audio_frontend import (
     normalize_unit,
     read_durations,
     save_wav,
+    stft_magnitude,
     tokenize_text,
     wav_to_mel,
     write_durations,
@@ -102,6 +105,23 @@ class TestWavToMel:
         assert mel_filterbank(CFG) is fb
         with pytest.raises(ValueError, match="read-only"):
             fb[0, 0] = 2.0
+
+    @pytest.mark.parametrize("config", [
+        CFG, AudioConfig(n_fft=512, win_length=512, hop_length=128),
+        AudioConfig(win_length=400, hop_length=300)],
+        ids=["n_fft1024", "n_fft512", "win400"])
+    def test_spectra_keep_their_bits_at_a_power_of_two_n_fft(self, config):
+        # the analysis window carries a factor n_fft that the rfft's
+        # forward norm divides out; both are exact at a power-of-two n_fft,
+        # so the spectra equal those of the plain 2/sum(window) scaling
+        x = np.random.default_rng(0).normal(scale=0.3, size=22050)
+        padded = np.pad(x, config.n_fft // 2, mode="reflect")
+        window = hann_window(config.win_length)
+        segments = sliding_window_view(padded, config.win_length)
+        plain = np.fft.rfft(segments[::config.hop_length]
+                            * (window * (2.0 / window.sum())),
+                            n=config.n_fft, axis=1)
+        assert np.array_equal(stft_magnitude(x, config), np.abs(plain).T)
 
 
 class TestNormalization:
