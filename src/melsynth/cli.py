@@ -19,15 +19,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _count(text):
-    """argparse type of step and repeat counts: an integer of at least 1."""
+def _count(text, minimum=1):
+    """argparse type of step, repeat and utterance counts: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _seed(text):
+    """argparse type of seeds: numpy's generators take none below 0."""
+    return _count(text, minimum=0)
 
 
 def build_parser():
@@ -39,15 +44,15 @@ def build_parser():
     def common(p, checkpoint=False):
         p.add_argument("--config", metavar="PATH",
                        help="config file (defaults: full-size architecture)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override [training] seed")
         if checkpoint:
             p.add_argument("--checkpoint", metavar="PATH", required=True)
 
     p = sub.add_parser("make-toy", help="generate the synthetic toy corpus")
     p.add_argument("--out", metavar="DIR", required=True)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_count, default=10)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("train-teacher", help="train the aligner")
     common(p)

@@ -169,24 +169,25 @@ def matmul(a, b):
 
 
 def linear(x, weight, bias):
-    """Per-time-step affine map on (batch, channels, time) input.
+    """Per-time-step affine map on (batch, channels, time) or (channels, time).
 
     weight: (out_channels, in_channels); bias: (out_channels,).
     """
-    if x.data.shape[1] != weight.data.shape[1]:
+    if x.data.shape[-2] != weight.data.shape[1]:
         raise ValueError(
-            f"linear channel mismatch: input has {x.data.shape[1]}, weight expects {weight.data.shape[1]}"
+            f"linear channel mismatch: input has {x.data.shape[-2]}, weight expects {weight.data.shape[1]}"
         )
     out = np.matmul(weight.data, x.data)
     out += bias.data[:, None]
+    batch = tuple(range(x.data.ndim - 2))
 
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(np.matmul(weight.data.T, g))
         if weight.requires_grad:
-            weight.accumulate_grad(np.matmul(g, np.swapaxes(x.data, 1, 2)).sum(axis=0))
+            weight.accumulate_grad(np.matmul(g, np.swapaxes(x.data, -1, -2)).sum(axis=batch))
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2)))
+            bias.accumulate_grad(g.sum(axis=batch + (g.ndim - 1,)))
 
     return Tensor.from_op(out, (x, weight, bias), backward)
 
@@ -512,8 +513,8 @@ def sinusoid_table(positions, dim):
     return table
 
 
-# Every variable-length batch is right-zero-padded along its last axis, with
-# a float32 (B, 1, width) mask of ones over each item's real frames.
+# Every variable-length batch is right-zero-padded along its last axis; every
+# model method takes its float32 (B, 1, width) mask of ones on real frames.
 
 def pad_right(arrays, dtype):
     """Stack arrays that differ only in their last axis, zero padded on the right.

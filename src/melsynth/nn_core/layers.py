@@ -131,10 +131,7 @@ class RowLayout:
 
     def __init__(self, x, mask, guard):
         batch, _, frames = x.shape
-        if mask is None:
-            m = np.ones((batch, frames), dtype=x.dtype)
-        else:
-            m = np.broadcast_to(mask, (batch, 1, frames))[:, 0]
+        m = np.broadcast_to(mask, (batch, 1, frames))[:, 0]
         nz = m != 0
         ends = np.where(nz.any(axis=1), frames - np.argmax(nz[:, ::-1], axis=1), 0)
         holes = np.flatnonzero(nz.sum(axis=1) != ends)

@@ -169,6 +169,7 @@ RANGE_KEYS = (
     ("teacher", "guided_g", "above 0", lambda v: v > 0),
     ("augment", "noise_std", "at least 0", lambda v: v >= 0),
     ("training", "min_lr", "at least 0", lambda v: v >= 0),
+    ("training", "seed", "at least 0", lambda v: v >= 0),
     ("augment", "max_feedback_passes", "at least 0", lambda v: v >= 0),
     # zero blocks is an empty stack
     ("student", "encoder_blocks", "at least 0", lambda v: v >= 0),

@@ -13,7 +13,6 @@ import numpy as np
 
 from ..nn_core import (Conv1d, Embedding, Linear, Module, PlainResidualBlock,
                        RowLayout)
-from ..nn_core import functional as F
 
 
 def student_dilations(n_blocks, cycle):
@@ -26,7 +25,7 @@ DURATION_DILATIONS = (4, 3, 1)
 
 
 class PlainStack(Module):
-    """Sequential plain residual blocks with optional padding mask.
+    """Sequential plain residual blocks over a padded batch and its mask.
 
     The batch is packed once into a guard-banded row (see
     :class:`~melsynth.nn_core.layers.RowLayout`), as in the teacher's
@@ -43,17 +42,15 @@ class PlainStack(Module):
             for d in dilations
         ]
 
-    def forward(self, x, mask=None):
-        if not self.blocks:
-            return x
+    def forward(self, x, mask):
         row, layout = self.packed(x, mask)
         return layout.unpack(row)
 
-    def packed(self, x, mask=None):
+    def packed(self, x, mask, reach=0):
         """The stack's output as one (channels, width) row, and the
-        :class:`RowLayout` that places each item in it."""
-        reach = max((b.conv.reach() for b in self.blocks), default=0)
-        layout = RowLayout(x, mask, reach)
+        :class:`RowLayout` that places each item in it. The guards also
+        cover `reach`, that of the layers the row goes through next."""
+        layout = RowLayout(x, mask, max([reach] + [b.conv.reach() for b in self.blocks]))
         h = layout.pack(x)
         for block in self.blocks:
             h = block.run(h, layout)
@@ -79,29 +76,24 @@ class StudentModel(Module):
                                   student_dilations(dec_blocks, DECODER_CYCLE), rng)
         self.out_proj = Conv1d(channels, mel_bins, 1, rng=rng)
 
-    def encode(self, phoneme_ids, phoneme_mask=None):
+    def encode(self, phoneme_ids, phoneme_mask):
         """(batch, N) ids -> (batch, channels, N) encodings."""
         ids = np.asarray(phoneme_ids)
         if ids.shape[1] == 0:
             raise ValueError("empty phoneme sequence")
-        x = self.embedding(ids)
-        if phoneme_mask is not None:
-            x = F.mul(x, phoneme_mask)
-        return self.encoder(x, phoneme_mask)
+        return self.encoder(self.embedding(ids), phoneme_mask)
 
-    def predict_log_durations(self, encodings, phoneme_mask=None):
+    def predict_log_durations(self, encodings, phoneme_mask):
         """(batch, channels, N) -> (batch, 1, N) log(1+duration) predictions.
 
         The head reads a detached copy, so duration loss cannot reach the
-        encoder.
+        encoder. It runs on the duration stack's packed row, as ``decode``.
         """
-        h = self.duration_blocks(encodings.detach(), phoneme_mask)
-        h = self.duration_conv(h)
-        if phoneme_mask is not None:
-            h = F.mul(h, phoneme_mask)
-        return self.duration_out(h)
+        row, layout = self.duration_blocks.packed(
+            encodings.detach(), phoneme_mask, self.duration_conv.reach())
+        return layout.unpack(self.duration_out(self.duration_conv(row)))
 
-    def decode(self, expanded, frame_mask=None):
+    def decode(self, expanded, frame_mask):
         """(batch, channels, T) expanded encodings -> (batch, mel_bins, T),
         zero past each item's length. ``out_proj`` runs on the decoder's
         packed row, so only the mel bins are unpacked."""

@@ -42,7 +42,7 @@ class GatedStack(Module):
             for d in dilations
         ]
 
-    def forward(self, x, mask=None):
+    def forward(self, x, mask):
         layout = RowLayout(x, mask, max(b.conv.reach() for b in self.blocks))
         h0 = h = layout.pack(x)
         for block in self.blocks:
@@ -82,7 +82,7 @@ class TeacherModel(Module):
 
     # -- attention pieces --------------------------------------------------
 
-    def encode_phonemes(self, phoneme_ids, phoneme_mask=None):
+    def encode_phonemes(self, phoneme_ids, phoneme_mask):
         """Returns (keys, values, encoder_output) for (batch, N) ids."""
         emb = self.embedding(phoneme_ids)
         hidden = F.relu(self.phoneme_prenet(emb))
@@ -93,7 +93,7 @@ class TeacherModel(Module):
         values = F.mul(F.add(self.value_proj(enc), emb), np.sqrt(0.5))
         return keys, values, enc
 
-    def encode_frames(self, frames, position_rates, frame_mask=None):
+    def encode_frames(self, frames, position_rates, frame_mask):
         """Causal encoding of shifted input frames; query positions advance at
         `position_rates` phonemes per frame (one rate per batch item)."""
         hidden = F.relu(self.frame_prenet(frames))
@@ -108,7 +108,7 @@ class TeacherModel(Module):
         scores = F.matmul(F.transpose_last2(keys), queries)
         return F.mul(scores, 1.0 / np.sqrt(self.attention_dim))
 
-    def decode(self, values, attention, frame_encoding, frame_mask=None):
+    def decode(self, values, attention, frame_encoding, frame_mask):
         context = F.matmul(values, attention)
         dec_in = F.add(self.context_proj(context), frame_encoding)
         skips = self.decoder_stack(dec_in, frame_mask)
@@ -117,15 +117,14 @@ class TeacherModel(Module):
 
     # -- full forward --------------------------------------------------------
 
-    def forward(self, phoneme_ids, frames, position_rates, phoneme_mask=None,
-                frame_mask=None):
+    def forward(self, phoneme_ids, frames, position_rates, phoneme_mask, frame_mask):
         """Parallel teacher-forced pass.
 
         phoneme_ids: (batch, N) ints; frames: (batch, mel_bins, T) tensor of
-        shifted unit-interval input; position_rates: per-item N/T.
-        Returns (predictions (batch, mel_bins, T), attention (batch, N, T)).
-        Padded phonemes must be masked to NEG_INF via phoneme_mask so softmax
-        ignores them.
+        shifted unit-interval input; position_rates: per-item N/T; the masks:
+        (batch, 1, N) and (batch, 1, T) length masks. Returns (predictions
+        (batch, mel_bins, T), attention (batch, N, T)); padded phonemes get
+        NEG_INF logits, so softmax ignores them.
         """
         phoneme_ids = np.asarray(phoneme_ids)
         if phoneme_ids.shape[1] == 0 or frames.shape[2] == 0:
@@ -133,8 +132,7 @@ class TeacherModel(Module):
         keys, values, _ = self.encode_phonemes(phoneme_ids, phoneme_mask)
         queries, frame_enc = self.encode_frames(frames, position_rates, frame_mask)
         logits = self.attention_logits(keys, queries)
-        if phoneme_mask is not None:
-            logits = F.add(logits, (1.0 - np.swapaxes(phoneme_mask, 1, 2)) * NEG_INF)
+        logits = F.add(logits, (1.0 - np.swapaxes(phoneme_mask, 1, 2)) * NEG_INF)
         attention = F.softmax(logits, axis=1)
         pred = self.decode(values, attention, frame_enc, frame_mask)
         return pred, attention

@@ -171,12 +171,21 @@ def batch_norm(norm, x, mask=None):
     return F.add(F.mul(normed, _per_channel(norm.scale)), _per_channel(norm.shift))
 
 
+def full_mask(batch, width):
+    """Float32 (batch, 1, width) mask of a batch whose every frame is real."""
+    from melsynth.nn_core import functional as F
+
+    return F.length_mask([width] * batch, width)
+
+
 def run_block(block, x):
-    """A residual block on a (batch, channels, time) batch: pack it into one
-    guard-banded row, run the block's fused op, unpack."""
+    """A residual block on a (batch, channels, time) batch whose every frame
+    is real: pack it into one guard-banded row, run the block's fused op,
+    unpack."""
     from melsynth.nn_core import RowLayout
 
-    layout = RowLayout(x, None, block.conv.reach())
+    batch, _, frames = x.shape
+    layout = RowLayout(x, full_mask(batch, frames), block.conv.reach())
     return layout.unpack(block.run(layout.pack(x), layout))
 
 
@@ -274,7 +283,8 @@ def augment_item_reference(mel, model, rng, params, phoneme_ids,
         ids = np.asarray(phoneme_ids, dtype=np.int64)[None]
         with model.evaluating(), no_grad():
             for _ in range(feedback_passes):
-                pred, _ = model(ids, Tensor(shift_frames(x)[None]), [position_rate])
+                pred, _ = model(ids, Tensor(shift_frames(x)[None]), [position_rate],
+                                full_mask(1, ids.shape[1]), full_mask(1, t))
                 x = pred.data[0].astype(np.float32)
     if params.replace_prob > 0:
         snapshot = x.copy()
@@ -295,7 +305,8 @@ def prefix_predictions(model, phoneme_ids, mel, position_rate):
     columns = []
     with no_grad():
         for t in range(inputs.shape[2]):
-            pred, _ = model(ids, Tensor(inputs[:, :, :t + 1]), [position_rate])
+            pred, _ = model(ids, Tensor(inputs[:, :, :t + 1]), [position_rate],
+                            full_mask(1, ids.shape[1]), full_mask(1, t + 1))
             columns.append(pred.data[0, :, t])
     return np.stack(columns, axis=1)
 

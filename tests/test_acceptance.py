@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import gradcheck, prefix_predictions, run_block
+from conftest import full_mask, gradcheck, prefix_predictions, run_block
 from melsynth.audio_frontend import (
     AudioConfig,
     PhonemeVocabulary,
@@ -208,7 +208,7 @@ class TestCriterion01:
                       ("key_query_proj", "value_proj", "context_proj")]
 
         def teacher_loss():
-            pred, attention = teacher(t_ids, t_in, [3 / 5])
+            pred, attention = teacher(t_ids, t_in, [3 / 5], full_mask(1, 3), ones)
             return F.add(masked_mae(pred, target, ones),
                          batch_guided_attention_loss(attention, [3], [5], 0.2))
 
@@ -262,7 +262,8 @@ class TestCriterion02:
             rate = n / t
             with no_grad():
                 parallel, _ = model(u.phoneme_ids[None],
-                                    Tensor(shift_frames(u.mel)[None]), [rate])
+                                    Tensor(shift_frames(u.mel)[None]), [rate],
+                                    full_mask(1, n), full_mask(1, t))
             sequential = prefix_predictions(model, u.phoneme_ids, u.mel, rate)
             worst = max(worst, float(np.max(np.abs(sequential
                                                    - parallel.data[0]))))
@@ -458,12 +459,12 @@ class TestCriterion09:
             ids = rng.integers(1, 30, size=(2, 5))
             durations = rng.integers(1, 5, size=(2, 5))
             target_d = np.log1p(durations)[:, None, :].astype(np.float32)
-            mask = np.ones((2, 1, 5), dtype=np.float32)
+            mask = full_mask(2, 5)
 
             for _, p in model.named_parameters():
                 p.grad = None
-            enc = model.encode(ids)
-            dur = masked_huber(model.predict_log_durations(enc),
+            enc = model.encode(ids, mask)
+            dur = masked_huber(model.predict_log_durations(enc, mask),
                                target_d, mask)
             dur.backward()
             ok &= all(p.grad is None or not p.grad.any() for _, p in enc_side)
@@ -473,7 +474,7 @@ class TestCriterion09:
 
             for _, p in model.named_parameters():
                 p.grad = None
-            enc = model.encode(ids)
+            enc = model.encode(ids, mask)
             expanded, fmask, _ = expand_encodings(enc, durations)
             pred = model.decode(expanded, fmask)
             target = rng.normal(size=pred.data.shape).astype(np.float32)

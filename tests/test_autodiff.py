@@ -76,6 +76,20 @@ class TestFiniteDifferences:
 
         gradcheck(loss, [x, w, b])
 
+    def test_linear_on_a_row(self, rng):
+        # one (channels, width) row, as the student's duration head passes
+        x = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        weights = rng.normal(size=(3, 7))
+
+        def loss():
+            return F.sum(F.mul(F.linear(x, w, b), weights))
+
+        gradcheck(loss, [x, w, b])
+        batch = F.linear(Tensor(x.data[None]), w, b).data
+        np.testing.assert_allclose(F.linear(x, w, b).data, batch[0], rtol=1e-12)
+
     def test_broadcast_arithmetic(self, rng):
         a = Tensor(rng.normal(size=(2, 3, 4)).astype(np.float64), requires_grad=True)
         b = Tensor(rng.normal(size=(1, 3, 1)).astype(np.float64) + 3.0, requires_grad=True)

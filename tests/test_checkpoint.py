@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peek_config
+from conftest import full_mask, peek_config
 from melsynth.audio_frontend import PhonemeVocabulary
 from melsynth.nn_core import Adam, PlainResidualBlock
 from melsynth.pipeline import (
@@ -176,14 +176,14 @@ class TestModelCheckpoint:
         model = build_student(cfg, vocab_size=30, rng=rng)
         model.eval()
         ids = rng.integers(1, 30, size=(1, 5))
-        before = model.encode(ids).data.copy()
+        before = model.encode(ids, full_mask(1, 5)).data.copy()
         path = tmp_path / "student.ckpt"
         save_checkpoint(path, model, cfg, "student")
         clone = build_student(cfg, vocab_size=30,
                               rng=np.random.default_rng(999))
         load_checkpoint(path, clone, cfg, "student")
         clone.eval()
-        assert np.array_equal(clone.encode(ids).data, before)
+        assert np.array_equal(clone.encode(ids, full_mask(1, 5)).data, before)
 
     def test_load_writes_into_the_optimizer_buffer(self, tmp_path, rng):
         # the trainers build Adam before they load a resume checkpoint, so

@@ -122,6 +122,7 @@ class TestParsing:
         ("[augment]\nnoise_std = -0.1\n",
          r"\[augment\] noise_std = -0.1 must be at least 0"),
         ("[training]\nmin_lr = -1e-05\n", r"\[training\] min_lr = -1e-05 must be at least 0"),
+        ("[training]\nseed = -3\n", r"\[training\] seed = -3 must be at least 0"),
         ("[augment]\nmax_feedback_passes = -1\n",
          r"\[augment\] max_feedback_passes = -1 must be at least 0"),
         ("[augment]\nreplace_prob = 1.5\n",

@@ -561,6 +561,8 @@ class TestCli:
         ["train-student", "--out", "o", "--max-steps", "0"],
         ["train-student", "--out", "o", "--max-steps", "two"],
         ["benchmark", "--checkpoint", "x.ckpt", "--repeats", "0"],
+        ["make-toy", "--out", "o", "--count", "-2"],
+        ["make-toy", "--out", "o", "--count", "0"],
     ])
     def test_counts_below_one_are_usage_errors(self, args, tmp_path,
                                                monkeypatch, capsys):
@@ -569,6 +571,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage error: argument --")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["make-toy", "--out", "o", "--seed", "-1"],
+        ["train-teacher", "--out", "o", "--seed", "-1"],
+        ["train-student", "--out", "o", "--seed", "-5"],
+    ])
+    def test_negative_seeds_are_usage_errors(self, args, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: argument --seed: must be at least 0")
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_config_seed_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[training]\nseed = -3\n")
+        assert main(["train-teacher", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert ("c.cfg: [training] seed = -3 must be at least 0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_missing_checkpoint_is_data_error(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

@@ -24,7 +24,7 @@ from melsynth.student import (
     synthesize,
 )
 
-from conftest import gradcheck, narrow
+from conftest import full_mask, gradcheck, narrow
 
 VOCAB = 24
 
@@ -37,8 +37,10 @@ def tiny_student(rng, **overrides):
 
 
 def predicted_log_durations(model, ids):
+    mask = full_mask(1, ids.size)
     with no_grad():
-        return model.predict_log_durations(model.encode(ids.reshape(1, -1))).data[0, 0]
+        return model.predict_log_durations(
+            model.encode(ids.reshape(1, -1), mask), mask).data[0, 0]
 
 
 def random_items(rng, count=2, bins=6):
@@ -174,18 +176,38 @@ class TestStudentModel:
     def test_output_shapes(self, rng):
         model = tiny_student(rng)
         ids = rng.integers(1, VOCAB, size=(2, 5))
-        enc = model.encode(ids)
+        enc = model.encode(ids, full_mask(2, 5))
         assert enc.shape == (2, 16, 5)
-        log_dur = model.predict_log_durations(enc)
+        log_dur = model.predict_log_durations(enc, full_mask(2, 5))
         assert log_dur.shape == (2, 1, 5)
         out, mask, _ = expand_encodings(enc, np.full((2, 5), 2))
         pred = model.decode(out, mask)
         assert pred.shape == (2, 6, 10)
 
+    @pytest.mark.parametrize("blocks", [0, 3])
+    def test_padded_durations_match_items_alone(self, rng, blocks):
+        # the head's conv runs on the duration stack's row: the guards must
+        # cover its reach, also when the stack has no blocks of its own
+        model = tiny_student(rng, duration_blocks=blocks)
+        model.duration_conv.bias.data[...] = rng.normal(size=16)
+        model.duration_out.bias.data[...] = 0.5
+        model.eval()
+        lengths = (7, 2, 5)
+        # padded frames hold noise, which the head must not read
+        enc = rng.normal(size=(3, 16, 7)).astype(np.float32)
+        with no_grad():
+            got = model.predict_log_durations(
+                Tensor(enc), F.length_mask(lengths, 7)).data
+            for i, n in enumerate(lengths):
+                alone = model.predict_log_durations(
+                    Tensor(enc[i:i + 1, :, :n]), full_mask(1, n)).data
+                np.testing.assert_allclose(got[i, :, :n], alone[0], atol=1e-6)
+                assert not np.any(got[i, :, n:])
+
     def test_empty_sequence_rejected(self, rng):
         model = tiny_student(rng)
         with pytest.raises(ValueError):
-            model.encode(np.zeros((1, 0), dtype=np.int64))
+            model.encode(np.zeros((1, 0), dtype=np.int64), full_mask(1, 0))
 
     def test_eval_forward_is_deterministic(self, rng):
         model = tiny_student(rng)
@@ -292,7 +314,7 @@ class TestInference:
         halfwidth = 2 * (1 + 1 + 2 + 2) // 2
         x = Tensor(rng.normal(size=(1, 16, 41)).astype(np.float32),
                    requires_grad=True)
-        out = model.decode(x)
+        out = model.decode(x, full_mask(1, 41))
         center = 20
         F.sum(narrow(out, 2, center, 1)).backward()
         support = np.flatnonzero(np.abs(x.grad).sum(axis=(0, 1)))

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import (
     augment_item_reference,
+    full_mask,
     gradcheck,
     mean,
     prefix_predictions,
@@ -136,21 +137,23 @@ class TestForward:
         model = tiny_model(rng)
         ids = rng.integers(1, VOCAB, size=(2, 7))
         frames = Tensor(rng.random((2, 8, 11)).astype(np.float32))
-        _, att = model(ids, frames, [7 / 11, 7 / 11])
+        _, att = model(ids, frames, [7 / 11, 7 / 11], full_mask(2, 7),
+                       full_mask(2, 11))
         np.testing.assert_allclose(att.data.sum(axis=1), 1.0, atol=1e-5)
 
     def test_outputs_in_unit_interval(self, rng):
         model = tiny_model(rng)
         ids = rng.integers(1, VOCAB, size=(1, 5))
         frames = Tensor(rng.random((1, 8, 9)).astype(np.float32))
-        pred, _ = model(ids, frames, [5 / 9])
+        pred, _ = model(ids, frames, [5 / 9], full_mask(1, 5), full_mask(1, 9))
         assert pred.data.min() > 0.0 and pred.data.max() < 1.0
 
     def test_empty_inputs_rejected(self, rng):
         model = tiny_model(rng)
         with pytest.raises(ValueError):
             model(np.zeros((1, 0), dtype=np.int64),
-                  Tensor(np.zeros((1, 8, 4), dtype=np.float32)), [1.0])
+                  Tensor(np.zeros((1, 8, 4), dtype=np.float32)), [1.0],
+                  full_mask(1, 0), full_mask(1, 4))
 
     def test_uniform_attention_context_is_value_mean(self, rng):
         # zero K/Q projection -> all logits equal -> uniform columns
@@ -160,8 +163,8 @@ class TestForward:
         ids = rng.integers(1, VOCAB, size=(1, 6))
         frames = Tensor(rng.random((1, 8, 10)).astype(np.float32))
         with no_grad():
-            keys, values, _ = model.encode_phonemes(ids)
-            queries, _ = model.encode_frames(frames, [0.6])
+            keys, values, _ = model.encode_phonemes(ids, full_mask(1, 6))
+            queries, _ = model.encode_frames(frames, [0.6], full_mask(1, 10))
             att = F.softmax(model.attention_logits(keys, queries), axis=1)
             context = F.matmul(values, att)
         expected = values.data.mean(axis=2, keepdims=True)
@@ -197,8 +200,9 @@ class TestForward:
         bumped = base.copy()
         bumped[0, :, t_hit] += 0.25
         with no_grad():
-            a, _ = model(ids, Tensor(base), [5 / 12])
-            b, _ = model(ids, Tensor(bumped), [5 / 12])
+            masks = full_mask(1, 5), full_mask(1, 12)
+            a, _ = model(ids, Tensor(base), [5 / 12], *masks)
+            b, _ = model(ids, Tensor(bumped), [5 / 12], *masks)
         np.testing.assert_allclose(a.data[0, :, :t_hit], b.data[0, :, :t_hit], atol=2e-6)
         assert np.max(np.abs(a.data[0, :, t_hit:] - b.data[0, :, t_hit:])) > 1e-5
 
@@ -214,7 +218,8 @@ class TestSequentialEquivalence:
             target = rng.random((8, t)).astype(np.float32)
             rate = n / t
             with no_grad():
-                parallel, _ = model(ids[None], Tensor(shift_frames(target)[None]), [rate])
+                parallel, _ = model(ids[None], Tensor(shift_frames(target)[None]), [rate],
+                                    full_mask(1, n), full_mask(1, t))
             sequential = prefix_predictions(model, ids, target, rate)
             np.testing.assert_allclose(sequential, parallel.data[0], atol=1e-5)
 
@@ -350,7 +355,8 @@ class TestAugmentations:
         x = mel
         with no_grad():
             for _ in range(2):
-                pred, _ = model(ids[None], Tensor(shift_frames(x)[None]), [0.5])
+                pred, _ = model(ids[None], Tensor(shift_frames(x)[None]), [0.5],
+                                full_mask(1, 5), full_mask(1, 10))
                 x = pred.data[0].astype(np.float32)
         np.testing.assert_array_equal(out, x)
 
@@ -428,7 +434,7 @@ class TestPackedStacks:
                               phoneme_mask=pmask, frame_mask=fmask)
             for i, (n, t) in enumerate(zip(self.NS, self.TS)):
                 alone, att_alone = model(ids[i:i + 1, :n], Tensor(frames[i:i + 1, :, :t]),
-                                         rates[i:i + 1])
+                                         rates[i:i + 1], full_mask(1, n), full_mask(1, t))
                 assert peak_error(pred.data[i, :, :t], alone.data[0]) < 1e-5
                 assert peak_error(att.data[i, :n, :t], att_alone.data[0]) < 1e-5
             _, _, enc = model.encode_phonemes(ids, pmask)
